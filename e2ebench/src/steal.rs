@@ -17,13 +17,21 @@ const SAMPLE_EVERY: Duration = Duration::from_millis(20);
 /// Clock ticks per second of `/proc/stat` (`USER_HZ`, 100 on Linux).
 const USER_HZ: f64 = 100.0;
 
-/// The machine's cumulative steal time in CPU-seconds, if readable.
-fn steal_now() -> Option<f64> {
+/// The machine's cumulative busy and steal time in CPU-seconds, if
+/// readable.
+fn busy_and_steal_now() -> Option<(f64, f64)> {
     let stat = std::fs::read_to_string("/proc/stat").ok()?;
-    let cpu = stat.lines().next()?;
     // cpu user nice system idle iowait irq softirq steal ...
-    let ticks: f64 = cpu.split_whitespace().nth(8)?.parse().ok()?;
-    Some(ticks / USER_HZ)
+    let ticks: Vec<f64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .map(|v| v.parse().ok())
+        .collect::<Option<_>>()?;
+    let busy = ticks[0] + ticks[1] + ticks[2] + ticks[5] + ticks[6];
+    Some((busy / USER_HZ, *ticks.get(7)? / USER_HZ))
 }
 
 /// CPU time this process has used (user + system, all threads, including
@@ -45,13 +53,18 @@ pub fn process_cpu_s() -> f64 {
     (field(14) + field(15)) / USER_HZ
 }
 
-/// A background sampler of steal time; times are seconds since `origin`.
+/// A background sampler of busy and steal time; times are seconds since
+/// `origin`.
 pub struct StealClock {
     pub origin: Instant,
-    samples: Arc<Mutex<Vec<(f64, f64)>>>,
+    samples: Arc<Mutex<Vec<Sample>>>,
     stop: Arc<AtomicBool>,
     sampler: thread::JoinHandle<()>,
 }
+
+/// Time since the origin, cumulative busy CPU-seconds, cumulative stolen
+/// CPU-seconds.
+type Sample = (f64, f64, f64);
 
 impl StealClock {
     pub fn start() -> Self {
@@ -60,11 +73,11 @@ impl StealClock {
         let stop = Arc::new(AtomicBool::new(false));
         let (out, done) = (Arc::clone(&samples), Arc::clone(&stop));
         let sampler = thread::spawn(move || loop {
-            if let Some(steal) = steal_now() {
+            if let Some((busy, steal)) = busy_and_steal_now() {
                 let t = origin.elapsed().as_secs_f64();
                 out.lock()
                     .expect("the sampler is the only writer")
-                    .push((t, steal));
+                    .push((t, busy, steal));
             }
             if done.load(Ordering::Relaxed) {
                 return;
@@ -86,39 +99,43 @@ impl StealClock {
         let samples = Arc::try_unwrap(self.samples)
             .map(|m| m.into_inner().expect("the sampler is the only writer"))
             .unwrap_or_default();
-        Steal {
-            samples,
-            cpus: thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
-        }
+        Steal { samples }
     }
 }
 
-/// The steal samples of a finished run.
+/// The busy and steal samples of a finished run.
 pub struct Steal {
-    samples: Vec<(f64, f64)>,
-    cpus: f64,
+    samples: Vec<Sample>,
 }
 
 impl Steal {
-    /// Cumulative steal at `t`, interpolated between samples.
-    fn at(&self, t: f64) -> f64 {
-        let i = self.samples.partition_point(|&(ts, _)| ts <= t);
+    /// Cumulative (busy, steal) at `t`, interpolated between samples.
+    fn at(&self, t: f64) -> (f64, f64) {
+        let i = self.samples.partition_point(|&(ts, ..)| ts <= t);
         match (
             i.checked_sub(1).map(|j| self.samples[j]),
             self.samples.get(i),
         ) {
-            (Some((t0, s0)), Some(&(t1, s1))) => s0 + (s1 - s0) * (t - t0) / (t1 - t0),
-            (Some((_, s)), None) | (None, Some(&(_, s))) => s,
-            (None, None) => 0.0,
+            (Some((t0, b0, s0)), Some(&(t1, b1, s1))) => {
+                let f = (t - t0) / (t1 - t0);
+                (b0 + (b1 - b0) * f, s0 + (s1 - s0) * f)
+            }
+            (Some((_, b, s)), None) | (None, Some(&(_, b, s))) => (b, s),
+            (None, None) => (0.0, 0.0),
         }
     }
 
-    /// The share of the machine's CPUs withheld during `[from, to]`.
+    /// The share of the time the CPUs had work to run during `[from, to]`
+    /// that the hypervisor withheld. Relative to demand rather than to all
+    /// CPUs, it is right for one busy thread as for two: an idle virtual
+    /// CPU accrues no steal.
     pub fn share(&self, from: f64, to: f64) -> f64 {
-        if to <= from {
+        let ((b0, s0), (b1, s1)) = (self.at(from), self.at(to));
+        let (busy, steal) = (b1 - b0, s1 - s0);
+        if to <= from || busy + steal <= 0.0 {
             return 0.0;
         }
-        ((self.at(to) - self.at(from)) / (self.cpus * (to - from))).clamp(0.0, 0.9)
+        (steal / (busy + steal)).clamp(0.0, 0.9)
     }
 
     /// The steal-adjusted length of `[from, to]`, in seconds.

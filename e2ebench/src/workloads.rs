@@ -646,7 +646,10 @@ fn traced_replay(
     let untraced_to = now();
     let steal = clock.stop();
     rep.set("trace.replay_s", steal.adjusted(traced_from, untraced_from));
-    rep.set("trace.untraced_s", steal.adjusted(untraced_from, untraced_to));
+    rep.set(
+        "trace.untraced_s",
+        steal.adjusted(untraced_from, untraced_to),
+    );
 }
 
 /// Stores and reloads `records` through the record cache under spans.
@@ -677,31 +680,28 @@ fn traced_cache(
 }
 
 fn layer_metrics(tracer: &Tracer, rep: &mut Report) {
-    for (metric, span) in [
-        ("surface.build_s", "surface.build"),
-        ("stabsim.dem_extract_s", "stabsim.dem_extract"),
-        ("decode.decompose_s", "decode.decompose"),
-        ("decode.compile_uf_s", "decode.compile_uf"),
-        ("decode.compile_mwpm_s", "decode.compile_mwpm"),
-        ("decode.compile_window_s", "decode.compile_window"),
-        ("stabsim.sampler_compile_s", "stabsim.sampler_compile"),
-        (
-            "stabsim.stream_sampler_compile_s",
-            "stabsim.stream_sampler_compile",
-        ),
-        ("stabsim.sample_s", "stabsim.sample"),
-        ("decode.uf.predict_s", "decode.uf.predict"),
-        ("decode.mwpm.predict_s", "decode.mwpm.predict"),
-        ("decode.window.predict_s", "decode.window.predict"),
-        ("decode.mc.stream_s", "decode.mc.stream"),
-        ("sim.cache_store_s", "sim.cache_store"),
-        ("sim.cache_load_s", "sim.cache_load"),
-        ("sim.jobs_encode_s", "sim.jobs_encode"),
-        ("sim.jobs_decode_s", "sim.jobs_decode"),
-        ("core.fit_s", "core.fit"),
-        ("shor.estimate_s", "shor.estimate"),
+    for span in [
+        "surface.build",
+        "stabsim.dem_extract",
+        "decode.decompose",
+        "decode.compile_uf",
+        "decode.compile_mwpm",
+        "decode.compile_window",
+        "stabsim.sampler_compile",
+        "stabsim.stream_sampler_compile",
+        "stabsim.sample",
+        "decode.uf.predict",
+        "decode.mwpm.predict",
+        "decode.window.predict",
+        "decode.mc.stream",
+        "sim.cache_store",
+        "sim.cache_load",
+        "sim.jobs_encode",
+        "sim.jobs_decode",
+        "core.fit",
+        "shor.estimate",
     ] {
-        rep.set(metric, tracer.total_s(span));
+        rep.set(&format!("{span}_s"), tracer.total_s(span));
     }
     rep.set("decode.mc.other_s", tracer.self_s("decode.mc"));
     for name in [
@@ -733,7 +733,7 @@ fn layer_metrics(tracer: &Tracer, rep: &mut Report) {
 }
 
 /// Traced `calibrate`: one cold calibration, its points replayed stage by
-/// stage, the cache round trip, the warm replay, the fit and the estimate.
+/// stage, the cache round trip of its records, their fit and the estimate.
 pub fn calibrate_traced(ctx: &Ctx, tracer: &Tracer, rep: &mut Report) {
     let mut cfg = gen::calibration_config(ctx.seed, 0);
     cfg.cache_dir = Some(ctx.fresh_dir("cal-traced"));
