@@ -108,7 +108,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bp;
-mod fxhash;
 pub mod graph;
 pub mod matching;
 pub mod mc;

@@ -11,25 +11,13 @@
 //! heap, the DP tables, the greedy option list — lives in a reusable
 //! [`MatchScratch`], so the steady-state decode loop is allocation-free.
 
-use crate::fxhash::BuildFxHasher;
 use crate::graph::DecodingGraph;
 use crate::Decoder;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::{PoisonError, RwLock};
+use std::collections::BinaryHeap;
 
 /// Default maximum number of defects for the exact DP.
 pub const DEFAULT_MAX_EXACT_DEFECTS: usize = 20;
-
-/// Cap on memoized component solutions; a full table is flushed wholesale.
-const COMP_MEMO_MAX_ENTRIES: usize = 1 << 14;
-
-/// Component memo: sorted defect ids of an interacting component → the
-/// observable mask its minimum-weight pairing contributes. Valid whenever
-/// the same set reappears as a component (the partition criterion is
-/// pairwise, so a component's solution never depends on the rest of the
-/// syndrome), which across a Monte-Carlo batch it constantly does.
-type CompMemo = HashMap<Box<[u32]>, u64, BuildFxHasher>;
 
 /// Detector-count ceiling below which [`MatchingDecoder::new`] precomputes
 /// the all-pairs distance/path tables (the tables are O(detectors²)).
@@ -66,8 +54,6 @@ pub struct MatchScratch {
     is_target: Vec<bool>,
     /// Per-defect-row flags: row's Dijkstra table is populated this decode.
     row_done: Vec<bool>,
-    /// Defect ids of the component currently being solved (the memo key).
-    comp_key: Vec<u32>,
 }
 
 /// Construction-time all-pairs tables: for every detector, the shortest-path
@@ -113,30 +99,11 @@ struct Precomputed {
 /// // Two adjacent defects: matched internally, no logical flip.
 /// assert_eq!(decoder.predict(&[0, 1]), 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MatchingDecoder {
     graph: DecodingGraph,
     max_exact_defects: usize,
     precomputed: Option<Precomputed>,
-    memo_enabled: bool,
-    memo: RwLock<CompMemo>,
-}
-
-impl Clone for MatchingDecoder {
-    fn clone(&self) -> Self {
-        Self {
-            graph: self.graph.clone(),
-            max_exact_defects: self.max_exact_defects,
-            precomputed: self.precomputed.clone(),
-            memo_enabled: self.memo_enabled,
-            memo: RwLock::new(
-                self.memo
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
 }
 
 impl MatchingDecoder {
@@ -146,34 +113,20 @@ impl MatchingDecoder {
     /// all-pairs distance/path tables precomputed here, so singleton and
     /// two-defect components decode with no per-shot Dijkstra at all; see
     /// [`MatchingDecoder::with_precompute`] to override. Larger interacting
-    /// components are solved once per distinct defect set and memoized
-    /// across shots (see [`MatchingDecoder::with_memo`]).
+    /// components run early-exit Dijkstra searches localized to the
+    /// component and are paired exactly (or greedily past the cap) on
+    /// every decode.
     pub fn new(graph: DecodingGraph) -> Self {
         let mut decoder = Self {
             graph,
             max_exact_defects: DEFAULT_MAX_EXACT_DEFECTS,
             precomputed: None,
-            memo_enabled: true,
-            memo: RwLock::new(CompMemo::default()),
         };
         let nd = decoder.graph.num_detectors();
         if nd > 0 && nd <= PRECOMPUTE_MAX_DETECTORS {
             decoder.precomputed = Some(decoder.build_precomputed());
         }
         decoder
-    }
-
-    /// En/disables the cross-shot component memo (on by default). Decoding
-    /// results are bit-identical either way — a hit replays the mask the
-    /// solve would have produced; the off position exists for A/B testing
-    /// and the equivalence tests.
-    pub fn with_memo(mut self, enabled: bool) -> Self {
-        self.memo_enabled = enabled;
-        self.memo
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self
     }
 
     /// Enables or disables the all-pairs precompute, regardless of graph
@@ -228,11 +181,6 @@ impl MatchingDecoder {
     pub fn with_max_exact_defects(mut self, cap: usize) -> Self {
         assert!(cap <= 24, "exact matching cap too large: {cap}");
         self.max_exact_defects = cap;
-        // Memoized solutions depend on the cap (exact vs greedy): drop them.
-        self.memo
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         self
     }
 
@@ -442,24 +390,6 @@ impl MatchingDecoder {
                     continue;
                 }
             }
-            // A larger interacting component: its pairing is a pure
-            // function of its defect set (the partition criterion is
-            // pairwise), so solve each distinct set once and memoize the
-            // mask it contributes — across shots these repeat constantly.
-            let memoize = self.memo_enabled && rows.len() >= 3;
-            if memoize {
-                scratch.comp_key.clear();
-                scratch
-                    .comp_key
-                    .extend(rows.iter().map(|&r| defects[r as usize]));
-                let memo = self.memo.read().unwrap_or_else(PoisonError::into_inner);
-                if let Some(&m) = memo.get(scratch.comp_key.as_slice()) {
-                    mask ^= m;
-                    scratch.comp_rows = rows;
-                    g0 = g1;
-                    continue;
-                }
-            }
             if pre.is_some() {
                 // Localize the early-exit targets to this component plus
                 // the boundary: the pairing reads only intra-component and
@@ -488,24 +418,15 @@ impl MatchingDecoder {
             } else {
                 greedy_pairing(&rows, defects, boundary, n, scratch);
             }
-            let mut contrib = 0u64;
             for pi in pairing_start..scratch.pairing.len() {
                 match scratch.pairing[pi] {
                     Match::Pair(i, j) => {
-                        contrib ^= self.path_observables(scratch, i as usize, defects[j as usize]);
+                        mask ^= self.path_observables(scratch, i as usize, defects[j as usize]);
                     }
                     Match::Boundary(i) => {
-                        contrib ^= self.path_observables(scratch, i as usize, boundary as u32);
+                        mask ^= self.path_observables(scratch, i as usize, boundary as u32);
                     }
                 }
-            }
-            mask ^= contrib;
-            if memoize {
-                let mut memo = self.memo.write().unwrap_or_else(PoisonError::into_inner);
-                if memo.len() >= COMP_MEMO_MAX_ENTRIES {
-                    memo.clear();
-                }
-                memo.insert(scratch.comp_key.as_slice().into(), contrib);
             }
             scratch.comp_rows = rows;
             g0 = g1;
@@ -884,38 +805,6 @@ mod tests {
                     "trial {trial}, syndrome {syndrome:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn memo_on_off_bit_identical_including_warm_repeats() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for graph in [chain(12, 0.03), tangle(14)] {
-            let nd = graph.num_detectors() as u32;
-            let on = MatchingDecoder::new(graph);
-            let off = on.clone().with_memo(false);
-            let mut s_on = MatchScratch::default();
-            let mut s_off = MatchScratch::default();
-            let mut rng = StdRng::seed_from_u64(47);
-            let syndromes: Vec<Vec<u32>> = (0..150)
-                .map(|_| (0..nd).filter(|_| rng.random_bool(0.35)).collect())
-                .collect();
-            // Two passes: the second replays every syndrome against a warm
-            // memo, so hits must reproduce the cold solves bit for bit.
-            for pass in 0..2 {
-                for (ti, syndrome) in syndromes.iter().enumerate() {
-                    assert_eq!(
-                        on.decode_into(syndrome, &mut s_on),
-                        off.decode_into(syndrome, &mut s_off),
-                        "pass {pass}, trial {ti}, syndrome {syndrome:?}"
-                    );
-                }
-            }
-            assert!(
-                !on.memo.read().unwrap().is_empty(),
-                "dense syndromes must have exercised the component memo"
-            );
         }
     }
 

@@ -28,12 +28,18 @@
 //! Both mechanisms are exact: the decision stream (solidification order,
 //! merge order, peel order) is bit-identical to the literal one-quantum-per-
 //! round formulation.
+//!
+//! Every syndrome takes the same path — seed, grow, peel — and leaves two
+//! records in its scratch: the correction edges ([`UfScratch::correction`])
+//! and the decode's *reach*, every edge that ever entered a frontier list.
+//! The windowed decoder reads both: the correction to split at the commit
+//! boundary, the reach to prove a window-template decode never touched a
+//! clipped neighborhood.
 
 use crate::graph::{CompiledGraph, DecodingGraph, GraphError};
 use crate::Decoder;
 use raa_stabsim::SyndromeBatch;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{PoisonError, RwLock};
+use std::collections::VecDeque;
 
 /// Outcome of a union–find decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,39 +52,6 @@ pub struct UnionFindOutcome {
 }
 
 const NONE: u32 = u32::MAX;
-
-/// Syndromes longer than this skip the decomposition fast path outright.
-const MEMO_MAX_DEFECTS: usize = 32;
-/// Components larger than this are not memoized (their keys essentially
-/// never recur); the whole syndrome falls back to the full decode.
-const MEMO_MAX_COMPONENT: usize = 12;
-/// Memo flush threshold — a backstop against adversarial syndrome streams,
-/// far above what the Monte-Carlo workloads produce.
-const MEMO_MAX_ENTRIES: usize = 1 << 14;
-
-/// A memoized standalone decode of one defect component: its outcome, its
-/// correction edges, and its *reach* — every edge that ever entered a
-/// frontier list during the decode. Two components whose reaches are
-/// disjoint cannot interact in a joint decode, so their results compose by
-/// XOR (see [`UnionFindDecoder::decode_into`]).
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    observables: u64,
-    converged: bool,
-    correction: Box<[u32]>,
-    mask: Box<[u64]>,
-}
-
-/// Result of composing a syndrome from memoized components.
-enum Compose {
-    /// All components hit the memo and their reaches are disjoint.
-    Done(UnionFindOutcome),
-    /// The two components' reaches share an edge: they must be coarsened
-    /// into one piece (they may interact in the joint decode).
-    Overlap(usize, usize),
-    /// The component at this piece index is not memoized yet.
-    Missing(usize),
-}
 
 /// Reusable working state for [`UnionFindDecoder`].
 ///
@@ -146,21 +119,9 @@ pub struct UfScratch {
     correction: Vec<u32>,
     /// Defect-extraction buffer for the batched decode path.
     defects_buf: Vec<u32>,
-    // Decomposition fast-path state.
-    /// Edges that ever entered a frontier list this epoch — the decode's
-    /// reach, recorded so a component sub-decode can be checked for
-    /// disjointness against its siblings.
+    /// Bitset of the edges that ever entered a frontier list this epoch —
+    /// the decode's reach (see [`UfScratch::reach_intersects`]).
     edge_mask: Vec<u64>,
-    /// Nested scratch driving memo-miss component sub-decodes.
-    sub: Option<Box<UfScratch>>,
-    /// Tiny union–find over defect list indices for component grouping.
-    group_parent: Vec<u32>,
-    /// Concatenated canonical (sorted) per-component defect keys.
-    key_buf: Vec<u32>,
-    /// `(start, len)` ranges of `key_buf`, one per component.
-    piece_ranges: Vec<(u32, u32)>,
-    /// Accumulated reach of already-accepted components.
-    acc_mask: Vec<u64>,
 }
 
 impl UfScratch {
@@ -271,10 +232,10 @@ impl UfScratch {
 
     /// Whether the last decode's reach (every edge that entered a frontier
     /// list) intersects `mask`, a bitset over edge indices. Only meaningful
-    /// after a non-empty decode through a decoder with reach tracking
-    /// enabled (see [`UnionFindDecoder::with_reach_tracking`]); the windowed
-    /// decoder uses this to prove a window-template decode never touched an
-    /// edge whose neighborhood the template clips.
+    /// after a non-empty decode (an empty syndrome returns before touching
+    /// the scratch); the windowed decoder uses this to prove a
+    /// window-template decode never touched an edge whose neighborhood the
+    /// template clips.
     pub(crate) fn reach_intersects(&self, mask: &[u64]) -> bool {
         self.edge_mask
             .iter()
@@ -368,38 +329,10 @@ impl UfScratch {
 /// let prediction = decoder.predict(&[0]);
 /// assert_eq!(prediction, 1); // flips the logical observable on qubit 0
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     graph: DecodingGraph,
     compiled: CompiledGraph,
-    /// Flattened per-detector adjacency bitsets (detectors sharing an edge),
-    /// driving the fast path's component grouping.
-    near: Vec<u64>,
-    /// Words per `near` row.
-    near_words: usize,
-    /// Memoized standalone component decodes, shared read-mostly by every
-    /// worker thread. Hits and misses produce identical results, so the
-    /// memo affects throughput only — never outcomes or determinism.
-    memo: RwLock<HashMap<Box<[u32]>, MemoEntry>>,
-    /// Whether the memoized component decomposition fast path is enabled.
-    memo_enabled: bool,
-    /// Whether `scratch.edge_mask` must hold the decode's reach after every
-    /// non-empty `decode_into`, including memo-composed decodes.
-    track_reach: bool,
-}
-
-impl Clone for UnionFindDecoder {
-    fn clone(&self) -> Self {
-        Self {
-            graph: self.graph.clone(),
-            compiled: self.compiled.clone(),
-            near: self.near.clone(),
-            near_words: self.near_words,
-            memo: RwLock::new(self.read_memo().clone()),
-            memo_enabled: self.memo_enabled,
-            track_reach: self.track_reach,
-        }
-    }
 }
 
 impl UnionFindDecoder {
@@ -437,51 +370,7 @@ impl UnionFindDecoder {
     /// whose [`CompiledGraph`] carries weights quantized against the *full*
     /// circuit graph (see [`CompiledGraph::compile_with_weights`]).
     pub(crate) fn from_parts(graph: DecodingGraph, compiled: CompiledGraph) -> Self {
-        let (near, near_words) = build_near(&compiled);
-        Self {
-            graph,
-            compiled,
-            near,
-            near_words,
-            memo: RwLock::new(HashMap::new()),
-            memo_enabled: true,
-            track_reach: false,
-        }
-    }
-
-    /// Makes every non-empty [`UnionFindDecoder::decode_into`] leave the
-    /// decode's *reach* — the bitset of edges that ever entered a frontier
-    /// list — in `scratch.edge_mask`, even when the result came from the
-    /// memoized composition path (the composed reach is the union of the
-    /// pieces' standalone reaches, which equals the joint decode's reach
-    /// because accepted compositions have pairwise disjoint pieces). Off by
-    /// default: maintaining the union costs O(edges/64) per composed decode,
-    /// which the flat batch hot path does not want to pay. The windowed
-    /// decoder enables it on window-template decoders, whose exactness check
-    /// intersects the reach with the template's clipped-neighborhood edges.
-    #[must_use]
-    pub(crate) fn with_reach_tracking(mut self, enabled: bool) -> Self {
-        self.track_reach = enabled;
-        self
-    }
-
-    /// The memo under its read lock; a poisoned lock is recovered (the memo
-    /// is always internally consistent — a panicking writer can at worst
-    /// leave a flushed map).
-    fn read_memo(&self) -> std::sync::RwLockReadGuard<'_, HashMap<Box<[u32]>, MemoEntry>> {
-        self.memo.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// En/disables the memoized component decomposition fast path (on by
-    /// default). The fast path splits a syndrome into defect components,
-    /// decodes each standalone with per-scratch memoization, and composes
-    /// the results when the components' grown regions are provably
-    /// disjoint; it changes throughput only, never outcomes — the
-    /// `memo_on_off_bit_identical_on_random_syndromes` test pins this.
-    #[must_use]
-    pub fn with_memo(mut self, enabled: bool) -> Self {
-        self.memo_enabled = enabled;
-        self
+        Self { graph, compiled }
     }
 
     /// The underlying graph.
@@ -501,253 +390,13 @@ impl UnionFindDecoder {
     }
 
     /// Decodes a syndrome (the list of fired detectors), reporting
-    /// convergence. All working state lives in `scratch`; steady state
-    /// performs no heap allocation beyond the component memo.
-    ///
-    /// The decode first tries the memoized component decomposition: the
-    /// defects are grouped into components (edge adjacency), each
-    /// component is decoded standalone — memoized per scratch, so recurring
-    /// local patterns (the bulk of Monte-Carlo syndromes) hit a table — and
-    /// the results are XOR-composed when the components' grown regions are
-    /// pairwise disjoint. Growth is frontier-driven, so a standalone
-    /// component decode touches exactly the edges its clusters ever reach;
-    /// when those reaches don't share an edge, the joint decode cannot
-    /// couple them (clusters interact only through shared frontier edges)
-    /// and the composition equals the full decode's outcome, correction
-    /// *set*, and convergence flag. Any overlap, oversized component, or
-    /// oversized syndrome falls back to the full decode. The fast path is
-    /// deterministic per (decoder, syndrome), so repeated decodes agree
-    /// regardless of scratch history.
+    /// convergence: seed a cluster at every defect, grow and merge until no
+    /// odd cluster can grow, then peel. All working state lives in
+    /// `scratch`; steady state performs no heap allocation. Besides the
+    /// outcome, the scratch holds the correction edges
+    /// ([`UfScratch::correction`]) and, for a non-empty syndrome, the
+    /// decode's reach.
     pub fn decode_into(&self, defects: &[u32], scratch: &mut UfScratch) -> UnionFindOutcome {
-        if defects.is_empty() {
-            scratch.correction.clear();
-            return UnionFindOutcome {
-                observables: 0,
-                converged: true,
-            };
-        }
-        if self.memo_enabled {
-            if let Some(out) = self.decode_decomposed(defects, scratch) {
-                return out;
-            }
-        }
-        self.decode_full_into(defects, scratch)
-    }
-
-    /// The memoized component decomposition fast path; `None` means the
-    /// syndrome must go through the full decode.
-    fn decode_decomposed(
-        &self,
-        defects: &[u32],
-        scratch: &mut UfScratch,
-    ) -> Option<UnionFindOutcome> {
-        let nd = self.compiled.num_detectors();
-        let k = defects.len();
-        if k > MEMO_MAX_DEFECTS || defects.iter().any(|&d| (d as usize) >= nd) {
-            return None;
-        }
-
-        // Tiny union–find over defect list indices, path-halving find.
-        fn tfind(p: &mut [u32], mut i: u32) -> u32 {
-            while p[i as usize] != i {
-                let gp = p[p[i as usize] as usize];
-                p[i as usize] = gp;
-                i = gp;
-            }
-            i
-        }
-        // Group edge-adjacent defects. The grouping is a heuristic for
-        // memo-key recurrence only — tight on purpose, so that dense
-        // syndromes still split into small memoizable pieces: a split
-        // that separates interacting defects is caught by the reach
-        // overlap check below and coarsened into a joint piece.
-        let words = self.near_words;
-        scratch.group_parent.clear();
-        scratch.group_parent.extend(0..k as u32);
-        for i in 0..k {
-            let row = &self.near[defects[i] as usize * words..][..words];
-            for (j, &dj) in defects.iter().enumerate().skip(i + 1) {
-                let dj = dj as usize;
-                if row[dj >> 6] & (1u64 << (dj & 63)) != 0 {
-                    let ri = tfind(&mut scratch.group_parent, i as u32);
-                    let rj = tfind(&mut scratch.group_parent, j as u32);
-                    if ri != rj {
-                        scratch.group_parent[rj as usize] = ri;
-                    }
-                }
-            }
-        }
-        // Components in first-occurrence order, each with a canonical
-        // (sorted) defect key. Seeding is order-independent, so the
-        // standalone decode of the sorted key equals the component's
-        // contribution under the caller's ordering.
-        scratch.key_buf.clear();
-        scratch.piece_ranges.clear();
-        let mut emitted = 0u64;
-        for i in 0..k {
-            if emitted & (1 << i) != 0 {
-                continue;
-            }
-            let r = tfind(&mut scratch.group_parent, i as u32);
-            let start = scratch.key_buf.len();
-            for (j, &dj) in defects.iter().enumerate().skip(i) {
-                if tfind(&mut scratch.group_parent, j as u32) == r {
-                    emitted |= 1 << j;
-                    scratch.key_buf.push(dj);
-                }
-            }
-            let len = scratch.key_buf.len() - start;
-            if len > MEMO_MAX_COMPONENT {
-                return None;
-            }
-            scratch.key_buf[start..].sort_unstable();
-            scratch.piece_ranges.push((start as u32, len as u32));
-        }
-
-        // Compose, decoding memo-missing pieces standalone through the
-        // nested scratch (no lock held) and coarsening overlapping pieces
-        // into one. Each miss memoizes a piece and each overlap removes
-        // one, so the loop terminates; the slack in the attempt cap
-        // absorbs memo-flush races (another thread clearing a full memo
-        // between insert and retry). Giving up falls back to the full
-        // decode — same result either way. In steady state the first
-        // attempt composes everything under a single read lock.
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            if attempts > 2 * k + 4 {
-                return None;
-            }
-            // Bind the compose result first: the read guard must drop
-            // before the `Missing` arm takes the write lock.
-            let composed = {
-                let memo = self.read_memo();
-                self.try_compose(&memo, scratch)
-            };
-            match composed {
-                Compose::Done(out) => return Some(out),
-                Compose::Missing(pi) => {
-                    let (s, l) = scratch.piece_ranges[pi];
-                    let (s, l) = (s as usize, l as usize);
-                    let mut sub = scratch.sub.take().unwrap_or_default();
-                    let out = self.decode_full_into(&scratch.key_buf[s..s + l], &mut sub);
-                    let entry = MemoEntry {
-                        observables: out.observables,
-                        converged: out.converged,
-                        correction: sub.correction.as_slice().into(),
-                        mask: sub.edge_mask.as_slice().into(),
-                    };
-                    scratch.sub = Some(sub);
-                    let mut memo = self.memo.write().unwrap_or_else(PoisonError::into_inner);
-                    if memo.len() >= MEMO_MAX_ENTRIES {
-                        memo.clear();
-                    }
-                    memo.entry(scratch.key_buf[s..s + l].to_vec().into_boxed_slice())
-                        .or_insert(entry);
-                }
-                Compose::Overlap(a, b) => {
-                    // Merge piece `b` into piece `a` (the pieces may
-                    // interact, so they must be decoded jointly); the other
-                    // pieces keep their order. The merged key is appended
-                    // to `key_buf` — stale ranges stay valid.
-                    let (sa, la) = scratch.piece_ranges[a];
-                    let (sb, lb) = scratch.piece_ranges[b];
-                    if (la + lb) as usize > MEMO_MAX_COMPONENT {
-                        return None;
-                    }
-                    let start = scratch.key_buf.len();
-                    scratch
-                        .key_buf
-                        .extend_from_within(sa as usize..(sa + la) as usize);
-                    scratch
-                        .key_buf
-                        .extend_from_within(sb as usize..(sb + lb) as usize);
-                    scratch.key_buf[start..].sort_unstable();
-                    scratch.piece_ranges[a] = (start as u32, la + lb);
-                    scratch.piece_ranges.remove(b);
-                }
-            }
-        }
-    }
-
-    /// Composes the grouped components from `memo`. Reaches must be
-    /// pairwise disjoint; the XOR of the standalone outcomes then equals
-    /// the joint decode's outcome (components that never share an edge
-    /// never exchange growth, and clusters meeting only at the virtual
-    /// boundary node are inert — boundary clusters stop growing, and
-    /// peeling the identical solid forest yields the same correction set).
-    fn try_compose(
-        &self,
-        memo: &HashMap<Box<[u32]>, MemoEntry>,
-        scratch: &mut UfScratch,
-    ) -> Compose {
-        let single = scratch.piece_ranges.len() == 1;
-        if !single {
-            scratch.acc_mask.clear();
-            scratch
-                .acc_mask
-                .resize(self.compiled.num_edges().div_ceil(64).max(1), 0);
-        }
-        if self.track_reach {
-            // The reach contract: when this compose succeeds, edge_mask must
-            // hold the union of the piece reaches (on Missing/Overlap the
-            // partial union is discarded — a retry rebuilds it, and the full
-            // decode fallback resets edge_mask in `begin`).
-            scratch.edge_mask.clear();
-            scratch
-                .edge_mask
-                .resize(self.compiled.num_edges().div_ceil(64).max(1), 0);
-        }
-        let mut observables = 0u64;
-        let mut converged = true;
-        scratch.correction.clear();
-        for pi in 0..scratch.piece_ranges.len() {
-            let (s, l) = scratch.piece_ranges[pi];
-            let key = &scratch.key_buf[s as usize..(s + l) as usize];
-            let Some(e) = memo.get(key) else {
-                return Compose::Missing(pi);
-            };
-            if !single {
-                let overlaps = scratch
-                    .acc_mask
-                    .iter()
-                    .zip(e.mask.iter())
-                    .any(|(&a, &m)| a & m != 0);
-                if overlaps {
-                    // Identify the earliest prior piece sharing the reach.
-                    for pj in 0..pi {
-                        let (s2, l2) = scratch.piece_ranges[pj];
-                        let key2 = &scratch.key_buf[s2 as usize..(s2 + l2) as usize];
-                        let Some(e2) = memo.get(key2) else {
-                            return Compose::Missing(pj);
-                        };
-                        if e2.mask.iter().zip(e.mask.iter()).any(|(&a, &m)| a & m != 0) {
-                            return Compose::Overlap(pj, pi);
-                        }
-                    }
-                    unreachable!("accumulated mask is the union of prior piece masks");
-                }
-                for (a, &m) in scratch.acc_mask.iter_mut().zip(e.mask.iter()) {
-                    *a |= m;
-                }
-            }
-            if self.track_reach {
-                for (a, &m) in scratch.edge_mask.iter_mut().zip(e.mask.iter()) {
-                    *a |= m;
-                }
-            }
-            observables ^= e.observables;
-            converged &= e.converged;
-            scratch.correction.extend_from_slice(&e.correction);
-        }
-        Compose::Done(UnionFindOutcome {
-            observables,
-            converged,
-        })
-    }
-
-    /// The full (non-decomposed) decode: seed, grow, merge, peel.
-    fn decode_full_into(&self, defects: &[u32], scratch: &mut UfScratch) -> UnionFindOutcome {
         if defects.is_empty() {
             scratch.correction.clear();
             return UnionFindOutcome {
@@ -1008,32 +657,6 @@ impl UnionFindDecoder {
     }
 }
 
-/// Builds the flattened per-detector edge-adjacency bitsets (self plus
-/// detectors one edge away) used by the fast path's component grouping.
-/// Rows and bits range over detectors only (the virtual boundary node
-/// never fires). Adjacency is deliberately tight: a wider radius makes
-/// dense syndromes percolate into one oversized component, while splits
-/// that separate interacting defects are repaired by reach-overlap
-/// coarsening.
-fn build_near(g: &CompiledGraph) -> (Vec<u64>, usize) {
-    let nd = g.num_detectors();
-    let words = nd.div_ceil(64).max(1);
-    let boundary = nd as u32;
-    let mut one = vec![0u64; nd * words];
-    for d in 0..nd {
-        let row = &mut one[d * words..(d + 1) * words];
-        row[d >> 6] |= 1 << (d & 63);
-        for &ei in g.incident(d as u32) {
-            for n in g.endpoints(ei) {
-                if n != boundary {
-                    row[(n >> 6) as usize] |= 1 << (n & 63);
-                }
-            }
-        }
-    }
-    (one, words)
-}
-
 impl Decoder for UnionFindDecoder {
     type Scratch = UfScratch;
 
@@ -1275,9 +898,52 @@ mod tests {
         assert_eq!(out.observables, 1, "each defect exits its nearest boundary");
     }
 
+    /// A 4×4 detector grid with horizontal and vertical edges, boundary
+    /// edges on the top and bottom rims, varied probabilities (hence varied
+    /// quantized weights), and scattered observables.
+    fn grid_graph() -> DecodingGraph {
+        let idx = |r: usize, c: usize| (r * 4 + c) as u32;
+        let mut errors = Vec::new();
+        for r in 0..4 {
+            for c in 0..4 {
+                let p = 0.01 + 0.02 * ((r * 4 + c) % 5) as f64;
+                if c + 1 < 4 {
+                    errors.push(DemError {
+                        probability: p,
+                        detectors: vec![idx(r, c), idx(r, c + 1)],
+                        observables: ((r + c) % 4) as u64,
+                    });
+                }
+                if r + 1 < 4 {
+                    errors.push(DemError {
+                        probability: 0.3 - p,
+                        detectors: vec![idx(r, c), idx(r + 1, c)],
+                        observables: ((r * c) % 3) as u64,
+                    });
+                }
+                if r == 0 || r == 3 {
+                    errors.push(DemError {
+                        probability: p,
+                        detectors: vec![idx(r, c)],
+                        observables: (c % 2) as u64,
+                    });
+                }
+            }
+        }
+        DecodingGraph::from_dem(&DetectorErrorModel {
+            num_detectors: 16,
+            num_observables: 2,
+            errors,
+        })
+        .unwrap()
+    }
+
     #[test]
     fn mixed_weight_growth_matches_unjumped_reference() {
-        // A graph with strongly mixed weights exercises the round-jump path
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Graphs with strongly mixed weights exercise the round-jump path
         // (heavy edges take many quanta). The outcome and correction must
         // match a decode on the same graph compiled with the same weights
         // but driven only through fresh scratches (identical decisions, so
@@ -1313,98 +979,34 @@ mod tests {
                 },
             ],
         };
-        let g = DecodingGraph::from_dem(&dem).unwrap();
-        let d = UnionFindDecoder::new(g);
-        let mut scratch = UfScratch::default();
-        for syndrome in [
+        let d = UnionFindDecoder::new(DecodingGraph::from_dem(&dem).unwrap());
+        let fixed = vec![
             vec![0u32],
             vec![3],
             vec![0, 3],
             vec![1, 2],
             vec![0, 1, 2, 3],
             vec![2],
-        ] {
-            let reused = d.decode_into(&syndrome, &mut scratch);
-            let reused_corr = scratch.correction().to_vec();
-            let mut fresh_scratch = UfScratch::default();
-            let fresh = d.decode_into(&syndrome, &mut fresh_scratch);
-            assert_eq!(reused, fresh, "syndrome {syndrome:?}");
-            assert_eq!(
-                reused_corr,
-                fresh_scratch.correction(),
-                "syndrome {syndrome:?}"
-            );
-            assert!(reused.converged);
-        }
-    }
-
-    #[test]
-    fn memo_on_off_bit_identical_on_random_syndromes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        // A denser graphlike DEM than the chain: a 4×4 detector grid with
-        // horizontal and vertical edges, boundary edges on the top and
-        // bottom rims, varied probabilities (hence varied quantized
-        // weights), and scattered observables.
-        fn grid_graph() -> DecodingGraph {
-            let idx = |r: usize, c: usize| (r * 4 + c) as u32;
-            let mut errors = Vec::new();
-            for r in 0..4 {
-                for c in 0..4 {
-                    let p = 0.01 + 0.02 * ((r * 4 + c) % 5) as f64;
-                    if c + 1 < 4 {
-                        errors.push(DemError {
-                            probability: p,
-                            detectors: vec![idx(r, c), idx(r, c + 1)],
-                            observables: ((r + c) % 4) as u64,
-                        });
-                    }
-                    if r + 1 < 4 {
-                        errors.push(DemError {
-                            probability: 0.3 - p,
-                            detectors: vec![idx(r, c), idx(r + 1, c)],
-                            observables: ((r * c) % 3) as u64,
-                        });
-                    }
-                    if r == 0 || r == 3 {
-                        errors.push(DemError {
-                            probability: p,
-                            detectors: vec![idx(r, c)],
-                            observables: (c % 2) as u64,
-                        });
-                    }
-                }
-            }
-            DecodingGraph::from_dem(&DetectorErrorModel {
-                num_detectors: 16,
-                num_observables: 2,
-                errors,
-            })
-            .unwrap()
-        }
-
-        for graph in [chain_graph(0.02), grid_graph()] {
-            let nd = graph.num_detectors() as u32;
-            let on = UnionFindDecoder::new(graph);
-            let off = on.clone().with_memo(false);
-            let mut s_on = UfScratch::default();
-            let mut s_off = UfScratch::default();
-            let mut rng = StdRng::seed_from_u64(41);
-            for trial in 0..400 {
-                let syndrome: Vec<u32> = (0..nd).filter(|_| rng.random_bool(0.3)).collect();
-                let fast = on.decode_into(&syndrome, &mut s_on);
-                let full = off.decode_into(&syndrome, &mut s_off);
-                assert_eq!(fast, full, "trial {trial}, syndrome {syndrome:?}");
-                // The fast path may order correction edges differently
-                // (piece by piece), but the correction *set* must match —
-                // every consumer is set-based (observable XOR, windowed
-                // commit-boundary projection).
-                let mut corr_fast = s_on.correction().to_vec();
-                let mut corr_full = s_off.correction().to_vec();
-                corr_fast.sort_unstable();
-                corr_full.sort_unstable();
-                assert_eq!(corr_fast, corr_full, "trial {trial}, syndrome {syndrome:?}");
+        ];
+        // The weighted grid, on 400 seeded random syndromes.
+        let grid = UnionFindDecoder::new(grid_graph());
+        let mut rng = StdRng::seed_from_u64(41);
+        let random: Vec<Vec<u32>> = (0..400)
+            .map(|_| (0..16).filter(|_| rng.random_bool(0.3)).collect())
+            .collect();
+        for (decoder, syndromes) in [(&d, fixed), (&grid, random)] {
+            let mut scratch = UfScratch::default();
+            for syndrome in syndromes {
+                let reused = decoder.decode_into(&syndrome, &mut scratch);
+                let mut fresh_scratch = UfScratch::default();
+                let fresh = decoder.decode_into(&syndrome, &mut fresh_scratch);
+                assert_eq!(reused, fresh, "syndrome {syndrome:?}");
+                assert_eq!(
+                    scratch.correction(),
+                    fresh_scratch.correction(),
+                    "syndrome {syndrome:?}"
+                );
+                assert!(reused.converged, "syndrome {syndrome:?}");
             }
         }
     }

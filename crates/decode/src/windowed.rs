@@ -45,23 +45,24 @@
 //!   the full circuit's compiled graph, so growth order is identical — and
 //!   the *unsafe* edge set: template edges incident to a rim node whose
 //!   neighborhood the slab clips.
-//! * **Rebased per window step**: only two integers — the window's first
-//!   detector id (subtracted from each defect before the template decode)
-//!   and the window's edge-id offset (added to each correction edge after
-//!   it). No per-step graph work happens.
-//! * **Memo sharing**: each template decoder carries its own PR 7
-//!   component memo keyed by *rebased* defect ids, so an identical local
-//!   defect pattern hits the same entry no matter which window, which
-//!   shot, or which thread produced it — this is what makes the streamed
-//!   hot path L1-resident.
+//! * **Rebased per window step**: one integer — the slab's first detector
+//!   id, subtracted from each defect before the template decode and added
+//!   back to each projected defect after it. Correction edges are
+//!   template-local and map through precomputed per-edge commit ops. No
+//!   per-step graph work happens.
 //!
-//! Exactness is checked, not assumed: template decodes track their *reach*
-//! (every edge that entered a frontier list) and a window step falls back
-//! to the whole-circuit decoder whenever the reach touches an unsafe edge.
-//! Growth is frontier-driven, so a decode whose reach stays on complete
-//! neighborhoods evolves in lockstep with the same decode on the full
-//! graph — the fallback therefore never changes a result, it only restores
-//! the pre-template cost for the rare cluster that outgrows its slab.
+//! Every window step runs a full union–find decode on its template; the
+//! template saves the per-step graph work and keeps that decode on a slab
+//! small enough to stay cache-resident across a shot block.
+//!
+//! Exactness is checked, not assumed: every union–find decode records its
+//! *reach* (every edge that entered a frontier list) and a window step
+//! falls back to the whole-circuit decoder whenever the reach touches an
+//! unsafe edge. Growth is frontier-driven, so a decode whose reach stays on
+//! complete neighborhoods evolves in lockstep with the same decode on the
+//! full graph — the fallback therefore never changes a result, it only
+//! restores the pre-template cost for the rare cluster that outgrows its
+//! slab.
 //!
 //! # Streaming
 //!
@@ -82,20 +83,12 @@
 //! same window steps again, in window-major order across a whole shot
 //! block.
 
-use crate::fxhash::BuildFxHasher;
 use crate::graph::{CompiledGraph, DecodingGraph, Edge};
 use crate::unionfind::{UfScratch, UnionFindDecoder};
 use crate::Decoder;
 use raa_stabsim::dem::{DemError, DetectorErrorModel};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{PoisonError, RwLock};
-
-type StepMemo = HashMap<Box<[u32]>, StepEntry, BuildFxHasher>;
-
-/// Cap on memoized window steps per template, mirroring the inner
-/// decoder's component-memo bound; a full table is flushed wholesale.
-const STEP_MEMO_MAX_ENTRIES: usize = 1 << 14;
 
 /// Cap on distinct compiled window templates per decoder. A uniform
 /// circuit needs ~`2 × (margin / commit)` boundary variants plus one bulk
@@ -114,9 +107,6 @@ pub struct WindowScratch {
     in_window: Vec<u32>,
     /// `in_window` rebased to template-local detector ids.
     rebased: Vec<u32>,
-    /// Slab-relative projections of the current template step, sorted and
-    /// XOR-collapsed before being applied and memoized.
-    toggles: Vec<u32>,
     /// Per-shot state used by the batch entry point.
     state: WindowState,
 }
@@ -270,10 +260,9 @@ impl LayerAssignment for UniformLayers {
 
 /// One compiled window template: a standalone decoder over a slab of
 /// layers, shared by every window position with the same local structure.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct WindowTemplate {
-    /// Union–find decoder over the slab's subgraph, with reach tracking on
-    /// and its own cross-window, cross-shot component memo.
+    /// Union–find decoder over the slab's subgraph.
     decoder: UnionFindDecoder,
     /// Bitset over template edges: incident to a rim node whose
     /// neighborhood the slab clips. A decode whose reach touches this set
@@ -287,28 +276,6 @@ struct WindowTemplate {
     /// i.e. no-ops. Precomputable because the commit boundary sits at a
     /// fixed layer offset inside the slab (part of [`TemplateKey`]).
     commit_ops: Vec<CommitOp>,
-    /// Whole-step memo: rebased window syndrome → step outcome. The full
-    /// outcome of a window step is a pure function of (template, rebased
-    /// defects), so repeats across shots and window positions — the common
-    /// case at physical error rates — skip the decode entirely.
-    memo: RwLock<StepMemo>,
-}
-
-impl Clone for WindowTemplate {
-    fn clone(&self) -> Self {
-        Self {
-            decoder: self.decoder.clone(),
-            unsafe_mask: self.unsafe_mask.clone(),
-            has_unsafe: self.has_unsafe,
-            commit_ops: self.commit_ops.clone(),
-            memo: RwLock::new(
-                self.memo
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
 }
 
 /// Effect of one template edge on a window step's committed state.
@@ -320,16 +287,6 @@ struct CommitOp {
     /// Slab-relative id of the buffer-side endpoint a crossing edge
     /// projects forward, or `u32::MAX` for none.
     toggle: u32,
-}
-
-/// One memoized window-step outcome (see [`WindowTemplate::memo`]).
-#[derive(Debug, Clone)]
-struct StepEntry {
-    /// Observable delta committed by the step.
-    observables: u64,
-    /// Slab-relative defects projected past the commit boundary, sorted,
-    /// XOR-collapsed (a node projected twice cancels).
-    toggles: Box<[u32]>,
 }
 
 /// Binds one window position to its [`WindowTemplate`].
@@ -698,7 +655,7 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
             let weights = ids.iter().map(|&ei| compiled.weight(ei)).collect();
             let tcompiled =
                 CompiledGraph::compile_with_weights(&tgraph, weights, compiled.is_uniform());
-            let decoder = UnionFindDecoder::from_parts(tgraph, tcompiled).with_reach_tracking(true);
+            let decoder = UnionFindDecoder::from_parts(tgraph, tcompiled);
             let has_unsafe = unsafe_mask.iter().any(|&w| w != 0);
             let t = templates.len() as u32;
             keys.insert(key, t);
@@ -707,7 +664,6 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
                 unsafe_mask,
                 has_unsafe,
                 commit_ops: ops,
-                memo: RwLock::new(StepMemo::default()),
             });
             instances.push(Some(TemplateInstance {
                 template: t,
@@ -931,11 +887,6 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     /// Decodes the current window on its compiled template, if this window
     /// position has one and the decode stays clear of the slab rim.
     /// Returns whether the step was fully handled (correction committed).
-    ///
-    /// The step outcome — observable delta plus projected defects — is a
-    /// pure function of the rebased window syndrome, so it is memoized per
-    /// template: a repeated syndrome (across shots, window positions and
-    /// batches) costs one hash lookup instead of a decode.
     fn template_step(
         &self,
         state: &mut WindowState,
@@ -958,67 +909,22 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
             debug_assert!(reb < nt, "window defect above its slab");
             scratch.rebased.push(reb);
         }
-        {
-            let memo = tpl.memo.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(e) = memo.get(scratch.rebased.as_slice()) {
-                state.observables ^= e.observables;
-                for &t in e.toggles.iter() {
-                    toggle(&mut state.remaining, inst.node_base + t);
-                }
-                return true;
-            }
-        }
         tpl.decoder.decode_into(&scratch.rebased, &mut scratch.uf);
         if tpl.has_unsafe && scratch.uf.reach_intersects(&tpl.unsafe_mask) {
             // The clusters reached a clipped neighborhood: only the
-            // whole-circuit decode is authoritative out there. Never
-            // memoized — the outcome depends on graph beyond the slab.
+            // whole-circuit decode is authoritative out there.
             return false;
         }
         // Apply the correction through the template's precompiled commit
-        // ops, recording the outcome for the memo.
-        let mut observables = 0u64;
-        scratch.toggles.clear();
+        // ops; `toggle` cancels a node projected twice (two crossing edges
+        // sharing a buffer endpoint), so the order does not matter.
         for &tei in scratch.uf.correction() {
             let op = tpl.commit_ops[tei as usize];
-            observables ^= op.observables;
+            state.observables ^= op.observables;
             if op.toggle != u32::MAX {
-                scratch.toggles.push(op.toggle);
+                toggle(&mut state.remaining, inst.node_base + op.toggle);
             }
         }
-        // XOR-collapse: projecting the same node an even number of times
-        // cancels (two crossing edges sharing a buffer endpoint).
-        scratch.toggles.sort_unstable();
-        let mut w = 0usize;
-        let mut i = 0usize;
-        while i < scratch.toggles.len() {
-            let v = scratch.toggles[i];
-            let mut run = 1usize;
-            while i + run < scratch.toggles.len() && scratch.toggles[i + run] == v {
-                run += 1;
-            }
-            if run % 2 == 1 {
-                scratch.toggles[w] = v;
-                w += 1;
-            }
-            i += run;
-        }
-        scratch.toggles.truncate(w);
-        state.observables ^= observables;
-        for &t in &scratch.toggles {
-            toggle(&mut state.remaining, inst.node_base + t);
-        }
-        let mut memo = tpl.memo.write().unwrap_or_else(PoisonError::into_inner);
-        if memo.len() >= STEP_MEMO_MAX_ENTRIES {
-            memo.clear();
-        }
-        memo.insert(
-            scratch.rebased.as_slice().into(),
-            StepEntry {
-                observables,
-                toggles: scratch.toggles.as_slice().into(),
-            },
-        );
         true
     }
 

@@ -386,6 +386,15 @@ fn req_usize(obj: &Json, key: &str) -> Result<usize, String> {
     Ok(v as usize)
 }
 
+/// A non-negative integer that fits in `u32` (distances): larger values
+/// are rejected, never wrapped or saturated.
+fn u32_value(v: &Json, key: &str) -> Result<u32, String> {
+    v.as_f64()
+        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+        .and_then(|x| u32::try_from(x as u64).ok())
+        .ok_or_else(|| format!("field {key:?}: expected an integer in 0..=4294967295"))
+}
+
 fn req_bool(obj: &Json, key: &str) -> Result<bool, String> {
     req_field(obj, key)?
         .as_bool()
@@ -616,7 +625,7 @@ pub fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
         },
         other => return Err(format!("unknown scenario {other:?}")),
     };
-    let distance = req_usize(v, "distance")? as u32;
+    let distance = u32_value(req_field(v, "distance")?, "distance")?;
     let mut spec = ExperimentSpec::new(req_str(v, "name")?, scenario, distance);
     spec.basis = basis_from_wire(&req_str(v, "basis")?)?;
     spec.noise = NoiseModel {
@@ -669,17 +678,6 @@ fn config_to_json(cfg: &CalibrationConfig) -> Json {
 /// Decodes a wire calibration config. `cache_dir` and `point_threads` are
 /// not wire fields: the server's own cache and worker pool are used.
 fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
-    let uint_arr = |key: &str| -> Result<Vec<u32>, String> {
-        req_arr(v, key)?
-            .iter()
-            .map(|item| {
-                item.as_f64()
-                    .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                    .map(|x| x as u32)
-                    .ok_or_else(|| format!("field {key:?} must hold non-negative integers"))
-            })
-            .collect()
-    };
     let f64_arr = |key: &str| -> Result<Vec<f64>, String> {
         req_arr(v, key)?
             .iter()
@@ -691,7 +689,10 @@ fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
     };
     Ok(CalibrationConfig {
         p_phys: req_f64(v, "p_phys")?,
-        distances: uint_arr("distances")?,
+        distances: req_arr(v, "distances")?
+            .iter()
+            .map(|item| u32_value(item, "distances"))
+            .collect::<Result<_, _>>()?,
         cnots_per_round: f64_arr("cnots_per_round")?,
         memory_shots: req_usize(v, "memory_shots")?,
         cnot_shots: req_usize(v, "cnot_shots")?,
@@ -1573,6 +1574,26 @@ mod tests {
         ] {
             let err = Request::from_line(line).unwrap_err();
             assert!(err.contains(needle), "{err:?} missing {needle:?}");
+        }
+        // Out-of-range distances are rejected, not wrapped to d = 3 or
+        // saturated to u32::MAX.
+        let sweep = Request::Sweep {
+            id: "x".into(),
+            specs: sample_specs()[..1].to_vec(),
+        }
+        .to_line();
+        let calibrate = Request::Calibrate {
+            id: "x".into(),
+            config: CalibrationConfig::default(),
+        }
+        .to_line();
+        for (line, from, to) in [
+            (&sweep, "\"distance\":3,", "\"distance\":4294967299,"),
+            (&calibrate, "\"distances\":[3,5]", "\"distances\":[1e20]"),
+        ] {
+            assert!(line.contains(from), "{line}");
+            let err = Request::from_line(&line.replace(from, to)).unwrap_err();
+            assert!(err.contains("0..=4294967295"), "{err:?}");
         }
     }
 }

@@ -41,7 +41,7 @@ use crate::orchestrator::{
 use crate::record::ExperimentRecord;
 use crate::spec::ExperimentSpec;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,6 +55,13 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Read timeout on connection sockets, so reader threads notice a drain
 /// instead of blocking in `read` forever.
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Longest request line a connection may send, newline included: 1 MiB,
+/// roughly 2,500 wire specs — far above any sweep the repo's clients
+/// send. A longer line is answered with an error and the connection is
+/// closed, so a client that never sends a newline cannot grow the read
+/// buffer without bound.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Everything a [`SweepService`] is configured by.
 #[derive(Debug, Clone)]
@@ -776,10 +783,19 @@ fn handle_connection(stream: TcpStream, service: SweepService) {
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: enough to tell an oversized
+        // line without buffering the rest of it.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => return, // peer closed
             Ok(_) => {
-                let response = if line.trim().is_empty() {
+                let oversized = line.len() > MAX_REQUEST_LINE;
+                let response = if oversized {
+                    Response::Error {
+                        id: String::new(),
+                        message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                    }
+                } else if line.trim().is_empty() {
                     line.clear();
                     continue;
                 } else {
@@ -805,6 +821,11 @@ fn handle_connection(stream: TcpStream, service: SweepService) {
                     // The client vanished mid-job (the killed-connection
                     // fault): the results are already persisted in the
                     // cache, so the retry will be a warm hit. Just hang up.
+                    return;
+                }
+                if oversized {
+                    // The rest of the line is still unread: hang up rather
+                    // than guess where the next request starts.
                     return;
                 }
             }

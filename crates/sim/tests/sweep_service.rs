@@ -226,7 +226,26 @@ fn malformed_request_gets_error_and_connection_survives() {
         other => panic!("expected status response, got {other:?}"),
     }
 
+    // A line longer than the daemon's 1 MiB cap that never ends: a typed
+    // error, then the daemon hangs up on that connection.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let _ = stream.write_all(&vec![b'x'; (1 << 20) + 1]);
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    match Response::from_line(&line).unwrap() {
+        Response::Error { message, .. } => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected error response, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "{line:?}");
+
+    // A second client is still served.
     let mut client = ServiceClient::connect(addr).unwrap();
+    match client.status().unwrap() {
+        Response::Status { .. } => {}
+        other => panic!("expected status response, got {other:?}"),
+    }
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
