@@ -1,15 +1,16 @@
-//! Belief-propagation reweighting for graphlike decoding.
+//! Belief propagation with a union–find fallback.
 //!
 //! The paper's decoding-factor analysis (§III.4, Fig. 13a) covers a family
 //! of decoders — MLE, matching variants, BP-OSD/BP-LSD, hypergraph union
 //! find — that differ in how much correlated information they exploit; less
-//! accurate decoders show up as a larger α. This module implements the
-//! standard BP-preprocessing step: min-sum belief propagation on the Tanner
-//! graph of the detector error model, producing posterior error
-//! probabilities conditioned on the observed syndrome. Re-weighting the
-//! decoding graph with those posteriors before union–find (
-//! [`BpUnionFindDecoder`]) recovers some of the correlation information a
-//! plain matching decoder discards.
+//! accurate decoders show up as a larger α. This module implements min-sum
+//! belief propagation on the Tanner graph of the detector error model,
+//! producing posterior error probabilities conditioned on the observed
+//! syndrome. [`BpUnionFindDecoder`] uses them only through BP's hard
+//! decision. When the errors with negative posterior log-likelihood
+//! reproduce the syndrome exactly, it returns their observable flips;
+//! otherwise it runs plain union–find on the static decoding graph. The
+//! posteriors never re-weight that graph.
 //!
 //! The Tanner graph is stored in flat CSR form (error→detector slots and
 //! detector→(error, slot) pairs precomputed at construction), and all
@@ -231,10 +232,11 @@ pub struct BpUfScratch {
     pub uf: UfScratch,
 }
 
-/// Union–find decoding on a BP-reweighted graph: BP posteriors conditioned
-/// on each syndrome re-weight the graphlike edges, then union–find matches
-/// on the reweighted graph. Falls back to the BP hard decision when it
-/// already explains the syndrome exactly.
+/// Belief propagation with a union–find fallback: each syndrome first gets
+/// BP's hard decision, which is returned when it reproduces the syndrome
+/// exactly. Otherwise plain union–find decodes the syndrome on the static
+/// graphlike decoding graph, whose weights come from the DEM's prior
+/// probabilities; the BP posteriors do not re-weight it.
 #[derive(Debug, Clone)]
 pub struct BpUnionFindDecoder {
     bp: BeliefPropagation,

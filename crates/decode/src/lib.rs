@@ -10,7 +10,9 @@
 //! * [`matching`] — exact minimum-weight perfect matching for small defect
 //!   sets (Dijkstra + bitmask DP), the MLE-like accuracy reference used to
 //!   calibrate the paper's decoding factor α;
-//! * [`bp`] — belief-propagation reweighting ahead of union–find;
+//! * [`bp`] — min-sum belief propagation, and a BP+UF decoder that returns
+//!   BP's hard decision when it reproduces the syndrome and otherwise runs
+//!   plain union–find on the static decoding graph;
 //! * [`windowed`] — sliding-window decoding over the circuit's time axis,
 //!   with commit/buffer syndrome projection and an incremental streaming
 //!   session;

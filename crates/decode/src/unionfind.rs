@@ -11,23 +11,39 @@
 //! Growth is frontier-driven: each odd cluster carries the list of edges on
 //! its boundary and only those edges are visited per growth round, so the
 //! cost of a decode scales with the grown region rather than with the whole
-//! graph. Two further mechanisms make the batched Monte-Carlo hot path cheap:
+//! graph. A round is two passes over the active clusters' frontiers: pass 1
+//! prunes dead (solid or internal) edges and counts each live edge's visits,
+//! pass 2 grows every live edge one quantum per visit and collects the edges
+//! that reach their weight, which then solidify and merge in visit order.
+//! Four mechanisms make the batched Monte-Carlo hot path cheap:
 //!
 //! - **Compiled graph.** The decoder walks a [`CompiledGraph`] — CSR
 //!   adjacency in one flat arena with pre-quantized integer weights — built
 //!   once at construction and shared read-only by every worker, instead of
 //!   chasing per-detector `Vec`s on each decode.
-//! - **Epoch-tagged scratch.** [`UfScratch`] stamps every node/edge/frontier
-//!   slot with the epoch that last wrote it and lazily reinitializes a slot
-//!   on first touch per decode, so resetting between shots costs O(touched)
-//!   rather than O(nodes + edges). Weighted growth additionally jumps over
-//!   growth rounds in which no edge can reach its weight (the per-round
-//!   increments are computed in closed form), which matters for heavy edges
-//!   quantized to many growth quanta.
+//! - **Packed, epoch-tagged scratch.** [`UfScratch`] keeps one slot per node
+//!   and one per edge, each stamped with the decode that last wrote it and
+//!   reinitialized on first touch, so resetting between shots costs
+//!   O(touched) rather than O(nodes + edges) and touching a node or an edge
+//!   writes one slot.
+//! - **Pruning only merged clusters.** Pass 1 prunes only the clusters
+//!   seeded or merged since it last pruned them. A cluster that took part
+//!   in no merge kept its nodes, so every edge on its pruned frontier still
+//!   leaves the cluster and is not solid (solidifying it would have merged
+//!   the cluster); pass 1 only counts its visits.
+//! - **Folded round jump.** Weighted growth jumps over rounds in which no
+//!   edge can reach its weight, which matters for heavy edges quantized to
+//!   many growth quanta. Pass 1 keeps the running minimum of
+//!   ⌈remaining / visits⌉ over the live edges, the rounds until the first
+//!   one reaches its weight; pass 2 adds the skipped rounds' growth on its
+//!   first visit of each edge. Nothing solidifies in the skipped rounds, so
+//!   clusters and frontiers are the same across them and the literal round
+//!   that follows sees the state the unit rounds would have produced.
 //!
-//! Both mechanisms are exact: the decision stream (solidification order,
-//! merge order, peel order) is bit-identical to the literal one-quantum-per-
-//! round formulation.
+//! All of these are exact: the decision stream (solidified set and order,
+//! merge order, frontier and peel order, correction and reach) is
+//! bit-identical to the literal one-quantum-per-round formulation, which the
+//! tests keep as an independent reference.
 //!
 //! Every syndrome takes the same path — seed, grow, peel — and leaves two
 //! records in its scratch: the correction edges ([`UfScratch::correction`])
@@ -53,6 +69,49 @@ pub struct UnionFindOutcome {
 
 const NONE: u32 = u32::MAX;
 
+// `NodeSlot::flags` bits. Parity, boundary and unpruned are read at roots.
+/// Root: the cluster holds an odd number of defects.
+const PARITY: u8 = 1;
+/// Root: the cluster contains the boundary node.
+const BOUNDARY: u8 = 1 << 1;
+/// The node's incident edges have joined a cluster frontier.
+const SEEDED: u8 = 1 << 2;
+/// Root: the cluster was seeded or merged since pass 1 last pruned its
+/// frontier, so the frontier may hold solid or internal edges.
+const UNPRUNED: u8 = 1 << 3;
+/// Peeling: the node holds an unresolved defect.
+const DEFECT: u8 = 1 << 4;
+/// Peeling: the BFS has reached the node.
+const VISITED: u8 = 1 << 5;
+
+/// Per-node working state, reinitialized on the node's first touch in a
+/// decode.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSlot {
+    /// Decode generation that last initialized this slot.
+    epoch: u32,
+    /// Union–find parent; a root is its own parent.
+    parent: u32,
+    /// Head of the node's solid-edge list in `adj_next`/`adj_edge`.
+    adj_head: u32,
+    rank: u8,
+    /// `PARITY`, `BOUNDARY`, `SEEDED`, `UNPRUNED`, `DEFECT`, `VISITED`.
+    flags: u8,
+}
+
+/// Per-edge working state, reinitialized on the edge's first touch in a
+/// decode.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeSlot {
+    /// Decode generation that last initialized this slot.
+    epoch: u32,
+    /// Growth accumulated so far, in quanta.
+    growth: u32,
+    /// This round's pass-1 visits that pass 2 has not yet applied.
+    pending: u8,
+    solid: bool,
+}
+
 /// Reusable working state for [`UnionFindDecoder`].
 ///
 /// Construct with `Default::default()`; the first decode sizes every buffer
@@ -60,59 +119,46 @@ const NONE: u32 = u32::MAX;
 /// serves one decoder at a time (sizes adapt automatically if reused across
 /// decoders of different shapes).
 ///
-/// Per-node and per-edge state is epoch-tagged: each decode bumps a
-/// generation counter and slots are lazily reinitialized on first touch, so
-/// the inter-shot reset is O(1) plus the handful of explicit list clears —
-/// the batched Monte-Carlo path never pays an O(graph) wipe for a sparse
-/// syndrome.
+/// Per-node state (union–find forest, cluster flags, peeling marks) is
+/// packed into one `NodeSlot` per node and per-edge state (growth, pending
+/// visits, solid flag) into one `EdgeSlot` per edge. Each slot carries the
+/// decode generation that last wrote it and is reinitialized on first
+/// touch, which for a node also clears its frontier list, so the
+/// inter-shot reset is O(1) plus the handful of explicit list clears: the
+/// batched Monte-Carlo path never pays an O(graph) wipe for a sparse
+/// syndrome, and touching a node or an edge writes a single slot.
+///
+/// Two invariants tie the slots to the growth loop (see the
+/// [module docs](self)):
+///
+/// - A cluster root without the unpruned flag has a frontier of live edges
+///   only: each was touched this decode, is not solid, and leaves the
+///   cluster. Only seeding and merging break this, and both set the flag.
+/// - An edge's `pending` count is nonzero only between a round's two
+///   passes: its pass-1 visits, at most one per endpoint and so at most 2,
+///   which pass 2 applies together with the folded round jump.
 #[derive(Debug, Clone, Default)]
 pub struct UfScratch {
-    /// Current decode generation; `*_epoch` slots not equal to this are
+    /// Current decode generation; slots stamped with another value are
     /// stale and reinitialized on first touch.
     epoch: u32,
-    node_epoch: Vec<u32>,
-    edge_epoch: Vec<u32>,
-    frontier_epoch: Vec<u32>,
-    // Union-find forest over detector nodes + virtual boundary node.
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    /// Root-indexed: parity of defect count in the cluster.
-    parity: Vec<bool>,
-    /// Root-indexed: whether the cluster touches the boundary node.
-    boundary: Vec<bool>,
+    /// Detector nodes, then the virtual boundary node.
+    nodes: Vec<NodeSlot>,
+    edges: Vec<EdgeSlot>,
     /// Root-indexed: frontier edge list of the cluster.
     frontier: Vec<Vec<u32>>,
-    /// Per-edge accumulated growth.
-    growth: Vec<u32>,
-    /// Per-edge solid flag.
-    solid: Vec<bool>,
-    /// Per-edge visit count of the current growth round (round-jump pass).
-    pending: Vec<u32>,
-    /// Edges visited by the current growth round (clears `pending`).
-    round_edges: Vec<u32>,
-    /// The current round's live frontier visits, in scan order (an edge
-    /// appears once per active endpoint). Recorded by the counting pass so
-    /// the literal unit round can replay it without re-resolving clusters.
-    visit_edges: Vec<u32>,
     /// Solidified edge indices, in solidification order (drives peeling).
     solid_edges: Vec<u32>,
-    /// Per-node: whether the node's incident edges were already added to a
-    /// cluster frontier.
-    seeded: Vec<bool>,
     /// Roots of clusters that may still be active.
     active: Vec<u32>,
     /// Scratch for the next round's active list.
     next_active: Vec<u32>,
     /// Edges that reached their weight this round.
     to_merge: Vec<u32>,
-    // Peeling state.
-    defect: Vec<bool>,
-    visited: Vec<bool>,
-    /// BFS visit order of (node, incoming edge).
+    /// Peeling: BFS visit order of (node, incoming edge).
     order: Vec<(u32, u32)>,
     queue: VecDeque<u32>,
-    /// Linked-list adjacency over solid edges: per-node head into `adj_*`.
-    adj_head: Vec<u32>,
+    /// Linked-list adjacency over solid edges, headed by `NodeSlot::adj_head`.
     adj_next: Vec<u32>,
     adj_edge: Vec<u32>,
     /// Edge indices of the last decode's correction, in peel order.
@@ -126,41 +172,24 @@ pub struct UfScratch {
 
 impl UfScratch {
     /// Opens a new decode epoch for a graph with `num_nodes` nodes
-    /// (detectors + boundary) and `num_edges` edges. Stale per-slot state is
+    /// (detectors + boundary) and `num_edges` edges. Stale slots are
     /// reinitialized lazily by the `touch_*` methods; only the compact lists
     /// are cleared eagerly.
     fn begin(&mut self, num_nodes: usize, num_edges: usize) {
         if self.epoch == u32::MAX {
             // Epoch counter wrap: restamp everything as stale once.
-            self.node_epoch.iter_mut().for_each(|e| *e = 0);
-            self.edge_epoch.iter_mut().for_each(|e| *e = 0);
-            self.frontier_epoch.iter_mut().for_each(|e| *e = 0);
+            self.nodes.iter_mut().for_each(|n| n.epoch = 0);
+            self.edges.iter_mut().for_each(|e| e.epoch = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
-        if self.node_epoch.len() < num_nodes {
-            self.node_epoch.resize(num_nodes, 0);
-            self.parent.resize(num_nodes, 0);
-            self.rank.resize(num_nodes, 0);
-            self.parity.resize(num_nodes, false);
-            self.boundary.resize(num_nodes, false);
-            self.seeded.resize(num_nodes, false);
-            self.defect.resize(num_nodes, false);
-            self.visited.resize(num_nodes, false);
-            self.adj_head.resize(num_nodes, NONE);
-        }
-        if self.frontier_epoch.len() < num_nodes {
-            self.frontier_epoch.resize(num_nodes, 0);
+        if self.nodes.len() < num_nodes {
+            self.nodes.resize(num_nodes, NodeSlot::default());
             self.frontier.resize_with(num_nodes, Vec::new);
         }
-        if self.edge_epoch.len() < num_edges {
-            self.edge_epoch.resize(num_edges, 0);
-            self.growth.resize(num_edges, 0);
-            self.solid.resize(num_edges, false);
-            self.pending.resize(num_edges, 0);
+        if self.edges.len() < num_edges {
+            self.edges.resize(num_edges, EdgeSlot::default());
         }
-        self.round_edges.clear();
-        self.visit_edges.clear();
         self.solid_edges.clear();
         self.active.clear();
         self.next_active.clear();
@@ -182,42 +211,31 @@ impl UfScratch {
         }
     }
 
-    /// Reinitializes node `x`'s slots if they are stale.
+    /// Reinitializes node `x`'s slot and frontier list if they are stale.
     #[inline]
     fn touch_node(&mut self, x: u32) {
-        let xi = x as usize;
-        if self.node_epoch[xi] != self.epoch {
-            self.node_epoch[xi] = self.epoch;
-            self.parent[xi] = x;
-            self.rank[xi] = 0;
-            self.parity[xi] = false;
-            self.boundary[xi] = false;
-            self.seeded[xi] = false;
-            self.defect[xi] = false;
-            self.visited[xi] = false;
-            self.adj_head[xi] = NONE;
+        let slot = &mut self.nodes[x as usize];
+        if slot.epoch != self.epoch {
+            *slot = NodeSlot {
+                epoch: self.epoch,
+                parent: x,
+                adj_head: NONE,
+                rank: 0,
+                flags: 0,
+            };
+            self.frontier[x as usize].clear();
         }
     }
 
-    /// Reinitializes edge `e`'s slots if they are stale.
+    /// Reinitializes edge `e`'s slot if it is stale.
     #[inline]
     fn touch_edge(&mut self, e: u32) {
-        let ei = e as usize;
-        if self.edge_epoch[ei] != self.epoch {
-            self.edge_epoch[ei] = self.epoch;
-            self.growth[ei] = 0;
-            self.solid[ei] = false;
-            self.pending[ei] = 0;
-        }
-    }
-
-    /// Clears root `r`'s frontier list if it is stale.
-    #[inline]
-    fn touch_frontier(&mut self, r: u32) {
-        let ri = r as usize;
-        if self.frontier_epoch[ri] != self.epoch {
-            self.frontier_epoch[ri] = self.epoch;
-            self.frontier[ri].clear();
+        let slot = &mut self.edges[e as usize];
+        if slot.epoch != self.epoch {
+            *slot = EdgeSlot {
+                epoch: self.epoch,
+                ..EdgeSlot::default()
+            };
         }
     }
 
@@ -248,53 +266,88 @@ impl UfScratch {
         // so only the entry point needs the staleness check.
         self.touch_node(x);
         let mut x = x;
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
+        while self.nodes[x as usize].parent != x {
+            let gp = self.nodes[self.nodes[x as usize].parent as usize].parent;
+            self.nodes[x as usize].parent = gp;
             x = gp;
         }
         x
     }
 
+    /// Adds `node`'s incident edges to its cluster's frontier (and to the
+    /// reach) the first time the node joins a cluster.
+    fn seed(&mut self, g: &CompiledGraph, node: u32) {
+        if self.nodes[node as usize].flags & SEEDED == 0 {
+            self.nodes[node as usize].flags |= SEEDED;
+            let root = self.find(node);
+            self.nodes[root as usize].flags |= UNPRUNED;
+            self.frontier[root as usize].extend_from_slice(g.incident(node));
+            self.mark_edges(g.incident(node));
+        }
+    }
+
+    /// Drops solid and internal edges from the frontier of cluster `root`
+    /// with `swap_remove`, which keeps the live edges in encounter order.
+    fn prune(&mut self, g: &CompiledGraph, root: u32) {
+        let ri = root as usize;
+        self.nodes[ri].flags &= !UNPRUNED;
+        let mut i = 0;
+        while i < self.frontier[ri].len() {
+            let ei = self.frontier[ri][i];
+            self.touch_edge(ei);
+            let dead = self.edges[ei as usize].solid || {
+                // Every frontier edge of `root` has at least one endpoint
+                // inside the cluster, so when one endpoint resolves
+                // elsewhere the edge cannot be internal.
+                let [u, v] = g.endpoints(ei);
+                let fu = self.find(u);
+                debug_assert!(fu == root || self.find(v) == root);
+                fu == root && self.find(v) == root
+            };
+            if dead {
+                self.frontier[ri].swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
     /// Unions the clusters of `a` and `b`, merging parity, boundary flags and
-    /// frontier lists (small list drains into large); returns the new root.
-    fn union(&mut self, a: u32, b: u32) -> u32 {
+    /// frontier lists (small list drains into large) and marking the merged
+    /// frontier unpruned.
+    fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return ra;
+            return;
         }
-        let (big, small) = if self.rank[ra as usize] >= self.rank[rb as usize] {
+        let (big, small) = if self.nodes[ra as usize].rank >= self.nodes[rb as usize].rank {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        self.parent[small as usize] = big;
-        if self.rank[big as usize] == self.rank[small as usize] {
-            self.rank[big as usize] += 1;
+        let (bi, si) = (big as usize, small as usize);
+        self.nodes[si].parent = big;
+        if self.nodes[bi].rank == self.nodes[si].rank {
+            self.nodes[bi].rank += 1;
         }
-        let parity = self.parity[ra as usize] ^ self.parity[rb as usize];
-        let boundary = self.boundary[ra as usize] | self.boundary[rb as usize];
-        self.parity[big as usize] = parity;
-        self.boundary[big as usize] = boundary;
+        let fs = self.nodes[si].flags;
+        self.nodes[bi].flags ^= fs & PARITY;
+        self.nodes[bi].flags |= (fs & BOUNDARY) | UNPRUNED;
         // Merge frontier lists small-into-big without allocating: swap the
         // shorter one out, drain it into the longer.
-        self.touch_frontier(big);
-        self.touch_frontier(small);
-        let (bi, si) = (big as usize, small as usize);
         if self.frontier[bi].len() < self.frontier[si].len() {
             self.frontier.swap(bi, si);
         }
         let mut donor = std::mem::take(&mut self.frontier[si]);
         self.frontier[bi].append(&mut donor);
         self.frontier[si] = donor; // restore the (now empty) allocation
-        big
     }
 
     fn push_adj(&mut self, node: u32, edge: u32) {
         let slot = self.adj_next.len() as u32;
-        self.adj_next.push(self.adj_head[node as usize]);
+        self.adj_next.push(self.nodes[node as usize].adj_head);
         self.adj_edge.push(edge);
-        self.adj_head[node as usize] = slot;
+        self.nodes[node as usize].adj_head = slot;
     }
 }
 
@@ -407,26 +460,21 @@ impl UnionFindDecoder {
         let g = &self.compiled;
         let nd = g.num_detectors();
         let boundary_node = nd as u32;
-        let num_nodes = nd + 1;
-        scratch.begin(num_nodes, g.num_edges());
+        scratch.begin(nd + 1, g.num_edges());
         scratch.touch_node(boundary_node);
-        scratch.boundary[nd] = true;
+        // The boundary node has no incident edges to seed.
+        scratch.nodes[nd].flags = BOUNDARY | SEEDED;
 
         // Seed odd-parity singleton clusters at the defects. Each defect's
         // frontier starts as its incident edges.
         for &d in defects {
             let r = scratch.find(d) as usize;
-            scratch.parity[r] = !scratch.parity[r];
-            if !scratch.seeded[d as usize] {
-                scratch.seeded[d as usize] = true;
-                scratch.touch_frontier(d);
-                scratch.frontier[d as usize].extend_from_slice(g.incident(d));
-                scratch.mark_edges(g.incident(d));
-            }
+            scratch.nodes[r].flags ^= PARITY;
+            scratch.seed(g, d);
         }
         for &d in defects {
             let r = scratch.find(d);
-            if scratch.parity[r as usize] {
+            if scratch.nodes[r as usize].flags & PARITY != 0 {
                 scratch.active.push(r);
             }
         }
@@ -437,112 +485,60 @@ impl UnionFindDecoder {
         // frontier grows by one quantum per active endpoint (all growth is
         // applied before any merge, matching simultaneous dense growth);
         // edges reaching their weight solidify and merge their endpoints.
-        //
-        // Rounds in which no edge can reach its weight are jumped over: a
-        // read-only pass counts how many frontiers grow each still-open edge
-        // (`pending`), the number of whole rounds until the earliest
-        // solidification is computed in closed form, and all but the last of
-        // those rounds are applied as a single multiple-of-`pending`
-        // increment. Because no edge solidifies during the jumped rounds,
-        // cluster membership and frontiers are unchanged across them, so the
-        // literal round that follows sees exactly the state the one-quantum
-        // formulation would have produced — the decision stream is
-        // bit-identical.
+        // Pass 1 prunes the frontiers of clusters seeded or merged since
+        // their last prune, counts each live edge's visits (`pending`) and
+        // keeps the running minimum `delta` of ⌈remaining / pending⌉, the
+        // rounds until the first edge reaches its weight (a shift, since
+        // `pending` ≤ 2). Pass 2 adds the `delta − 1` skipped rounds' growth
+        // on its first visit of an edge, then grows one quantum per visit.
+        // The module docs explain why both shortcuts are exact.
         loop {
-            // Pass 1: prune dead (solid or intra-cluster) frontier edges in
-            // place, count per-edge visits for the round jump, and record
-            // the surviving visit sequence. `swap_remove` keeps live edges
-            // in encounter order, so the recorded sequence is exactly the
-            // visit order the literal unit round would produce; nothing
-            // solidifies or merges between the passes, so pass 2 can replay
-            // it without re-resolving clusters.
-            scratch.round_edges.clear();
-            scratch.visit_edges.clear();
+            let mut delta = u32::MAX;
             for ai in 0..scratch.active.len() {
                 let root = scratch.active[ai];
-                let rooti = root as usize;
-                let mut i = 0;
-                while i < scratch.frontier[rooti].len() {
-                    let ei = scratch.frontier[rooti][i];
-                    scratch.touch_edge(ei);
-                    if scratch.solid[ei as usize] {
-                        scratch.frontier[rooti].swap_remove(i);
-                        continue;
-                    }
-                    let [u, v] = g.endpoints(ei);
-                    // Every frontier edge of `root` has at least one
-                    // endpoint inside the cluster, so when one endpoint
-                    // resolves elsewhere the edge cannot be internal.
-                    let fu = scratch.find(u);
-                    debug_assert!(fu == root || scratch.find(v) == root);
-                    if fu == root && scratch.find(v) == root {
-                        scratch.frontier[rooti].swap_remove(i);
-                        continue;
-                    }
-                    if scratch.pending[ei as usize] == 0 {
-                        scratch.round_edges.push(ei);
-                    }
-                    scratch.pending[ei as usize] += 1;
-                    scratch.visit_edges.push(ei);
-                    i += 1;
+                if scratch.nodes[root as usize].flags & UNPRUNED != 0 {
+                    scratch.prune(g, root);
+                }
+                for &ei in &scratch.frontier[root as usize] {
+                    let e = &mut scratch.edges[ei as usize];
+                    e.pending += 1;
+                    debug_assert!(e.epoch == scratch.epoch && !e.solid && e.pending <= 2);
+                    let remaining = g.weight(ei) - e.growth;
+                    delta = delta.min((remaining + u32::from(e.pending) - 1) >> (e.pending - 1));
                 }
             }
-            if scratch.round_edges.is_empty() {
+            if delta == u32::MAX {
                 break; // nothing grew: all clusters even or on the boundary
             }
-            // Rounds until the earliest edge reaches its weight; apply all
-            // but the last silently (growth only — no merges can happen).
-            let mut delta = u32::MAX;
-            for &ei in &scratch.round_edges {
-                let remaining = g.weight(ei) - scratch.growth[ei as usize];
-                let per_round = scratch.pending[ei as usize];
-                delta = delta.min(remaining.div_ceil(per_round));
-            }
-            for ri in 0..scratch.round_edges.len() {
-                let ei = scratch.round_edges[ri] as usize;
-                if delta > 1 {
-                    scratch.growth[ei] += (delta - 1) * scratch.pending[ei];
-                }
-                scratch.pending[ei] = 0;
-            }
-            // Pass 2: the literal unit round — replay the recorded visits,
-            // growing each live edge once per active endpoint and collecting
-            // edges that reach their weight in visit order (an edge shared
-            // by two active clusters may be pushed twice; the merge loop
-            // below skips the duplicate via its solid check).
+            // Pass 2, in pass-1 visit order: collect edges that reach their
+            // weight (an edge shared by two active clusters may be pushed
+            // twice; the merge loop below skips the duplicate via its solid
+            // check).
             scratch.to_merge.clear();
-            for vi in 0..scratch.visit_edges.len() {
-                let ei = scratch.visit_edges[vi];
-                scratch.growth[ei as usize] += 1;
-                if scratch.growth[ei as usize] >= g.weight(ei) {
-                    scratch.to_merge.push(ei);
+            for &root in &scratch.active {
+                for &ei in &scratch.frontier[root as usize] {
+                    let e = &mut scratch.edges[ei as usize];
+                    e.growth += (delta - 1) * u32::from(e.pending) + 1;
+                    e.pending = 0;
+                    if e.growth >= g.weight(ei) {
+                        scratch.to_merge.push(ei);
+                    }
                 }
             }
             for ti in 0..scratch.to_merge.len() {
                 let ei = scratch.to_merge[ti];
-                if scratch.solid[ei as usize] {
-                    continue; // both endpoints pushed it this round
-                }
                 let [u, v] = g.endpoints(ei);
-                if scratch.find(u) == scratch.find(v) {
-                    continue; // became internal via an earlier merge
+                // Skip the duplicate of an edge both endpoints pushed, and
+                // an edge made internal by an earlier merge this round.
+                if scratch.edges[ei as usize].solid || scratch.find(u) == scratch.find(v) {
+                    continue;
                 }
-                scratch.solid[ei as usize] = true;
+                scratch.edges[ei as usize].solid = true;
                 scratch.solid_edges.push(ei);
                 // A node joining its first cluster contributes its incident
-                // edges to the merged frontier (the boundary node has none).
-                for node in [u, v] {
-                    if node != boundary_node && !scratch.seeded[node as usize] {
-                        scratch.seeded[node as usize] = true;
-                        let root = scratch.find(node);
-                        // `node` may already be inside a cluster only if it
-                        // was seeded before, so here it is its own root or a
-                        // fresh member of this merge round's cluster.
-                        scratch.touch_frontier(root);
-                        scratch.frontier[root as usize].extend_from_slice(g.incident(node));
-                        scratch.mark_edges(g.incident(node));
-                    }
-                }
+                // edges to the merged frontier.
+                scratch.seed(g, u);
+                scratch.seed(g, v);
                 scratch.union(u, v);
             }
             // Refresh the active list: re-resolve every candidate root and
@@ -550,8 +546,7 @@ impl UnionFindDecoder {
             let mut candidates = std::mem::take(&mut scratch.active);
             for &cand in &candidates {
                 let r = scratch.find(cand);
-                if scratch.parity[r as usize]
-                    && !scratch.boundary[r as usize]
+                if scratch.nodes[r as usize].flags & (PARITY | BOUNDARY) == PARITY
                     && !scratch.frontier[r as usize].is_empty()
                 {
                     scratch.next_active.push(r);
@@ -585,7 +580,7 @@ impl UnionFindDecoder {
         }
 
         for &d in defects {
-            scratch.defect[d as usize] = true;
+            scratch.nodes[d as usize].flags |= DEFECT;
         }
 
         let mut observables = 0u64;
@@ -598,22 +593,22 @@ impl UnionFindDecoder {
             } else {
                 defects[root_idx - 1]
             };
-            if scratch.visited[root as usize] {
+            if scratch.nodes[root as usize].flags & VISITED != 0 {
                 continue;
             }
             // BFS recording (node, incoming edge) in visit order.
             let order_start = scratch.order.len();
-            scratch.visited[root as usize] = true;
+            scratch.nodes[root as usize].flags |= VISITED;
             scratch.queue.push_back(root);
             scratch.order.push((root, NONE));
             while let Some(v) = scratch.queue.pop_front() {
-                let mut slot = scratch.adj_head[v as usize];
+                let mut slot = scratch.nodes[v as usize].adj_head;
                 while slot != NONE {
                     let ei = scratch.adj_edge[slot as usize];
                     let [eu, ev] = g.endpoints(ei);
                     let other = if eu == v { ev } else { eu };
-                    if !scratch.visited[other as usize] {
-                        scratch.visited[other as usize] = true;
+                    if scratch.nodes[other as usize].flags & VISITED == 0 {
+                        scratch.nodes[other as usize].flags |= VISITED;
                         scratch.queue.push_back(other);
                         scratch.order.push((other, ei));
                     }
@@ -624,19 +619,20 @@ impl UnionFindDecoder {
             // defect and accumulating observable flips on used edges.
             for oi in (order_start..scratch.order.len()).rev() {
                 let (v, ei) = scratch.order[oi];
+                let is_defect = scratch.nodes[v as usize].flags & DEFECT != 0;
                 if ei == NONE {
                     // Root: leftover defect must be absorbed by the boundary.
-                    if scratch.defect[v as usize] && v != boundary_node {
+                    if is_defect && v != boundary_node {
                         converged = false;
                     }
                     continue;
                 }
-                if scratch.defect[v as usize] {
-                    scratch.defect[v as usize] = false;
+                if is_defect {
+                    scratch.nodes[v as usize].flags &= !DEFECT;
                     let [eu, ev] = g.endpoints(ei);
                     let p = if eu == v { ev } else { eu };
                     if p != boundary_node {
-                        scratch.defect[p as usize] = !scratch.defect[p as usize];
+                        scratch.nodes[p as usize].flags ^= DEFECT;
                     }
                     observables ^= g.observables(ei);
                     scratch.correction.push(ei);
@@ -647,7 +643,10 @@ impl UnionFindDecoder {
         // defect can only sit at a BFS root (every defect is used as one),
         // so scanning the defect list — all touched this epoch — is exact;
         // untouched slots must not be read under the epoch scheme.
-        if defects.iter().any(|&d| scratch.defect[d as usize]) {
+        if defects
+            .iter()
+            .any(|&d| scratch.nodes[d as usize].flags & DEFECT != 0)
+        {
             converged = false;
         }
         UnionFindOutcome {
@@ -938,77 +937,360 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn mixed_weight_growth_matches_unjumped_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        // Graphs with strongly mixed weights exercise the round-jump path
-        // (heavy edges take many quanta). The outcome and correction must
-        // match a decode on the same graph compiled with the same weights
-        // but driven only through fresh scratches (identical decisions, so
-        // any divergence would show up as a different correction).
-        let dem = DetectorErrorModel {
+    /// A four-detector chain with strongly mixed weights (1 to 32 quanta),
+    /// so heavy edges take many growth rounds.
+    fn mixed_weight_graph() -> DecodingGraph {
+        let edge = |p: f64, detectors: Vec<u32>, observables: u64| DemError {
+            probability: p,
+            detectors,
+            observables,
+        };
+        DecodingGraph::from_dem(&DetectorErrorModel {
             num_detectors: 4,
             num_observables: 2,
             errors: vec![
-                DemError {
-                    probability: 1e-9,
-                    detectors: vec![0],
-                    observables: 1,
-                },
-                DemError {
-                    probability: 0.2,
-                    detectors: vec![0, 1],
-                    observables: 0,
-                },
-                DemError {
-                    probability: 1e-4,
-                    detectors: vec![1, 2],
-                    observables: 2,
-                },
-                DemError {
-                    probability: 0.3,
-                    detectors: vec![2, 3],
-                    observables: 0,
-                },
-                DemError {
-                    probability: 0.05,
-                    detectors: vec![3],
-                    observables: 0,
-                },
+                edge(1e-9, vec![0], 1),
+                edge(0.2, vec![0, 1], 0),
+                edge(1e-4, vec![1, 2], 2),
+                edge(0.3, vec![2, 3], 0),
+                edge(0.05, vec![3], 0),
             ],
-        };
-        let d = UnionFindDecoder::new(DecodingGraph::from_dem(&dem).unwrap());
-        let fixed = vec![
-            vec![0u32],
-            vec![3],
-            vec![0, 3],
-            vec![1, 2],
-            vec![0, 1, 2, 3],
-            vec![2],
-        ];
-        // The weighted grid, on 400 seeded random syndromes.
-        let grid = UnionFindDecoder::new(grid_graph());
-        let mut rng = StdRng::seed_from_u64(41);
-        let random: Vec<Vec<u32>> = (0..400)
-            .map(|_| (0..16).filter(|_| rng.random_bool(0.3)).collect())
-            .collect();
-        for (decoder, syndromes) in [(&d, fixed), (&grid, random)] {
-            let mut scratch = UfScratch::default();
-            for syndrome in syndromes {
-                let reused = decoder.decode_into(&syndrome, &mut scratch);
-                let mut fresh_scratch = UfScratch::default();
-                let fresh = decoder.decode_into(&syndrome, &mut fresh_scratch);
-                assert_eq!(reused, fresh, "syndrome {syndrome:?}");
-                assert_eq!(
-                    scratch.correction(),
-                    fresh_scratch.correction(),
-                    "syndrome {syndrome:?}"
-                );
-                assert!(reused.converged, "syndrome {syndrome:?}");
+        })
+        .unwrap()
+    }
+
+    /// A `d`-bit repetition-code memory over `rounds` rounds, with data
+    /// flips at `p` and measurement flips at `p_meas` so that space-like
+    /// and time-like edges carry different weights.
+    fn repetition_graph(d: usize, rounds: usize, p: f64, p_meas: f64) -> DecodingGraph {
+        use raa_stabsim::{Circuit, MeasRecord};
+        let data: Vec<u32> = (0..d as u32).map(|i| 2 * i).collect();
+        let anc: Vec<u32> = (0..d as u32 - 1).map(|i| 2 * i + 1).collect();
+        let na = anc.len();
+        let mut c = Circuit::new();
+        c.r(&(0..2 * d as u32 - 1).collect::<Vec<_>>());
+        for round in 0..rounds {
+            c.x_error(&data, p);
+            let pairs: Vec<(u32, u32)> = (0..na)
+                .flat_map(|i| [(data[i], anc[i]), (data[i + 1], anc[i])])
+                .collect();
+            c.cx(&pairs);
+            c.x_error(&anc, p_meas);
+            c.mr(&anc);
+            for i in 0..na {
+                if round == 0 {
+                    c.detector(&[MeasRecord::back(na - i)]);
+                } else {
+                    c.detector(&[MeasRecord::back(na - i), MeasRecord::back(2 * na - i)]);
+                }
             }
         }
+        c.m(&data);
+        for i in 0..na {
+            c.detector(&[
+                MeasRecord::back(d - i),
+                MeasRecord::back(d - i - 1),
+                MeasRecord::back(d + na - i),
+            ]);
+        }
+        c.observable_include(0, &[MeasRecord::back(d)]);
+        DecodingGraph::from_dem(&DetectorErrorModel::from_circuit(&c)).unwrap()
+    }
+
+    /// A seeded random graphlike DEM: bulk and boundary edges (parallel
+    /// edges allowed) with log-uniform probabilities from 10⁻⁹ to `p_max`,
+    /// so that `p_max` = 0.45 spreads the quantized weights over 1 to 32
+    /// quanta, while `p_max` = 0.5 makes every probability 1/2 and the
+    /// decoder falls back to uniform weights. Some detectors may be left
+    /// without edges, which exercises the non-converging path.
+    fn random_graph(seed: u64, p_max: f64) -> DecodingGraph {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nd = rng.random_range(2..40usize);
+        let num_edges = rng.random_range(nd..3 * nd);
+        let errors = (0..num_edges)
+            .map(|_| {
+                let u = rng.random_range(0..nd as u32);
+                let v = rng.random_range(0..nd as u32);
+                let detectors = if u == v || rng.random_bool(0.2) {
+                    vec![u]
+                } else {
+                    vec![u, v]
+                };
+                let p = if p_max < 0.5 {
+                    10f64.powf(rng.random_range(-9.0..p_max.log10()))
+                } else {
+                    p_max
+                };
+                DemError {
+                    probability: p,
+                    detectors,
+                    observables: rng.random_range(0..4u64),
+                }
+            })
+            .collect();
+        DecodingGraph::from_dem(&DetectorErrorModel {
+            num_detectors: nd,
+            num_observables: 2,
+            errors,
+        })
+        .unwrap()
+    }
+
+    /// The literal weighted union–find, written for clarity: one growth
+    /// quantum per round with no round jump, every active frontier pruned
+    /// every round, fresh dense state per call, and the decoder's
+    /// `swap_remove`, small-into-big merge and peel order.
+    struct Literal<'g> {
+        g: &'g CompiledGraph,
+        parent: Vec<u32>,
+        rank: Vec<u8>,
+        parity: Vec<bool>,
+        boundary: Vec<bool>,
+        seeded: Vec<bool>,
+        frontier: Vec<Vec<u32>>,
+        reach: Vec<u64>,
+    }
+
+    impl Literal<'_> {
+        fn find(&self, mut x: u32) -> u32 {
+            while self.parent[x as usize] != x {
+                x = self.parent[x as usize];
+            }
+            x
+        }
+
+        /// Adds a node's incident edges to its cluster's frontier the first
+        /// time the node joins a cluster.
+        fn seed(&mut self, node: u32) {
+            if !self.seeded[node as usize] {
+                self.seeded[node as usize] = true;
+                let root = self.find(node) as usize;
+                for &ei in self.g.incident(node) {
+                    self.frontier[root].push(ei);
+                    self.reach[(ei >> 6) as usize] |= 1 << (ei & 63);
+                }
+            }
+        }
+
+        fn union(&mut self, a: u32, b: u32) {
+            let (ra, rb) = (self.find(a) as usize, self.find(b) as usize);
+            if ra == rb {
+                return;
+            }
+            let (big, small) = if self.rank[ra] >= self.rank[rb] {
+                (ra, rb)
+            } else {
+                (rb, ra)
+            };
+            self.parent[small] = big as u32;
+            if self.rank[big] == self.rank[small] {
+                self.rank[big] += 1;
+            }
+            self.parity[big] = self.parity[ra] ^ self.parity[rb];
+            self.boundary[big] = self.boundary[ra] | self.boundary[rb];
+            // The longer list keeps its order; the shorter one is appended.
+            let mut long = std::mem::take(&mut self.frontier[big]);
+            let mut short = std::mem::take(&mut self.frontier[small]);
+            if long.len() < short.len() {
+                std::mem::swap(&mut long, &mut short);
+            }
+            long.extend(short);
+            self.frontier[big] = long;
+        }
+
+        /// Returns the outcome, the correction edges in peel order and the
+        /// reach bitset (every edge that entered a frontier list).
+        fn decode(g: &CompiledGraph, defects: &[u32]) -> (UnionFindOutcome, Vec<u32>, Vec<u64>) {
+            let nd = g.num_detectors();
+            let boundary_node = nd as u32;
+            let mut lit = Literal {
+                g,
+                parent: (0..=boundary_node).collect(),
+                rank: vec![0; nd + 1],
+                parity: vec![false; nd + 1],
+                boundary: (0..=nd).map(|n| n == nd).collect(),
+                seeded: vec![false; nd + 1],
+                frontier: vec![Vec::new(); nd + 1],
+                reach: vec![0; g.num_edges().div_ceil(64).max(1)],
+            };
+            let mut growth = vec![0u32; g.num_edges()];
+            let mut solid = vec![false; g.num_edges()];
+            let mut solid_edges = Vec::new();
+            for &d in defects {
+                lit.parity[d as usize] = !lit.parity[d as usize];
+                lit.seed(d);
+            }
+            let mut active: Vec<u32> = defects
+                .iter()
+                .copied()
+                .filter(|&d| lit.parity[d as usize])
+                .collect();
+            active.sort_unstable();
+            active.dedup();
+            loop {
+                let mut visits = Vec::new();
+                for &root in &active {
+                    let mut i = 0;
+                    while i < lit.frontier[root as usize].len() {
+                        let ei = lit.frontier[root as usize][i];
+                        let [u, v] = g.endpoints(ei);
+                        if solid[ei as usize] || (lit.find(u) == root && lit.find(v) == root) {
+                            lit.frontier[root as usize].swap_remove(i);
+                        } else {
+                            visits.push(ei);
+                            i += 1;
+                        }
+                    }
+                }
+                if visits.is_empty() {
+                    break;
+                }
+                let mut to_merge = Vec::new();
+                for &ei in &visits {
+                    growth[ei as usize] += 1;
+                    if growth[ei as usize] >= g.weight(ei) {
+                        to_merge.push(ei);
+                    }
+                }
+                for ei in to_merge {
+                    let [u, v] = g.endpoints(ei);
+                    if solid[ei as usize] || lit.find(u) == lit.find(v) {
+                        continue;
+                    }
+                    solid[ei as usize] = true;
+                    solid_edges.push(ei);
+                    for node in [u, v] {
+                        if node != boundary_node {
+                            lit.seed(node);
+                        }
+                    }
+                    lit.union(u, v);
+                }
+                active = active.iter().map(|&r| lit.find(r)).collect();
+                active.retain(|&r| {
+                    let r = r as usize;
+                    lit.parity[r] && !lit.boundary[r] && !lit.frontier[r].is_empty()
+                });
+                active.sort_unstable();
+                active.dedup();
+                if active.is_empty() {
+                    break;
+                }
+            }
+
+            // Peel a BFS forest of the solid edges (boundary first, then
+            // each defect), leaves first. Neighbours are visited in reverse
+            // solidification order, as the decoder's linked-list adjacency
+            // yields them.
+            let mut adj = vec![Vec::new(); nd + 1];
+            for &ei in &solid_edges {
+                let [u, v] = g.endpoints(ei);
+                adj[u as usize].push(ei);
+                adj[v as usize].push(ei);
+            }
+            let mut defect = vec![false; nd + 1];
+            for &d in defects {
+                defect[d as usize] = true;
+            }
+            let mut visited = vec![false; nd + 1];
+            let mut correction = Vec::new();
+            let (mut observables, mut converged) = (0u64, true);
+            for root in std::iter::once(boundary_node).chain(defects.iter().copied()) {
+                if visited[root as usize] {
+                    continue;
+                }
+                visited[root as usize] = true;
+                let mut order = vec![(root, NONE)];
+                let mut head = 0;
+                while head < order.len() {
+                    let node = order[head].0;
+                    head += 1;
+                    for &ei in adj[node as usize].iter().rev() {
+                        let [eu, ev] = g.endpoints(ei);
+                        let other = if eu == node { ev } else { eu };
+                        if !visited[other as usize] {
+                            visited[other as usize] = true;
+                            order.push((other, ei));
+                        }
+                    }
+                }
+                for &(node, ei) in order.iter().rev() {
+                    if ei == NONE {
+                        converged &= !defect[node as usize] || node == boundary_node;
+                    } else if defect[node as usize] {
+                        defect[node as usize] = false;
+                        let [eu, ev] = g.endpoints(ei);
+                        let p = if eu == node { ev } else { eu };
+                        if p != boundary_node {
+                            defect[p as usize] = !defect[p as usize];
+                        }
+                        observables ^= g.observables(ei);
+                        correction.push(ei);
+                    }
+                }
+            }
+            converged &= defects.iter().all(|&d| !defect[d as usize]);
+            let outcome = UnionFindOutcome {
+                observables,
+                converged,
+            };
+            (outcome, correction, lit.reach)
+        }
+    }
+
+    #[test]
+    fn growth_matches_literal_unit_round_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Every decision of the decoder — outcome, convergence, correction
+        // edges in peel order, and reach — must equal the literal
+        // one-quantum-per-round formulation's, on hand-built, circuit-built
+        // and random graphs. One scratch serves every graph, so lazy
+        // resizing and epoch reuse across shapes are exercised too.
+        let mut graphs = vec![chain_graph(0.01), mixed_weight_graph(), grid_graph()];
+        graphs.push(repetition_graph(5, 5, 0.01, 0.002));
+        graphs.push(repetition_graph(7, 3, 1e-4, 0.05));
+        graphs.extend((0..24).map(|seed| random_graph(seed, 0.45)));
+        graphs.push(random_graph(99, 0.5)); // degenerate: uniform fallback
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut scratch = UfScratch::default();
+        let (mut min_w, mut max_w) = (u32::MAX, 0);
+        for graph in graphs {
+            let decoder = UnionFindDecoder::new(graph);
+            let g = decoder.compiled();
+            let nd = g.num_detectors() as u32;
+            for ei in 0..g.num_edges() as u32 {
+                if !g.is_uniform() {
+                    min_w = min_w.min(g.weight(ei));
+                    max_w = max_w.max(g.weight(ei));
+                }
+            }
+            let mut syndromes: Vec<Vec<u32>> = (0..(1u32 << nd.min(4)))
+                .map(|bits| (0..nd.min(4)).filter(|i| bits >> i & 1 == 1).collect())
+                .collect();
+            for density in [0.05, 0.15, 0.3, 0.6] {
+                syndromes.extend(
+                    (0..60).map(|_| (0..nd).filter(|_| rng.random_bool(density)).collect()),
+                );
+            }
+            for syndrome in syndromes {
+                let out = decoder.decode_into(&syndrome, &mut scratch);
+                let (want, correction, reach) = Literal::decode(g, &syndrome);
+                assert_eq!(out, want, "syndrome {syndrome:?}");
+                assert_eq!(
+                    scratch.correction(),
+                    &correction[..],
+                    "syndrome {syndrome:?}"
+                );
+                if !syndrome.is_empty() {
+                    assert_eq!(scratch.edge_mask, reach, "syndrome {syndrome:?}");
+                }
+            }
+        }
+        assert_eq!((min_w, max_w), (1, 32), "weights must span 1..=32 quanta");
     }
 
     #[test]
