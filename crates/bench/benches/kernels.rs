@@ -70,6 +70,23 @@ fn bench_samplers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The default calibration's largest DEM: its d = 5, x = 0.5 two-patch
+/// transversal-CNOT point (29,678 mechanisms, 22,493 of them hyperedges).
+fn calibration_cnot_circuit() -> raa::stabsim::Circuit {
+    use raa::sim::{build_circuit, CalibrationConfig, Scenario};
+    let spec = CalibrationConfig::default()
+        .cnot_grid()
+        .specs()
+        .into_iter()
+        .find(|s| {
+            s.distance == 5
+                && matches!(s.scenario, Scenario::TransversalCnot { cnots_per_round, .. }
+                    if cnots_per_round == 0.5)
+        })
+        .expect("the default calibration sweeps d = 5 at x = 0.5");
+    build_circuit(&spec)
+}
+
 fn bench_dem_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("dem_extraction");
     for d in [3u32, 5, 7] {
@@ -78,6 +95,17 @@ fn bench_dem_extraction(c: &mut Criterion) {
             b.iter(|| DetectorErrorModel::from_circuit(&circuit));
         });
     }
+    let cnot = calibration_cnot_circuit();
+    group.bench_function("cnot_d5_x0.5", |b| {
+        b.iter(|| DetectorErrorModel::from_circuit(&cnot));
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("decompose");
+    let dem = DetectorErrorModel::from_circuit(&cnot);
+    group.bench_function("cnot_d5_x0.5", |b| {
+        b.iter(|| dem.decompose_graphlike());
+    });
     group.finish();
 }
 

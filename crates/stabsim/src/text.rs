@@ -316,9 +316,9 @@ pub fn parse(text: &str) -> Result<Circuit, ParseError> {
 /// Probabilities use Rust's shortest round-trip float formatting, so the
 /// output is byte-for-byte deterministic for a given model and parses back
 /// losslessly with [`parse_dem`]. Mechanisms appear in the model's order
-/// (which [`DetectorErrorModel::from_circuit`] makes canonical by sorting on
-/// detector sets); this is the format used by the golden `.dem` fixtures
-/// under `tests/fixtures/`.
+/// (which [`DetectorErrorModel::from_circuit`] makes canonical: sorted by
+/// detectors, then observables); this is the format used by the golden
+/// `.dem` fixtures under `tests/fixtures/`.
 pub fn dem_to_text(dem: &DetectorErrorModel) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -348,8 +348,9 @@ pub fn dem_to_text(dem: &DetectorErrorModel) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for a missing or
-/// malformed header, bad probabilities, or out-of-range detector/observable
-/// references.
+/// malformed header, bad probabilities, out-of-range detector/observable
+/// references, a detector list that is not strictly increasing (the sorted
+/// set [`DemError::detectors`] promises), or a repeated observable.
 pub fn parse_dem(text: &str) -> Result<DetectorErrorModel, ParseError> {
     let mut dem: Option<DetectorErrorModel> = None;
     for (lineno, raw) in text.lines().enumerate() {
@@ -416,6 +417,11 @@ pub fn parse_dem(text: &str) -> Result<DetectorErrorModel, ParseError> {
                         dem.num_detectors
                     )));
                 }
+                if let Some(&last) = detectors.last().filter(|&&last| last >= d) {
+                    return Err(err(format!(
+                        "detector D{d} after D{last}: detectors must be strictly increasing"
+                    )));
+                }
                 detectors.push(d);
             } else if let Some(o) = tok.strip_prefix('L') {
                 let o: usize = o
@@ -426,6 +432,9 @@ pub fn parse_dem(text: &str) -> Result<DetectorErrorModel, ParseError> {
                         "observable {o} out of range ({} declared)",
                         dem.num_observables
                     )));
+                }
+                if observables >> o & 1 == 1 {
+                    return Err(err(format!("observable L{o} repeated")));
                 }
                 observables |= 1 << o;
             } else {
@@ -621,6 +630,19 @@ mod tests {
             .contains("expected D<i> or L<i>"));
         let e = parse_dem("dem 1 detectors").unwrap_err();
         assert!(e.message.contains("observables"), "{}", e.message);
+        // Detector lists must be the strictly increasing sets that
+        // `DemError::detectors` promises: out of order, or repeated (which
+        // a decoding graph would turn into a self-loop edge).
+        let header = "dem 4 detectors 2 observables\nerror(0.2) D0 D2 L1\n";
+        for line in ["error(0.1) D3 D1", "error(0.1) D1 D1"] {
+            let e = parse_dem(&format!("{header}{line}\n")).unwrap_err();
+            assert_eq!(e.line, 3);
+            assert!(e.message.contains("strictly increasing"), "{}", e.message);
+        }
+        // A repeated observable would otherwise read as set, not cancelled.
+        let e = parse_dem(&format!("{header}error(0.1) D0 L0 L0\n")).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("L0 repeated"), "{}", e.message);
     }
 
     #[test]
