@@ -167,6 +167,21 @@ fn bench_decoders(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+    // Exact matching fed by the compiled-DEM sampler on one worker, at a
+    // noise level where most shots form components of 3 or more defects, so
+    // the pairing (not gate-level sampling) dominates the measurement.
+    let circuit = memory_circuit(5, 6e-3);
+    let dem = DetectorErrorModel::from_circuit(&circuit);
+    let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
+    let mwpm = MatchingDecoder::new(graph);
+    let sampler = DemSampler::new(&dem);
+    group.bench_function("matching_d5_p6e-3_1thread_dem", |b| {
+        let cfg = McConfig::single_threaded();
+        b.iter(|| {
+            mc::logical_error_rate_sampled(&sampler, &mwpm, 1024, 7, &cfg)
+                .expect("single-threaded runs use the ambient pool")
+        });
+    });
     group.finish();
 }
 

@@ -8,8 +8,11 @@
 //! * [`unionfind`] — a weighted union–find decoder with peeling, the fast
 //!   workhorse for threshold-scale Monte Carlo;
 //! * [`matching`] — exact minimum-weight perfect matching for small defect
-//!   sets (Dijkstra + bitmask DP), the MLE-like accuracy reference used to
-//!   calibrate the paper's decoding factor α;
+//!   components, the MLE-like accuracy reference used to calibrate the
+//!   paper's decoding factor α: path costs come from all-pairs tables built
+//!   once per graph (a decode searches the graph only when it has none),
+//!   and a subset DP solves just the F(g+2) subsets of a g-defect component
+//!   its pairing can reach, with every decision of a full 2^g fill;
 //! * [`bp`] — min-sum belief propagation, and a BP+UF decoder that returns
 //!   BP's hard decision when it reproduces the syndrome and otherwise runs
 //!   plain union–find on the static decoding graph;

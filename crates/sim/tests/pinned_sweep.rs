@@ -6,7 +6,10 @@
 //! because the engine is deterministic, the raw failure counts themselves
 //! are pinned as regression anchors.
 
-use raa_sim::{analysis, run_sweep, Rounds, Scenario, ShotBudget, SweepGrid};
+use raa_sim::{
+    analysis, run, run_sweep, DecoderChoice, ExperimentSpec, NoiseModel, Rounds, Scenario,
+    ShotBudget, SweepGrid,
+};
 
 const P_PHYS: f64 = 4e-3;
 
@@ -109,4 +112,32 @@ fn transversal_sweep_fit_matches_memory_anchor() {
         fit.lambda,
         lambda_mem
     );
+}
+
+#[test]
+fn surface_memory_matching_anchor() {
+    // The exact-matching decoder on a surface code: d = 5 memory over 5
+    // rounds (120 detectors, so the decoder pairs from its all-pairs
+    // tables). At p = 6e-3 the shots form thousands of components of 3–20
+    // defects (exact subset DP) and dozens past the cap (greedy fallback),
+    // so these counts pin the tables, the DP and the greedy path together.
+    for (p, expected) in [(3e-3, 28usize), (6e-3, 114)] {
+        let mut spec = ExperimentSpec::new(
+            "pinned/memory_mwpm",
+            Scenario::Memory {
+                rounds: Rounds::TimesDistance(1),
+            },
+            5,
+        );
+        spec.noise = NoiseModel::uniform(p);
+        spec.decoder = DecoderChoice::Matching;
+        spec.shots = ShotBudget::Fixed(4_000);
+        spec.seed = 7;
+        let record = run(&spec);
+        assert_eq!(record.shots, 4_000);
+        assert_eq!(
+            record.failures, expected,
+            "pinned d=5 matching failure count drifted at p={p}"
+        );
+    }
 }
