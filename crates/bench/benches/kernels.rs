@@ -1,9 +1,12 @@
 //! Criterion benchmarks of the reproduction's computational kernels:
-//! frame-simulator sampling, DEM extraction, both decoders, and the
-//! end-to-end resource estimator. These measure the substrate's performance
-//! (the *figures* are regenerated by the `src/bin` targets).
+//! frame-simulator sampling, DEM extraction, both decoders, the Eq. (4)
+//! fit, and the end-to-end resource estimator. These measure the
+//! substrate's performance (the *figures* are regenerated by the `src/bin`
+//! targets).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use raa::core::fit::{fit_cnot_model, CnotErrorPoint};
+use raa::core::{logical, ErrorModelParams};
 use raa::decode::mc::Sampler;
 use raa::decode::{
     mc, CircuitSampler, DecodingGraph, MatchingDecoder, McConfig, UniformLayers, UnionFindDecoder,
@@ -312,6 +315,31 @@ fn bench_estimator(c: &mut Criterion) {
     });
     group.bench_function("rsa2048_distance_optimization", |b| {
         b.iter(|| TransversalArchitecture::paper().with_optimized_distance(0.08));
+    });
+    // The pinned default calibration's fit (Λ ≈ 2.42, α ≈ 0.068 at
+    // p = 4·10⁻³), as 8 points drawn from Eq. (4) on the calibration's
+    // (x, d) grid and as the model it feeds the architecture optimizer.
+    let sweep_fit = ErrorModelParams {
+        c: 0.1,
+        p_phys: 4e-3,
+        p_thres: 2.42 * 4e-3,
+        alpha: 0.068,
+    };
+    let points: Vec<CnotErrorPoint> = [3u32, 5]
+        .into_iter()
+        .flat_map(|d| {
+            [0.5, 1.0, 2.0, 4.0].map(|x| CnotErrorPoint {
+                x,
+                distance: d,
+                error_per_cnot: logical::cnot_error(&sweep_fit, d, x),
+            })
+        })
+        .collect();
+    group.bench_function("eq4_fit_calibration_8pts", |b| {
+        b.iter(|| fit_cnot_model(&points, 0.1));
+    });
+    group.bench_function("calibrated_sweep_fit", |b| {
+        b.iter(|| TransversalArchitecture::calibrated(sweep_fit));
     });
     group.finish();
 }

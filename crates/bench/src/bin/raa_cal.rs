@@ -23,7 +23,7 @@
 //! run over the same cache must report 0.
 
 use raa::core::ErrorModelParams;
-use raa::shor::TransversalArchitecture;
+use raa::shor::{TransversalArchitecture, MAX_SEARCHED_DISTANCE};
 use raa::sim::jobs::Response;
 use raa::sim::{calibrate, Calibration, CalibrationConfig, ServiceClient};
 use raa_bench::{env_parse_strict, env_string, fmt, header, maybe_dump_json, row};
@@ -141,10 +141,17 @@ fn print_calibration(cal: &Calibration) {
         cal.params
     ));
 
-    let (arch, est) = TransversalArchitecture::calibrated(cal.params);
     header("simulation-calibrated RSA-2048 estimate (p_phys re-anchored at 1e-3)");
-    row(&["model".into(), arch.error.to_string()]);
-    row(&["estimate".into(), est.to_string()]);
+    match TransversalArchitecture::try_calibrated(cal.params) {
+        Some((arch, est)) => {
+            row(&["model".into(), arch.error.to_string()]);
+            row(&["estimate".into(), est.to_string()]);
+        }
+        None => row(&[
+            "estimate".into(),
+            format!("no code distance <= {MAX_SEARCHED_DISTANCE} reaches the |CCZ> target"),
+        ]),
+    }
 
     let (paper_arch, paper_est) = TransversalArchitecture::calibrated(ErrorModelParams::paper());
     header("paper-assumed model, same optimizer");

@@ -92,24 +92,118 @@ impl FitResult {
     }
 }
 
-fn model_log(c: f64, alpha: f64, lambda: f64, x: f64, d: u32) -> f64 {
-    let base = (alpha * x + 1.0) / lambda;
-    (2.0 * c / x).ln() + f64::from(d + 1) / 2.0 * base.ln()
+/// Relative margin of the coarse grid's pre-filter. The filter scores a
+/// cell with `ln(αx + 1) − ln Λ` in place of `ln((αx + 1)/Λ)`. The two
+/// forms differ by a few ulps (≲ 10⁻¹⁴ while |ln| ≤ 10), scaled by
+/// `k = (d + 1)/2` in each point's residual, so by Cauchy–Schwarz the mean
+/// squared residuals `r` and `r̃` differ by ≲ 10⁻¹²·√r for d ≤
+/// [`FILTER_MAX_DISTANCE`] (and by ≲ 10⁻¹⁰·(1 + r̃) even at the extreme
+/// logarithms of finite inputs). Summing up to [`FILTER_MAX_POINTS`]
+/// squares adds at most ≈ 10⁻¹⁰ relative error to each. All of it is far
+/// below `FILTER_MARGIN·(1 + r̃)`, so a cell with
+/// `r̃ − FILTER_MARGIN·(1 + r̃) ≥ best` has `r ≥ best`, and the strict `<`
+/// of the search would not have taken it.
+const FILTER_MARGIN: f64 = 1e-9;
+
+/// Largest distance and point count for which the [`FILTER_MARGIN`] bound
+/// holds; a larger set evaluates every grid cell exactly.
+const FILTER_MAX_DISTANCE: u32 = 99;
+const FILTER_MAX_POINTS: usize = 1 << 20;
+
+/// One data point in prepared form: its residual at `(α, Λ)` is
+/// `(lc + k·ln((α·x + 1)/Λ)) − y`.
+#[derive(Debug, Clone, Copy)]
+struct PreparedPoint {
+    /// `ln(2C/x)`.
+    lc: f64,
+    /// `(d + 1)/2`.
+    k: f64,
+    /// `ln` of the measured error per CNOT.
+    y: f64,
+    /// Index of the point's `x` among the distinct values.
+    xi: usize,
 }
 
-fn residual(points: &[CnotErrorPoint], c: f64, alpha: f64, lambda: f64) -> f64 {
-    let mut sum = 0.0;
-    for p in points {
-        let r = model_log(c, alpha, lambda, p.x, p.distance) - p.error_per_cnot.ln();
-        sum += r * r;
+/// The fit's objective, the mean squared log-residual of Eq. (4), with
+/// everything that does not depend on `(α, Λ)` computed once per fit and
+/// one logarithm per distinct `x` per evaluation. Each residual is the
+/// sequence of operations `ln(2C/x) + (d + 1)/2 · ln((αx + 1)/Λ) − ln e`
+/// on the same operands in the same order as the direct form, so every
+/// residual keeps its bits.
+struct Objective {
+    /// The distinct `x` values (compared by bits).
+    xs: Vec<f64>,
+    points: Vec<PreparedPoint>,
+    /// One logarithm per distinct `x`, refilled by each evaluation.
+    logs: Vec<f64>,
+}
+
+impl Objective {
+    fn new(points: &[CnotErrorPoint], c: f64) -> Self {
+        let mut bits: Vec<u64> = points.iter().map(|p| p.x.to_bits()).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        let points = points
+            .iter()
+            .map(|p| PreparedPoint {
+                lc: (2.0 * c / p.x).ln(),
+                k: f64::from(p.distance + 1) / 2.0,
+                y: p.error_per_cnot.ln(),
+                xi: bits
+                    .binary_search(&p.x.to_bits())
+                    .expect("every x was collected"),
+            })
+            .collect();
+        Self {
+            xs: bits.iter().map(|&b| f64::from_bits(b)).collect(),
+            points,
+            logs: vec![0.0; bits.len()],
+        }
     }
-    sum / points.len() as f64
+
+    /// The exact mean squared log-residual at `(alpha, lambda)`.
+    fn exact(&mut self, alpha: f64, lambda: f64) -> f64 {
+        for (log, &x) in self.logs.iter_mut().zip(&self.xs) {
+            *log = ((alpha * x + 1.0) / lambda).ln();
+        }
+        self.mean_square()
+    }
+
+    /// The pre-filter's approximate residual, from `row[i] = ln(α·xᵢ + 1)`
+    /// and `ln Λ`: no logarithm per cell.
+    fn approx(&mut self, row: &[f64], ln_lambda: f64) -> f64 {
+        for (log, &ln_ax1) in self.logs.iter_mut().zip(row) {
+            *log = ln_ax1 - ln_lambda;
+        }
+        self.mean_square()
+    }
+
+    fn mean_square(&self) -> f64 {
+        let mut sum = 0.0;
+        for p in &self.points {
+            let r = (p.lc + p.k * self.logs[p.xi]) - p.y;
+            sum += r * r;
+        }
+        sum / self.points.len() as f64
+    }
 }
 
 /// Fits `(α, Λ)` of Eq. (4) to the data with `C` held fixed.
 ///
-/// Uses a coarse log-grid search followed by coordinate refinement; robust
-/// for the handful-of-points fits this is used for.
+/// Searches a coarse log grid (α from 0.01 to 3.0 and Λ from 1.5 to 60,
+/// both in ×1.1 steps), then refines the best cell by coordinate steps;
+/// robust for the handful-of-points fits this is used for.
+///
+/// The objective is prepared once per call: each point's `ln(2C/x)`,
+/// `(d + 1)/2` and `ln e` are taken up front, and an evaluation takes one
+/// logarithm per distinct `x` rather than one per point. Every residual is
+/// still the same floating-point operations on the same operands as the
+/// direct `ln(model) − ln e`, so it keeps its bits. On the coarse grid a
+/// certified pre-filter scores each cell with `ln(αx + 1) − ln Λ` (no
+/// logarithm per cell) and skips the exact residual only where that
+/// approximation's rounding bound proves the cell cannot beat the running
+/// best under the search's strict `<`. The fitted α, Λ and residual are
+/// therefore bit-for-bit those of evaluating every cell exactly.
 ///
 /// Returns `None` when the data cannot support a meaningful two-parameter
 /// fit instead of producing NaN/∞ or a misleading optimum:
@@ -163,17 +257,37 @@ pub fn fit_cnot_model(points: &[CnotErrorPoint], c: f64) -> Option<FitResult> {
     if distinct < 2 {
         return None;
     }
-    // Coarse grid.
+    let mut objective = Objective::new(points, c);
+    let filter = points.len() <= FILTER_MAX_POINTS
+        && points.iter().all(|p| p.distance <= FILTER_MAX_DISTANCE);
+    // Coarse grid. Every row walks the same Λ column, so its values and
+    // their logarithms are taken once.
+    let mut column = Vec::new();
+    let mut lambda: f64 = 1.5;
+    while lambda <= 60.0 {
+        column.push((lambda, lambda.ln()));
+        lambda *= 1.1;
+    }
+    let mut row = vec![0.0; objective.xs.len()];
     let mut best = (f64::INFINITY, 0.2, 10.0);
     let mut alpha = 0.01;
     while alpha <= 3.0 {
-        let mut lambda = 1.5;
-        while lambda <= 60.0 {
-            let r = residual(points, c, alpha, lambda);
+        for (ln_ax1, &x) in row.iter_mut().zip(&objective.xs) {
+            *ln_ax1 = (alpha * x + 1.0).ln();
+        }
+        for &(lambda, ln_lambda) in &column {
+            // Certified skip (see `FILTER_MARGIN`); it never fires while
+            // the best is still infinite, nor on a NaN approximation.
+            if filter {
+                let approx = objective.approx(&row, ln_lambda);
+                if approx - FILTER_MARGIN * (1.0 + approx) >= best.0 {
+                    continue;
+                }
+            }
+            let r = objective.exact(alpha, lambda);
             if r < best.0 {
                 best = (r, alpha, lambda);
             }
-            lambda *= 1.1;
         }
         alpha *= 1.1;
     }
@@ -189,7 +303,7 @@ pub fn fit_cnot_model(points: &[CnotErrorPoint], c: f64) -> Option<FitResult> {
             (1.0, 1.0 / (1.0 + step)),
         ] {
             let (a, l) = (a_best * da, l_best * dl);
-            let r = residual(points, c, a, l);
+            let r = objective.exact(a, l);
             if r < r_best {
                 r_best = r;
                 a_best = a;
@@ -219,6 +333,7 @@ pub fn fit_cnot_model(points: &[CnotErrorPoint], c: f64) -> Option<FitResult> {
 mod tests {
     use super::*;
     use crate::logical;
+    use crate::test_rng::SplitMix;
     use proptest::prelude::*;
 
     fn synthetic(params: &ErrorModelParams, grid: &[(f64, u32)]) -> Vec<CnotErrorPoint> {
@@ -349,6 +464,210 @@ mod tests {
         assert!(fit_cnot_model(&[p(1.0, 3, 0.01), p(2.0, 3, 0.02)], f64::NAN).is_none());
         // Two distances at one x still identify the exponent: fittable.
         assert!(fit_cnot_model(&[p(1.0, 3, 0.05), p(1.0, 5, 0.01)], 0.1).is_some());
+    }
+
+    /// The fit before its objective was prepared and filtered, kept
+    /// verbatim as the exactness oracle.
+    mod reference {
+        use super::super::{CnotErrorPoint, FitResult};
+
+        fn model_log(c: f64, alpha: f64, lambda: f64, x: f64, d: u32) -> f64 {
+            let base = (alpha * x + 1.0) / lambda;
+            (2.0 * c / x).ln() + f64::from(d + 1) / 2.0 * base.ln()
+        }
+
+        fn residual(points: &[CnotErrorPoint], c: f64, alpha: f64, lambda: f64) -> f64 {
+            let mut sum = 0.0;
+            for p in points {
+                let r = model_log(c, alpha, lambda, p.x, p.distance) - p.error_per_cnot.ln();
+                sum += r * r;
+            }
+            sum / points.len() as f64
+        }
+
+        pub fn fit_cnot_model(points: &[CnotErrorPoint], c: f64) -> Option<FitResult> {
+            if points.is_empty() || !(c.is_finite() && c > 0.0) {
+                return None;
+            }
+            if points.iter().any(|p| !p.is_fittable()) {
+                return None;
+            }
+            // A two-parameter fit needs at least two distinct (x, d) coordinates;
+            // replicated shots at one coordinate carry no slope information and the
+            // grid search would hand back an arbitrary ridge point.
+            let distinct = {
+                let mut coords: Vec<(u64, u32)> =
+                    points.iter().map(|p| (p.x.to_bits(), p.distance)).collect();
+                coords.sort_unstable();
+                coords.dedup();
+                coords.len()
+            };
+            if distinct < 2 {
+                return None;
+            }
+            // Coarse grid.
+            let mut best = (f64::INFINITY, 0.2, 10.0);
+            let mut alpha = 0.01;
+            while alpha <= 3.0 {
+                let mut lambda = 1.5;
+                while lambda <= 60.0 {
+                    let r = residual(points, c, alpha, lambda);
+                    if r < best.0 {
+                        best = (r, alpha, lambda);
+                    }
+                    lambda *= 1.1;
+                }
+                alpha *= 1.1;
+            }
+            // Coordinate refinement.
+            let (mut r_best, mut a_best, mut l_best) = best;
+            let mut step = 0.3;
+            for _ in 0..60 {
+                let mut improved = false;
+                for (da, dl) in [
+                    (1.0 + step, 1.0),
+                    (1.0 / (1.0 + step), 1.0),
+                    (1.0, 1.0 + step),
+                    (1.0, 1.0 / (1.0 + step)),
+                ] {
+                    let (a, l) = (a_best * da, l_best * dl);
+                    let r = residual(points, c, a, l);
+                    if r < r_best {
+                        r_best = r;
+                        a_best = a;
+                        l_best = l;
+                        improved = true;
+                    }
+                }
+                if !improved {
+                    step *= 0.5;
+                    if step < 1e-6 {
+                        break;
+                    }
+                }
+            }
+            if !(a_best.is_finite() && l_best.is_finite() && r_best.is_finite()) {
+                return None;
+            }
+            Some(FitResult {
+                alpha: a_best,
+                lambda: l_best,
+                c,
+                residual: r_best,
+            })
+        }
+    }
+
+    /// A random fit set: `x` on the calibration axis or 1–5 random values
+    /// (sometimes repeated), distances from {3, …, 11} (rarely 101, past
+    /// the filter's bound), rates from the model with noise or log-uniform
+    /// in 10⁻⁹–0.98, `C` = 0.1 or random, and some sets truncated.
+    fn random_set(rng: &mut SplitMix) -> (Vec<CnotErrorPoint>, f64) {
+        let xs: Vec<f64> = if rng.unit() < 0.5 {
+            vec![0.5, 1.0, 2.0, 4.0]
+        } else {
+            let mut xs: Vec<f64> = (0..1 + rng.below(5))
+                .map(|_| rng.log_uniform(0.05, 20.0))
+                .collect();
+            if rng.unit() < 0.3 {
+                let repeat = xs[rng.below(xs.len())];
+                xs.push(repeat);
+            }
+            xs
+        };
+        let mut distances: Vec<u32> = [3, 5, 7, 9, 11]
+            .into_iter()
+            .filter(|_| rng.unit() < 0.5)
+            .collect();
+        if distances.is_empty() {
+            distances.push(3 + 2 * rng.below(5) as u32);
+        }
+        if rng.unit() < 0.05 {
+            distances.push(101);
+        }
+        let c = if rng.unit() < 0.5 {
+            0.1
+        } else {
+            rng.log_uniform(0.01, 1.0)
+        };
+        let truth = ErrorModelParams {
+            c: rng.log_uniform(0.02, 0.5),
+            p_phys: 1e-3,
+            p_thres: 1e-3 * rng.log_uniform(1.2, 40.0),
+            alpha: rng.log_uniform(0.01, 2.0),
+        };
+        let from_model = rng.unit() < 0.5;
+        let mut points = Vec::new();
+        for &d in &distances {
+            for &x in &xs {
+                let rate = if from_model {
+                    logical::cnot_error(&truth, d, x) * rng.log_uniform(0.7, 1.4)
+                } else {
+                    rng.log_uniform(1e-9, 0.98)
+                };
+                points.push(CnotErrorPoint {
+                    x,
+                    distance: d,
+                    error_per_cnot: rate.clamp(1e-9, 0.98),
+                });
+            }
+        }
+        if rng.unit() < 0.2 {
+            points.truncate(1 + rng.below(points.len()));
+        }
+        (points, c)
+    }
+
+    /// Fits `sets` random sets both ways and asserts the same bits.
+    fn assert_matches_reference(seed: u64, sets: usize) {
+        let mut rng = SplitMix(seed);
+        let mut fitted = 0;
+        for i in 0..sets {
+            let (points, c) = random_set(&mut rng);
+            let got = fit_cnot_model(&points, c);
+            let want = reference::fit_cnot_model(&points, c);
+            match (got, want) {
+                (Some(g), Some(w)) => {
+                    fitted += 1;
+                    assert_eq!(
+                        (g.alpha.to_bits(), g.lambda.to_bits(), g.residual.to_bits()),
+                        (w.alpha.to_bits(), w.lambda.to_bits(), w.residual.to_bits()),
+                        "set {i}: {g:?} vs reference {w:?} on {points:?}, c = {c}"
+                    );
+                    assert_eq!(g.c.to_bits(), w.c.to_bits());
+                }
+                (None, None) => {}
+                (g, w) => panic!("set {i}: {g:?} vs reference {w:?} on {points:?}"),
+            }
+        }
+        assert!(fitted * 2 > sets, "only {fitted} of {sets} sets fitted");
+    }
+
+    #[test]
+    fn prepared_fit_matches_the_literal_reference() {
+        assert_matches_reference(0xF17, 300);
+        // The pinned default calibration's shape: x on the axis, d = 3 and 5.
+        let truth = ErrorModelParams {
+            c: 0.1,
+            p_phys: 4e-3,
+            p_thres: 4e-3 * 2.42,
+            alpha: 0.068,
+        };
+        let grid: Vec<(f64, u32)> = [3, 5]
+            .into_iter()
+            .flat_map(|d| [0.5, 1.0, 2.0, 4.0].map(|x| (x, d)))
+            .collect();
+        let points = synthetic(&truth, &grid);
+        assert_eq!(
+            fit_cnot_model(&points, 0.1),
+            reference::fit_cnot_model(&points, 0.1)
+        );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "20,000 fits; runs in release")]
+    fn prepared_fit_matches_the_literal_reference_on_20k_sets() {
+        assert_matches_reference(0xF17_F17, 20_000);
     }
 
     proptest! {

@@ -38,6 +38,8 @@ pub mod idle;
 pub mod logical;
 pub mod params;
 pub mod rotation;
+#[cfg(test)]
+mod test_rng;
 pub mod volume;
 
 pub use budget::ErrorBudget;

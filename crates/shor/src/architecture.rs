@@ -27,6 +27,9 @@ pub const DEFAULT_TOTAL_BUDGET: f64 = 0.08;
 /// Fractional space overhead for routing corridors and interface zones.
 pub const ROUTING_OVERHEAD: f64 = 0.02;
 
+/// Largest code distance the distance optimization searches.
+pub const MAX_SEARCHED_DISTANCE: u32 = 61;
+
 /// The full transversal-architecture estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransversalArchitecture {
@@ -75,8 +78,22 @@ impl TransversalArchitecture {
     /// Panics if the calibrated threshold does not exceed the hardware
     /// physical error rate (the calibrated decoder would run the hardware
     /// at or above threshold), or if no searched distance reaches the
-    /// |CCZ⟩ target.
+    /// |CCZ⟩ target (use [`TransversalArchitecture::try_calibrated`] to
+    /// probe).
     pub fn calibrated(model: ErrorModelParams) -> (Self, ResourceEstimate) {
+        Self::try_calibrated(model).unwrap_or_else(|| unreachable_target())
+    }
+
+    /// [`TransversalArchitecture::calibrated`], or `None` when no code
+    /// distance up to 61 reaches the per-|CCZ⟩ error target: a calibrated
+    /// threshold less than about 2.5 times the hardware rate, such as a
+    /// sweep at the hardware rate that fits Λ ≲ 2.5 gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calibrated threshold does not exceed the hardware
+    /// physical error rate.
+    pub fn try_calibrated(model: ErrorModelParams) -> Option<(Self, ResourceEstimate)> {
         let hardware_p = ErrorModelParams::paper().p_phys;
         assert!(
             model.p_thres > hardware_p,
@@ -86,7 +103,7 @@ impl TransversalArchitecture {
         );
         Self::paper()
             .with_error_model(model.with_p_phys(hardware_p))
-            .with_optimized_distance(DEFAULT_TOTAL_BUDGET)
+            .optimize_distance(DEFAULT_TOTAL_BUDGET)
     }
 
     /// The architecture context at these parameters.
@@ -209,25 +226,39 @@ impl TransversalArchitecture {
 
     /// Re-selects the smallest odd code distance meeting `total_budget`,
     /// returning the updated architecture and its estimate. Distances where
-    /// the magic-state target is unreachable are skipped.
-    pub fn with_optimized_distance(mut self, total_budget: f64) -> (Self, ResourceEstimate) {
+    /// the magic-state target is unreachable are skipped; if none up to 61
+    /// meets the budget, the result is the (over-budget) d = 61 estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_budget` is not inside `(0, 1)`, or if the |CCZ⟩
+    /// target is unreachable at every distance up to 61.
+    pub fn with_optimized_distance(self, total_budget: f64) -> (Self, ResourceEstimate) {
+        self.optimize_distance(total_budget)
+            .unwrap_or_else(|| unreachable_target())
+    }
+
+    /// The distance scan of [`TransversalArchitecture::with_optimized_distance`],
+    /// or `None` when no distance up to 61 reaches the |CCZ⟩ target.
+    fn optimize_distance(mut self, total_budget: f64) -> Option<(Self, ResourceEstimate)> {
         assert!(
             total_budget > 0.0 && total_budget < 1.0,
             "budget must be in (0, 1)"
         );
-        for d in (9..=61u32).step_by(2) {
+        let mut estimate = None;
+        for d in (9..=MAX_SEARCHED_DISTANCE).step_by(2) {
             self.params.distance = d;
-            let Some(est) = self.try_estimate() else {
-                continue;
-            };
-            if est.total_error <= total_budget {
-                return (self, est);
+            estimate = self.try_estimate();
+            if estimate.is_some_and(|est| est.total_error <= total_budget) {
+                break;
             }
         }
-        self.params.distance = 61;
-        let est = self.estimate();
-        (self, est)
+        estimate.map(|est| (self, est))
     }
+}
+
+fn unreachable_target() -> ! {
+    panic!("no code distance <= {MAX_SEARCHED_DISTANCE} reaches the |CCZ> target")
 }
 
 /// Physical-qubit breakdown by component (Fig. 12a).
@@ -482,6 +513,46 @@ mod tests {
             alpha: 0.3,
         };
         let _ = TransversalArchitecture::calibrated(bad);
+    }
+
+    /// A sweep-level model whose threshold `p_thres` sits close enough to
+    /// the hardware rate (10⁻³) that no distance up to 61 may reach the
+    /// |CCZ⟩ target.
+    fn unreachable_model(p_thres: f64, alpha: f64) -> ErrorModelParams {
+        ErrorModelParams {
+            c: 0.1,
+            p_phys: 4e-3,
+            p_thres,
+            alpha,
+        }
+    }
+
+    #[test]
+    fn try_calibrated_reports_an_unreachable_target() {
+        for p_thres in [1.05e-3, 1.5e-3, 2.0e-3, 2.5e-3] {
+            for alpha in [0.0788, 0.2] {
+                assert!(
+                    TransversalArchitecture::try_calibrated(unreachable_model(p_thres, alpha))
+                        .is_none(),
+                    "p_thres = {p_thres}, alpha = {alpha}"
+                );
+            }
+        }
+        // Just past it, the scan still ends on a reachable distance.
+        let (arch, est) = TransversalArchitecture::try_calibrated(unreachable_model(3e-3, 0.0788))
+            .expect("reachable at d <= 61");
+        assert!(
+            (57..=61).contains(&arch.params.distance),
+            "d = {}",
+            arch.params.distance
+        );
+        assert_eq!(est.distance, arch.params.distance);
+    }
+
+    #[test]
+    #[should_panic(expected = "no code distance <= 61 reaches the |CCZ> target")]
+    fn calibrated_names_an_unreachable_target() {
+        let _ = TransversalArchitecture::calibrated(unreachable_model(2e-3, 0.2));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod sensitivity;
 
 pub use architecture::{
     ErrorBreakdown, ResourceEstimate, SpaceBreakdown, TransversalArchitecture, CCZ_BUDGET,
-    DEFAULT_TOTAL_BUDGET,
+    DEFAULT_TOTAL_BUDGET, MAX_SEARCHED_DISTANCE,
 };
 pub use baselines::{BeverlandModel, GidneyEkeraModel};
 pub use ekera_hastad::{operation_counts, AlgorithmParams, FactoringInstance, OperationCounts};

@@ -17,7 +17,7 @@
 //! parameters.
 
 use raa::core::ErrorModelParams;
-use raa::shor::TransversalArchitecture;
+use raa::shor::{TransversalArchitecture, MAX_SEARCHED_DISTANCE};
 use raa::sim::{calibrate, CalibrationConfig};
 
 fn main() {
@@ -58,11 +58,15 @@ fn main() {
         cal.params
     );
 
-    let (arch, est) = TransversalArchitecture::calibrated(cal.params);
     println!();
     println!("simulation-calibrated estimate (p_phys re-anchored at 1e-3):");
-    println!("  model: {}", arch.error);
-    println!("  d = {}, {}", arch.params.distance, est);
+    match TransversalArchitecture::try_calibrated(cal.params) {
+        Some((arch, est)) => {
+            println!("  model: {}", arch.error);
+            println!("  d = {}, {}", arch.params.distance, est);
+        }
+        None => println!("  no code distance <= {MAX_SEARCHED_DISTANCE} reaches the |CCZ> target"),
+    }
 
     let (paper_arch, paper_est) = TransversalArchitecture::calibrated(ErrorModelParams::paper());
     println!();
