@@ -4,7 +4,7 @@
 //! substrate's performance (the *figures* are regenerated by the `src/bin`
 //! targets).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use raa::core::fit::{fit_cnot_model, CnotErrorPoint};
 use raa::core::{logical, ErrorModelParams};
 use raa::decode::mc::Sampler;
@@ -120,19 +120,20 @@ fn bench_decoders(c: &mut Criterion) {
     let uf = UnionFindDecoder::new(graph.clone());
     let mwpm = MatchingDecoder::new(graph);
 
+    let circuit_sampler = CircuitSampler::new(&circuit);
     group.bench_function("unionfind_d5_1024shots", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| mc::logical_error_rate(&circuit, &uf, 1024, &mut rng),
-            BatchSize::SmallInput,
-        );
+        let cfg = McConfig::default();
+        b.iter(|| {
+            mc::logical_error_rate_sampled(&circuit_sampler, &uf, 1024, 7, &cfg)
+                .expect("the default config uses the ambient pool")
+        });
     });
     // Same workload pinned to one worker thread: the parallel-scaling
     // reference point (the default above uses all cores).
     group.bench_function("unionfind_d5_1024shots_1thread", |b| {
         let cfg = McConfig::single_threaded();
         b.iter(|| {
-            mc::logical_error_rate_seeded(&circuit, &uf, 1024, 7, &cfg)
+            mc::logical_error_rate_sampled(&circuit_sampler, &uf, 1024, 7, &cfg)
                 .expect("single-threaded runs use the ambient pool")
         });
     });
@@ -146,16 +147,17 @@ fn bench_decoders(c: &mut Criterion) {
                 .expect("single-threaded runs use the ambient pool")
         });
     });
-    // The fused sample→decode hot path: DEM sampler blocks feeding the
+    // Microbenchmark of the engine's sample→decode path on one worker:
+    // 16 batches of 256 DEM-sampled shots, each decoded by the
     // batch-compiled union–find (word-skipping defect extraction, flat
-    // arena clusters, epoch-tagged reset) in 512-shot fusion chunks.
+    // arena clusters, epoch-tagged reset). One seed, replayed.
     for d in [5u32, 7] {
         let circuit = memory_circuit(d, 3e-3);
         let dem = DetectorErrorModel::from_circuit(&circuit);
         let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
         let uf = UnionFindDecoder::new(graph);
         let sampler = DemSampler::new(&dem);
-        let cfg = McConfig::single_threaded().with_batch(4096);
+        let cfg = McConfig::single_threaded();
         group.bench_function(format!("unionfind_batched_d{d}"), |b| {
             b.iter(|| {
                 mc::logical_error_rate_sampled(&sampler, &uf, 4096, 7, &cfg)
@@ -164,11 +166,11 @@ fn bench_decoders(c: &mut Criterion) {
         });
     }
     group.bench_function("matching_d5_256shots", |b| {
-        b.iter_batched(
-            || StdRng::seed_from_u64(7),
-            |mut rng| mc::logical_error_rate(&circuit, &mwpm, 256, &mut rng),
-            BatchSize::SmallInput,
-        );
+        let cfg = McConfig::default();
+        b.iter(|| {
+            mc::logical_error_rate_sampled(&circuit_sampler, &mwpm, 256, 7, &cfg)
+                .expect("the default config uses the ambient pool")
+        });
     });
     // Exact matching fed by the compiled-DEM sampler on one worker, at a
     // noise level where most shots form components of 3 or more defects, so

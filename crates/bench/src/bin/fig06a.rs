@@ -1,6 +1,6 @@
 //! Regenerates Fig. 6(a): the transversal logical-error model, by *actual
 //! circuit-level simulation* — two-patch transversal-CNOT circuits are
-//! sampled with the Pauli-frame simulator, decoded jointly (correlated
+//! sampled from their detector error model, decoded jointly (correlated
 //! decoding) with the union–find decoder on the circuit's detector error
 //! model, and Eq. (4) is fitted to the measured per-CNOT error rates.
 //!

@@ -285,11 +285,8 @@ impl Decoder for BpUnionFindDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mc;
+    use crate::mc::{self, tests::repetition, CircuitSampler, McConfig};
     use raa_stabsim::dem::DemError;
-    use raa_stabsim::{Circuit, MeasRecord};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn chain_dem(n: usize, p: f64) -> DetectorErrorModel {
         let mut errors = vec![DemError {
@@ -372,42 +369,19 @@ mod tests {
         // End-to-end: BP+UF achieves a useful logical error rate on a noisy
         // repetition-code memory, comparable to plain union-find.
         let p = 0.06;
-        let mut c = Circuit::new();
-        let data = [0u32, 2, 4, 6, 8];
-        let anc = [1u32, 3, 5, 7];
-        c.r(&[0, 1, 2, 3, 4, 5, 6, 7, 8]);
-        for round in 0..3 {
-            c.x_error(&data, p);
-            let pairs: Vec<(u32, u32)> = (0..4)
-                .flat_map(|i| [(data[i], anc[i]), (data[i + 1], anc[i])])
-                .collect();
-            c.cx(&pairs);
-            c.mr(&anc);
-            for i in 0..4usize {
-                if round == 0 {
-                    c.detector(&[MeasRecord::back(4 - i)]);
-                } else {
-                    c.detector(&[MeasRecord::back(4 - i), MeasRecord::back(8 - i)]);
-                }
-            }
-        }
-        c.m(&data);
-        for i in 0..4usize {
-            c.detector(&[
-                MeasRecord::back(5 - i),
-                MeasRecord::back(4 - i),
-                MeasRecord::back(9 - i),
-            ]);
-        }
-        c.observable_include(0, &[MeasRecord::back(5)]);
+        let c = repetition(5, 3, p);
 
         let dem = DetectorErrorModel::from_circuit(&c);
         let bp_uf = BpUnionFindDecoder::new(&dem);
         let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
         let uf = UnionFindDecoder::new(graph);
-        let r_bp = mc::logical_error_rate(&c, &bp_uf, 8_000, &mut StdRng::seed_from_u64(9))
+        let sampler = CircuitSampler::new(&c);
+        let cfg = McConfig::default();
+        let r_bp = mc::logical_error_rate_sampled(&sampler, &bp_uf, 8_000, 9, &cfg)
+            .unwrap()
             .logical_error_rate();
-        let r_uf = mc::logical_error_rate(&c, &uf, 8_000, &mut StdRng::seed_from_u64(9))
+        let r_uf = mc::logical_error_rate_sampled(&sampler, &uf, 8_000, 9, &cfg)
+            .unwrap()
             .logical_error_rate();
         assert!(
             r_bp <= r_uf * 1.3 + 0.01,

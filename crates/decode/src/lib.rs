@@ -19,8 +19,10 @@
 //! * [`windowed`] — sliding-window decoding over the circuit's time axis,
 //!   with commit/buffer syndrome projection and an incremental streaming
 //!   session;
-//! * [`mc`] — the sample → decode → compare Monte-Carlo harness, sharded
-//!   across threads with deterministic per-batch seeding; sampling goes
+//! * [`mc`] — the sample → decode → compare Monte-Carlo harness: two
+//!   estimators over one batch runner, sharded across threads with
+//!   deterministic per-batch seeding and a fixed or early-stop
+//!   [`mc::ShotBudget`]; [`mc::logical_error_rate_sampled`] samples
 //!   through the [`mc::Sampler`] trait (gate-level [`mc::CircuitSampler`]
 //!   or the compiled-DEM fast path of [`raa_stabsim::DemSampler`]), and
 //!   deep circuits stream one time layer at a time through
@@ -54,14 +56,8 @@
 //! extracted defect list — batching changes execution strategy (epoch-tagged
 //! scratch reset, word-skipping defect extraction, a graph precompiled into
 //! flat arenas), never decisions, so results are **bit-identical** to the
-//! per-shot path. The Monte-Carlo harness exploits this to fuse sampling and
-//! decoding in L1-resident blocks when the sampler advertises a block size
-//! via [`mc::Sampler::fusion_block`]: [`raa_stabsim::DemSampler`] emits
-//! shots in 512-shot blocks whose bit streams do not depend on how the batch
-//! is chunked, so fused decoding reproduces whole-batch `DecodeStats`
-//! exactly; samplers without that guarantee (the gate-level
-//! [`mc::CircuitSampler`], the streaming sampler) simply decline fusion and
-//! keep the materialize-then-decode path.
+//! per-shot path. The Monte-Carlo harness samples each 256-shot batch and
+//! then decodes it in one `predict_batch_into` call.
 //!
 //! Hot loops keep one scratch per thread:
 //!
@@ -89,9 +85,8 @@
 //!
 //! ```
 //! use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
-//! use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, Decoder, mc};
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
+//! use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, mc};
+//! use raa_decode::{CircuitSampler, McConfig};
 //!
 //! let mut c = Circuit::new();
 //! c.r(&[0, 1, 2, 3, 4]);
@@ -105,7 +100,9 @@
 //!
 //! let dem = DetectorErrorModel::from_circuit(&c);
 //! let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem)?);
-//! let stats = mc::logical_error_rate(&c, &decoder, 10_000, &mut StdRng::seed_from_u64(7));
+//! let sampler = CircuitSampler::new(&c);
+//! let stats = mc::logical_error_rate_sampled(&sampler, &decoder, 10_000, 7, &McConfig::default())
+//!     .expect("the default McConfig uses the ambient pool");
 //! assert!(stats.logical_error_rate() < 0.02);
 //! # Ok::<(), raa_decode::graph::GraphError>(())
 //! ```
@@ -122,7 +119,7 @@ pub mod windowed;
 pub use bp::{BeliefPropagation, BpUfScratch, BpUnionFindDecoder};
 pub use graph::{CompiledGraph, DecodingGraph, Edge, GraphError};
 pub use matching::{MatchScratch, MatchingDecoder};
-pub use mc::{CircuitSampler, DecodeStats, McConfig, McError, Sampler, SeedPolicy};
+pub use mc::{CircuitSampler, DecodeStats, McConfig, McError, Sampler};
 pub use unionfind::{UfScratch, UnionFindDecoder, UnionFindOutcome};
 pub use windowed::{
     LayerAssignment, UniformLayers, WindowError, WindowScratch, WindowState, WindowedDecoder,

@@ -1185,43 +1185,7 @@ mod tests {
         // d = 3 / d = 5 repetition-memory anchors: the precompute must not
         // move a single Monte-Carlo failure, and the absolute counts are
         // pinned so any decision drift in matching shows up here.
-        use crate::mc::{self, McConfig};
-        use raa_stabsim::{Circuit, MeasRecord};
-
-        fn repetition(d: usize, rounds: usize, p: f64) -> Circuit {
-            let n_data = d;
-            let n_anc = d - 1;
-            let data: Vec<u32> = (0..n_data as u32).map(|i| 2 * i).collect();
-            let anc: Vec<u32> = (0..n_anc as u32).map(|i| 2 * i + 1).collect();
-            let mut c = Circuit::new();
-            let all: Vec<u32> = (0..(n_data + n_anc) as u32).collect();
-            c.r(&all);
-            for round in 0..rounds {
-                c.x_error(&data, p);
-                let pairs: Vec<(u32, u32)> = (0..n_anc)
-                    .flat_map(|i| [(data[i], anc[i]), (data[i + 1], anc[i])])
-                    .collect();
-                c.cx(&pairs);
-                c.mr(&anc);
-                for i in 0..n_anc {
-                    if round == 0 {
-                        c.detector(&[MeasRecord::back(n_anc - i)]);
-                    } else {
-                        c.detector(&[MeasRecord::back(n_anc - i), MeasRecord::back(2 * n_anc - i)]);
-                    }
-                }
-            }
-            c.m(&data);
-            for i in 0..n_anc {
-                c.detector(&[
-                    MeasRecord::back(n_data - i),
-                    MeasRecord::back(n_data - i - 1),
-                    MeasRecord::back(n_data + n_anc - i),
-                ]);
-            }
-            c.observable_include(0, &[MeasRecord::back(n_data)]);
-            c
-        }
+        use crate::mc::{self, tests::repetition, CircuitSampler, McConfig};
 
         let cfg = McConfig::single_threaded();
         for (d, expected) in [(3usize, 121usize), (5usize, 57usize)] {
@@ -1231,8 +1195,9 @@ mod tests {
             let on = MatchingDecoder::new(g.clone());
             assert!(on.precomputed.is_some());
             let off = MatchingDecoder::new(g).with_precompute(false);
-            let s_on = mc::logical_error_rate_seeded(&c, &on, 2_000, 11, &cfg).unwrap();
-            let s_off = mc::logical_error_rate_seeded(&c, &off, 2_000, 11, &cfg).unwrap();
+            let sampler = CircuitSampler::new(&c);
+            let s_on = mc::logical_error_rate_sampled(&sampler, &on, 2_000, 11, &cfg).unwrap();
+            let s_off = mc::logical_error_rate_sampled(&sampler, &off, 2_000, 11, &cfg).unwrap();
             assert_eq!(s_on.shots, 2_000);
             assert_eq!(
                 s_on.failures, s_off.failures,

@@ -1,20 +1,29 @@
 //! Monte-Carlo logical-error-rate estimation: sample, decode, compare.
 //!
-//! The estimators shard work into fixed-size batches of shots. Each batch
-//! gets an independent RNG stream derived deterministically from the base
-//! seed and the batch index, batches are decoded in parallel with one
-//! decoder scratch per worker thread, and per-batch statistics are merged
-//! in batch order — so for a given seed the returned [`DecodeStats`] are
-//! **bit-identical regardless of thread count**.
+//! Two estimators share one batch runner. [`logical_error_rate_sampled`]
+//! draws whole batches through any [`Sampler`] and decodes them with any
+//! [`Decoder`]; [`logical_error_rate_streamed`] samples a time-sliced DEM
+//! one layer at a time into per-shot windowed decode sessions, so its
+//! resident syndrome memory is bounded by the window, not the circuit
+//! depth. Both spend a [`ShotBudget`]: a fixed shot count (a plain `usize`
+//! converts to one) or a deterministic early stop at a failure target.
+//!
+//! The runner shards the budget into batches of 256 shots. Batch `i`
+//! samples from its own RNG stream, seeded by [`mix_seed`]`(seed, i)`;
+//! batches are decoded in parallel with one worker state per thread, and
+//! per-batch statistics are merged in batch order. So for a given seed,
+//! sampler and budget the returned [`DecodeStats`] are **bit-identical
+//! regardless of thread count** — and the thread count is all that
+//! [`McConfig`] holds.
 //!
 //! Inside a batch the pipeline is allocation-free in steady state: shots
 //! are drawn through a [`Sampler`] straight into the per-worker shot-major
 //! buffers (a [`SyndromeBatch`] of detector bits plus one packed
 //! observable mask per shot — [`DemSampler`] writes them natively;
 //! [`CircuitSampler`] simulates into a detector-major
-//! [`DetectorSamples`] scratch and transposes), syndromes are extracted
-//! into a reused buffer by word-skipping scans, and decoding goes through
-//! [`Decoder::predict_into`] with a per-worker scratch.
+//! [`DetectorSamples`] scratch and transposes), and the whole batch is
+//! decoded through [`Decoder::predict_batch_into`] with a per-worker
+//! scratch.
 //!
 //! Two samplers are provided: [`CircuitSampler`] re-simulates the circuit
 //! through the Pauli-frame simulator (cost ∝ circuit ops × qubits per
@@ -37,6 +46,12 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Shots per batch: the unit of seeding, of parallel work and of the
+/// early-stop prefix. Small enough that modest shot counts parallelize,
+/// large enough to amortize per-batch sampling setup. Every result depends
+/// on it, so it is fixed.
+const BATCH: usize = 256;
 
 /// Why a Monte-Carlo estimate could not run.
 ///
@@ -95,20 +110,13 @@ pub trait Sampler: Sync {
         obs_masks: &mut Vec<u64>,
     );
 
-    /// The sample→decode fusion block size, or `None` to opt out.
+    /// A block size in which chunked sampling would reproduce whole-batch
+    /// sampling bit for bit, or `None`.
     ///
-    /// Returning `Some(block)` asserts a strong determinism property: for
-    /// any shot count and any RNG state, sampling `n` shots in consecutive
-    /// chunks of at most `block` shots through the *same* RNG produces
-    /// exactly the bits that one `sample_into(n, ...)` call would. The
-    /// Monte-Carlo batch loop then interleaves sampling and decoding per
-    /// chunk — syndromes are decoded while still cache-resident instead of
-    /// being materialized for the whole batch — without changing a single
-    /// sampled bit or decode decision.
-    ///
-    /// The default declines: samplers with whole-batch RNG structure (the
-    /// gate-level frame simulation, the streaming sampler's one base draw
-    /// per batch) must not be chunked.
+    /// The Monte-Carlo harness does not read it: every batch is sampled in
+    /// one [`Sampler::sample_into`] call and then decoded. The method stays
+    /// in the trait, with this `None` default, because `Sampler` wrappers
+    /// outside this crate delegate it to the sampler they wrap.
     fn fusion_block(&self) -> Option<usize> {
         None
     }
@@ -170,14 +178,6 @@ impl Sampler for DemSampler {
     ) {
         self.sample_syndromes_into(shots, rng, syndromes, obs_masks);
     }
-
-    /// The compiled sampler walks the trial space in fixed
-    /// [`DemSampler::SAMPLE_BLOCK`]-shot blocks whose RNG consumption does
-    /// not depend on the block's position in the batch, so chunked sampling
-    /// is bit-identical to whole-batch sampling and fusion is sound.
-    fn fusion_block(&self) -> Option<usize> {
-        Some(DemSampler::SAMPLE_BLOCK)
-    }
 }
 
 /// The time-sliced sampler as a whole-batch [`Sampler`]: materializes every
@@ -206,14 +206,6 @@ impl Sampler for StreamingDemSampler {
             syndromes,
             obs_masks,
         );
-    }
-
-    /// Fusion must stay off: each `sample_into` call draws **one** base
-    /// seed for the whole batch, so splitting a batch into chunks would
-    /// draw different per-layer streams and break the bit-identity with
-    /// [`logical_error_rate_streamed`].
-    fn fusion_block(&self) -> Option<usize> {
-        None
     }
 }
 
@@ -252,61 +244,44 @@ impl DecodeStats {
     }
 }
 
-/// How per-batch RNG streams derive from the base seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SeedPolicy {
-    /// Batch `i` samples from `StdRng::seed_from_u64(mix(seed, i))`:
-    /// batches are independent, so they can run on any thread in any order
-    /// with results identical to a serial run. The default.
-    #[default]
-    PerBatch,
-    /// All batches consume one sequential RNG stream seeded from the base
-    /// seed, exactly like the historical single-threaded loop. Forces
-    /// serial execution.
-    Sequential,
+/// How many shots to spend on one estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShotBudget {
+    /// Decode exactly this many shots.
+    Fixed(usize),
+    /// Decode until `target_failures` failures, capped at `max_shots`.
+    ///
+    /// The stop is deterministic: the result covers exactly the batch
+    /// prefix `0..=B`, where `B` is the first batch at which the
+    /// cumulative failure count reaches the target (or every batch if it
+    /// never does), so a nonzero `max_shots` always decodes one batch.
+    UntilFailures {
+        /// Hard cap on shots.
+        max_shots: usize,
+        /// Failure count that stops the run.
+        target_failures: usize,
+    },
 }
 
-/// Configuration for the Monte-Carlo estimators.
-#[derive(Debug, Clone)]
-pub struct McConfig {
-    /// Shots per batch (bounds peak memory and sets the early-stop
-    /// granularity). Default 256: small enough that modest shot counts
-    /// parallelize, large enough to amortize per-batch sampling setup.
-    pub batch: usize,
-    /// Worker threads; `0` means rayon's default (all cores).
-    pub threads: usize,
-    /// Per-batch seed derivation.
-    pub seed_policy: SeedPolicy,
-}
-
-impl Default for McConfig {
-    fn default() -> Self {
-        Self {
-            batch: 256,
-            threads: 0,
-            seed_policy: SeedPolicy::PerBatch,
-        }
+impl From<usize> for ShotBudget {
+    /// A plain shot count is a [`ShotBudget::Fixed`] budget.
+    fn from(shots: usize) -> Self {
+        ShotBudget::Fixed(shots)
     }
+}
+
+/// Configuration for the Monte-Carlo estimators: only where they run.
+/// No setting here can change a result.
+#[derive(Debug, Clone, Default)]
+pub struct McConfig {
+    /// Worker threads; `0` (the default) means rayon's default (all cores).
+    pub threads: usize,
 }
 
 impl McConfig {
     /// A config decoding serially on the calling thread.
     pub fn single_threaded() -> Self {
-        Self {
-            threads: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        self.batch = batch;
-        self
+        Self { threads: 1 }
     }
 
     /// Sets the worker thread count (`0` = all cores).
@@ -326,11 +301,6 @@ pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
-}
-
-/// The independent RNG stream seed of batch `batch_index`.
-fn batch_seed(seed: u64, batch_index: usize) -> u64 {
-    mix_seed(seed, batch_index as u64)
 }
 
 /// Per-worker pipeline state: sampler scratch, decoder scratch and the
@@ -355,15 +325,7 @@ impl<S: Sampler, D: Decoder> Worker<S, D> {
         }
     }
 
-    /// Samples and decodes one batch of shots.
-    ///
-    /// When the sampler advertises a [`Sampler::fusion_block`], the batch
-    /// is processed in consecutive chunks of at most that many shots —
-    /// sample a chunk, decode it while its syndrome words are still
-    /// cache-resident, repeat. The sampler's fusion contract plus the
-    /// [`Decoder::predict_batch_into`] contract make the chunked run
-    /// bit-identical to materialize-then-decode, so `DecodeStats` do not
-    /// depend on whether fusion kicked in.
+    /// Samples one batch of shots, then decodes it.
     fn decode_batch(
         &mut self,
         sampler: &S,
@@ -371,38 +333,21 @@ impl<S: Sampler, D: Decoder> Worker<S, D> {
         shots: usize,
         rng: &mut StdRng,
     ) -> DecodeStats {
-        let chunk = match sampler.fusion_block() {
-            Some(block) => block.min(shots).max(1),
-            None => shots,
-        };
-        let mut stats = DecodeStats::default();
-        let mut done = 0usize;
-        while done < shots {
-            let len = chunk.min(shots - done);
-            sampler.sample_into(
-                len,
-                rng,
-                &mut self.sampler_scratch,
-                &mut self.syndromes,
-                &mut self.obs_masks,
-            );
-            decoder.predict_batch_into(&self.syndromes, &mut self.predicted, &mut self.scratch);
-            for s in 0..len {
-                stats.shots += 1;
-                if self.predicted[s] != self.obs_masks[s] {
-                    stats.failures += 1;
-                }
-            }
-            done += len;
-        }
-        stats
+        sampler.sample_into(
+            shots,
+            rng,
+            &mut self.sampler_scratch,
+            &mut self.syndromes,
+            &mut self.obs_masks,
+        );
+        decoder.predict_batch_into(&self.syndromes, &mut self.predicted, &mut self.scratch);
+        let failures = self.predicted[..shots]
+            .iter()
+            .zip(&self.obs_masks[..shots])
+            .filter(|(predicted, actual)| predicted != actual)
+            .count();
+        DecodeStats { shots, failures }
     }
-}
-
-/// Shot count of batch `index` when `shots` total are split into
-/// `batch`-sized batches.
-fn batch_len(shots: usize, batch: usize, index: usize) -> usize {
-    (shots - index * batch).min(batch)
 }
 
 /// Runs `f` on the ambient rayon pool (`threads == 0`) or on an explicitly
@@ -430,122 +375,59 @@ where
 }
 
 /// Estimates the logical error rate of the circuit behind `sampler` under
-/// `decoder` from `shots` Monte-Carlo samples, with explicit seed and
-/// configuration.
+/// `decoder`, spending `budget` (a shot count, or a [`ShotBudget`]) with
+/// base seed `seed`.
 ///
-/// This is the sampler-generic core of the pipeline: pass a
-/// [`CircuitSampler`] for gate-level re-simulation or a [`DemSampler`]
-/// (compiled from the circuit's DEM) for the fast precompiled path. Work
-/// is sharded into batches decoded in parallel; for a given seed and
-/// sampler the result is identical for any `cfg.threads` (see
-/// [`SeedPolicy`]).
+/// Pass a [`CircuitSampler`] for gate-level re-simulation or a
+/// [`DemSampler`] (compiled from the circuit's DEM) for the fast
+/// precompiled path. For a given seed, sampler and budget the result is
+/// identical for any `cfg.threads`.
 ///
 /// # Errors
 ///
 /// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
 /// cannot be built.
+///
+/// # Example
+///
+/// ```
+/// use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
+/// use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder};
+/// use raa_decode::mc::{self, CircuitSampler, McConfig, ShotBudget};
+///
+/// let mut c = Circuit::new();
+/// c.r(&[0, 1, 2, 3, 4]);
+/// c.x_error(&[0, 2, 4], 0.05);
+/// c.cx(&[(0, 1), (2, 1), (2, 3), (4, 3)]);
+/// c.mr(&[1, 3]);
+/// c.detector(&[MeasRecord::back(2)]);
+/// c.detector(&[MeasRecord::back(1)]);
+/// c.m(&[0, 2, 4]);
+/// c.observable_include(0, &[MeasRecord::back(3)]);
+///
+/// let dem = DetectorErrorModel::from_circuit(&c);
+/// let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem).unwrap());
+/// let sampler = CircuitSampler::new(&c);
+/// let cfg = McConfig::default();
+/// let stats = mc::logical_error_rate_sampled(&sampler, &decoder, 20_000, 2, &cfg)
+///     .expect("the default McConfig uses the ambient pool");
+/// // Distance-3 repetition code at p = 0.05: roughly 3 p^2 ≈ 0.007.
+/// assert!(stats.logical_error_rate() < 0.03);
+///
+/// // The same estimate, stopped at the first batch that reaches 20 failures.
+/// let budget = ShotBudget::UntilFailures { max_shots: 20_000, target_failures: 20 };
+/// let early = mc::logical_error_rate_sampled(&sampler, &decoder, budget, 2, &cfg).unwrap();
+/// assert!(early.failures >= 20 && early.shots <= stats.shots);
+/// ```
 pub fn logical_error_rate_sampled<S: Sampler, D: Decoder + Sync>(
     sampler: &S,
     decoder: &D,
-    shots: usize,
+    budget: impl Into<ShotBudget>,
     seed: u64,
     cfg: &McConfig,
 ) -> Result<DecodeStats, McError> {
-    run_batches(shots, seed, cfg, Worker::<S, D>::new, |worker, len, rng| {
-        worker.decode_batch(sampler, decoder, len, rng)
-    })
-}
-
-/// Sampler-agnostic batch orchestration: shards `shots` into `cfg.batch`
-/// batches, runs `decode_batch(worker, batch_len, batch_rng)` per batch
-/// (one reusable worker per thread via `new_worker`) and merges the
-/// per-batch statistics in batch order — the single implementation of the
-/// bit-identical-across-thread-counts contract shared by the whole-batch
-/// and streaming pipelines.
-fn run_batches<W: Send>(
-    shots: usize,
-    seed: u64,
-    cfg: &McConfig,
-    new_worker: impl Fn() -> W + Send + Sync,
-    decode_batch: impl Fn(&mut W, usize, &mut StdRng) -> DecodeStats + Send + Sync,
-) -> Result<DecodeStats, McError> {
-    assert!(cfg.batch > 0, "batch size must be positive");
-    if shots == 0 {
-        return Ok(DecodeStats::default());
-    }
-    let num_batches = shots.div_ceil(cfg.batch);
-
-    if matches!(cfg.seed_policy, SeedPolicy::Sequential) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut worker = new_worker();
-        let mut stats = DecodeStats::default();
-        for b in 0..num_batches {
-            let len = batch_len(shots, cfg.batch, b);
-            stats.merge(decode_batch(&mut worker, len, &mut rng));
-        }
-        return Ok(stats);
-    }
-
-    let per_batch: Vec<DecodeStats> = run_on_pool(cfg.threads, || {
-        (0..num_batches)
-            .into_par_iter()
-            .map_init(&new_worker, |worker, b| {
-                let mut rng = StdRng::seed_from_u64(batch_seed(seed, b));
-                decode_batch(worker, batch_len(shots, cfg.batch, b), &mut rng)
-            })
-            .collect()
-    })?;
-    let mut stats = DecodeStats::default();
-    for s in per_batch {
-        stats.merge(s);
-    }
-    Ok(stats)
-}
-
-/// [`logical_error_rate_sampled`] with a [`CircuitSampler`] over `circuit`
-/// (the historical gate-level entry point).
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_seeded<D: Decoder + Sync>(
-    circuit: &Circuit,
-    decoder: &D,
-    shots: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    logical_error_rate_sampled(&CircuitSampler::new(circuit), decoder, shots, seed, cfg)
-}
-
-/// Like [`logical_error_rate_sampled`], but stops early once
-/// `target_failures` failures have been seen (useful deep below threshold
-/// where failures are rare); always decodes at least one batch.
-///
-/// Early stopping is deterministic: the result always covers exactly the
-/// batch prefix `0..=B`, where `B` is the first batch at which the
-/// cumulative failure count reaches the target (or all batches if it never
-/// does). Worker threads poll a relaxed atomic failure counter so they stop
-/// *launching* batches soon after the target is reached; any speculative
-/// batches beyond `B` are discarded, keeping the result independent of
-/// thread count and timing.
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_until_sampled<S: Sampler, D: Decoder + Sync>(
-    sampler: &S,
-    decoder: &D,
-    max_shots: usize,
-    target_failures: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    run_batches_until(
-        max_shots,
-        target_failures,
+    run_batches(
+        budget.into(),
         seed,
         cfg,
         Worker::<S, D>::new,
@@ -553,37 +435,30 @@ pub fn logical_error_rate_until_sampled<S: Sampler, D: Decoder + Sync>(
     )
 }
 
-/// The early-stopping counterpart of [`run_batches`]: decodes the
-/// deterministic batch prefix `0..=B`, where `B` is the first batch at
-/// which the cumulative failure count reaches `target_failures` (see
-/// [`logical_error_rate_until_sampled`] for the contract).
-fn run_batches_until<W: Send>(
-    max_shots: usize,
-    target_failures: usize,
+/// The one batch runner behind both estimators: shards `budget` into
+/// [`BATCH`]-shot batches, runs `decode_batch(worker, batch_len,
+/// batch_rng)` per batch (one reusable worker per thread via
+/// `new_worker`), and merges the per-batch statistics in batch order up to
+/// the deterministic early-stop prefix of [`ShotBudget::UntilFailures`].
+///
+/// A fixed budget is an early stop whose target is never reached: one
+/// parallel round over every batch.
+fn run_batches<W: Send>(
+    budget: ShotBudget,
     seed: u64,
     cfg: &McConfig,
     new_worker: impl Fn() -> W + Send + Sync,
     decode_batch: impl Fn(&mut W, usize, &mut StdRng) -> DecodeStats + Send + Sync,
 ) -> Result<DecodeStats, McError> {
-    assert!(cfg.batch > 0, "batch size must be positive");
-    if max_shots == 0 {
-        return Ok(DecodeStats::default());
-    }
-    let num_batches = max_shots.div_ceil(cfg.batch);
-
-    if matches!(cfg.seed_policy, SeedPolicy::Sequential) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut worker = new_worker();
-        let mut stats = DecodeStats::default();
-        for b in 0..num_batches {
-            let len = batch_len(max_shots, cfg.batch, b);
-            stats.merge(decode_batch(&mut worker, len, &mut rng));
-            if stats.failures >= target_failures {
-                break;
-            }
-        }
-        return Ok(stats);
-    }
+    let (max_shots, target_failures) = match budget {
+        ShotBudget::Fixed(shots) => (shots, usize::MAX),
+        ShotBudget::UntilFailures {
+            max_shots,
+            target_failures,
+        } => (max_shots, target_failures),
+    };
+    let num_batches = max_shots.div_ceil(BATCH);
+    let batch_len = |b: usize| (max_shots - b * BATCH).min(BATCH);
 
     let mut stats = DecodeStats::default();
     let mut next = 0usize;
@@ -607,9 +482,8 @@ fn run_batches_until<W: Send>(
                     if b != start && round_failures.load(Ordering::Relaxed) >= needed {
                         return None;
                     }
-                    let mut rng = StdRng::seed_from_u64(batch_seed(seed, b));
-                    let batch_stats =
-                        decode_batch(worker, batch_len(max_shots, cfg.batch, b), &mut rng);
+                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, b as u64));
+                    let batch_stats = decode_batch(worker, batch_len(b), &mut rng);
                     round_failures.fetch_add(batch_stats.failures, Ordering::Relaxed);
                     Some(batch_stats)
                 })
@@ -628,31 +502,6 @@ fn run_batches_until<W: Send>(
         // batch always completes next round because the budget resets).
     }
     Ok(stats)
-}
-
-/// [`logical_error_rate_until_sampled`] with a [`CircuitSampler`] over
-/// `circuit` (the historical gate-level entry point).
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_until_seeded<D: Decoder + Sync>(
-    circuit: &Circuit,
-    decoder: &D,
-    max_shots: usize,
-    target_failures: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    logical_error_rate_until_sampled(
-        &CircuitSampler::new(circuit),
-        decoder,
-        max_shots,
-        target_failures,
-        seed,
-        cfg,
-    )
 }
 
 /// Per-worker state of the **streaming** pipeline: the sampler's rolling
@@ -810,14 +659,15 @@ fn check_stream_compat<L: LayerAssignment>(
     }
 }
 
-/// Estimates the logical error rate through the **streaming** pipeline:
-/// shots are sampled one time layer at a time from the time-sliced
+/// Estimates the logical error rate through the **streaming** pipeline,
+/// spending `budget` (a shot count, or a [`ShotBudget`]) with base seed
+/// `seed`: shots are sampled one time layer at a time from the time-sliced
 /// `sampler` and fed straight into per-shot [`WindowedDecoder`] sessions,
 /// so resident syndrome memory is O(batch × window) — independent of
 /// circuit depth — instead of the whole-batch path's O(batch × circuit).
 ///
-/// For a given seed the result is bit-identical across thread counts
-/// **and** bit-identical to the whole-batch reference entry point
+/// For a given seed and budget the result is bit-identical across thread
+/// counts **and** bit-identical to the whole-batch reference
 /// `logical_error_rate_sampled(sampler, decoder, ...)` with the same
 /// [`StreamingDemSampler`] (both derive the same per-layer sample streams
 /// and run the same window steps).
@@ -858,36 +708,13 @@ fn check_stream_compat<L: LayerAssignment>(
 pub fn logical_error_rate_streamed<L: LayerAssignment + Sync>(
     sampler: &StreamingDemSampler,
     decoder: &WindowedDecoder<L>,
-    shots: usize,
+    budget: impl Into<ShotBudget>,
     seed: u64,
     cfg: &McConfig,
 ) -> Result<DecodeStats, McError> {
     check_stream_compat(sampler, decoder);
-    run_batches(shots, seed, cfg, StreamWorker::new, |worker, len, rng| {
-        worker.decode_batch(sampler, decoder, len, rng)
-    })
-}
-
-/// Like [`logical_error_rate_streamed`], but stops early once
-/// `target_failures` failures have been seen — the same deterministic
-/// batch-prefix contract as [`logical_error_rate_until_sampled`].
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] if `cfg.threads > 0` and the worker pool
-/// cannot be built.
-pub fn logical_error_rate_until_streamed<L: LayerAssignment + Sync>(
-    sampler: &StreamingDemSampler,
-    decoder: &WindowedDecoder<L>,
-    max_shots: usize,
-    target_failures: usize,
-    seed: u64,
-    cfg: &McConfig,
-) -> Result<DecodeStats, McError> {
-    check_stream_compat(sampler, decoder);
-    run_batches_until(
-        max_shots,
-        target_failures,
+    run_batches(
+        budget.into(),
         seed,
         cfg,
         StreamWorker::new,
@@ -895,80 +722,18 @@ pub fn logical_error_rate_until_streamed<L: LayerAssignment + Sync>(
     )
 }
 
-/// Estimates the logical error rate of `circuit` under `decoder`.
-///
-/// Thin wrapper over [`logical_error_rate_seeded`]: draws a base seed from
-/// `rng` and runs with the default [`McConfig`] (parallel, 256-shot
-/// batches). For explicit thread/batch control use the seeded variant.
-///
-/// # Example
-///
-/// ```
-/// use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
-/// use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, mc};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut c = Circuit::new();
-/// c.r(&[0, 1, 2, 3, 4]);
-/// c.x_error(&[0, 2, 4], 0.05);
-/// c.cx(&[(0, 1), (2, 1), (2, 3), (4, 3)]);
-/// c.mr(&[1, 3]);
-/// c.detector(&[MeasRecord::back(2)]);
-/// c.detector(&[MeasRecord::back(1)]);
-/// c.m(&[0, 2, 4]);
-/// c.observable_include(0, &[MeasRecord::back(3)]);
-///
-/// let dem = DetectorErrorModel::from_circuit(&c);
-/// let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem).unwrap());
-/// let mut rng = StdRng::seed_from_u64(2);
-/// let stats = mc::logical_error_rate(&c, &decoder, 20_000, &mut rng);
-/// // Distance-3 repetition code at p = 0.05: roughly 3 p^2 ≈ 0.007.
-/// assert!(stats.logical_error_rate() < 0.03);
-/// ```
-pub fn logical_error_rate<D: Decoder + Sync, R: Rng>(
-    circuit: &Circuit,
-    decoder: &D,
-    shots: usize,
-    rng: &mut R,
-) -> DecodeStats {
-    let seed = rng.random::<u64>();
-    logical_error_rate_seeded(circuit, decoder, shots, seed, &McConfig::default())
-        .expect("the default McConfig uses the ambient pool and cannot fail")
-}
-
-/// Like [`logical_error_rate`], but stops early once `target_failures`
-/// failures have been seen. Thin wrapper over
-/// [`logical_error_rate_until_seeded`] with the default [`McConfig`].
-pub fn logical_error_rate_until<D: Decoder + Sync, R: Rng>(
-    circuit: &Circuit,
-    decoder: &D,
-    max_shots: usize,
-    target_failures: usize,
-    rng: &mut R,
-) -> DecodeStats {
-    let seed = rng.random::<u64>();
-    logical_error_rate_until_seeded(
-        circuit,
-        decoder,
-        max_shots,
-        target_failures,
-        seed,
-        &McConfig::default(),
-    )
-    .expect("the default McConfig uses the ambient pool and cannot fail")
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::DecodingGraph;
     use crate::matching::MatchingDecoder;
     use crate::unionfind::UnionFindDecoder;
     use raa_stabsim::{DetectorErrorModel, MeasRecord};
 
-    /// d-distance bit-flip repetition code memory, `rounds` rounds.
-    fn repetition(d: usize, rounds: usize, p: f64) -> Circuit {
+    /// d-distance bit-flip repetition code memory, `rounds` rounds, shared
+    /// by the crate's unit tests. Detectors come out in per-round blocks of
+    /// `d − 1`, so `UniformLayers` applies.
+    pub(crate) fn repetition(d: usize, rounds: usize, p: f64) -> Circuit {
         let n_data = d;
         let n_anc = d - 1;
         let data: Vec<u32> = (0..n_data as u32).map(|i| 2 * i).collect();
@@ -1013,10 +778,45 @@ mod tests {
         MatchingDecoder::new(DecodingGraph::from_dem(&dem).unwrap())
     }
 
+    /// The whole-batch estimate on `threads` workers (`0` = all cores).
+    fn stats<S: Sampler, D: Decoder + Sync>(
+        sampler: &S,
+        decoder: &D,
+        budget: impl Into<ShotBudget>,
+        seed: u64,
+        threads: usize,
+    ) -> DecodeStats {
+        let cfg = McConfig::default().with_threads(threads);
+        logical_error_rate_sampled(sampler, decoder, budget, seed, &cfg).unwrap()
+    }
+
+    /// The gate-level estimate of `c` under `decoder`.
+    fn circuit_stats<D: Decoder + Sync>(
+        c: &Circuit,
+        decoder: &D,
+        budget: impl Into<ShotBudget>,
+        seed: u64,
+        threads: usize,
+    ) -> DecodeStats {
+        stats(&CircuitSampler::new(c), decoder, budget, seed, threads)
+    }
+
+    /// The streamed estimate on `threads` workers (`0` = all cores).
+    fn streamed_stats(
+        sampler: &StreamingDemSampler,
+        decoder: &WindowedDecoder<crate::UniformLayers>,
+        budget: impl Into<ShotBudget>,
+        seed: u64,
+        threads: usize,
+    ) -> DecodeStats {
+        let cfg = McConfig::default().with_threads(threads);
+        logical_error_rate_streamed(sampler, decoder, budget, seed, &cfg).unwrap()
+    }
+
     #[test]
     fn noiseless_circuit_never_fails() {
         let c = repetition(3, 2, 0.0);
-        let stats = logical_error_rate(&c, &uf(&c), 500, &mut StdRng::seed_from_u64(1));
+        let stats = circuit_stats(&c, &uf(&c), 500, 1, 0);
         assert_eq!(stats.failures, 0);
         assert_eq!(stats.shots, 500);
     }
@@ -1025,7 +825,7 @@ mod tests {
     fn decoding_beats_raw_error_rate() {
         let p = 0.05;
         let c = repetition(3, 3, p);
-        let stats = logical_error_rate(&c, &uf(&c), 20_000, &mut StdRng::seed_from_u64(2));
+        let stats = circuit_stats(&c, &uf(&c), 20_000, 2, 0);
         // Raw single-qubit flip probability over 3 rounds ~ 3p/... just check
         // we're well below p itself.
         assert!(
@@ -1038,11 +838,10 @@ mod tests {
     #[test]
     fn larger_distance_suppresses_errors() {
         let p = 0.03;
-        let mut rng = StdRng::seed_from_u64(3);
         let c3 = repetition(3, 3, p);
         let c7 = repetition(7, 3, p);
-        let r3 = logical_error_rate(&c3, &uf(&c3), 30_000, &mut rng).logical_error_rate();
-        let r7 = logical_error_rate(&c7, &uf(&c7), 30_000, &mut rng).logical_error_rate();
+        let r3 = circuit_stats(&c3, &uf(&c3), 30_000, 3, 0).logical_error_rate();
+        let r7 = circuit_stats(&c7, &uf(&c7), 30_000, 3, 0).logical_error_rate();
         assert!(r7 < r3, "d=3: {r3}, d=7: {r7}");
     }
 
@@ -1050,10 +849,8 @@ mod tests {
     fn matching_at_least_as_good_as_unionfind() {
         let p = 0.08;
         let c = repetition(5, 4, p);
-        let mut rng = StdRng::seed_from_u64(4);
-        let r_uf = logical_error_rate(&c, &uf(&c), 20_000, &mut rng).logical_error_rate();
-        let mut rng = StdRng::seed_from_u64(4);
-        let r_m = logical_error_rate(&c, &mwpm(&c), 20_000, &mut rng).logical_error_rate();
+        let r_uf = circuit_stats(&c, &uf(&c), 20_000, 4, 0).logical_error_rate();
+        let r_m = circuit_stats(&c, &mwpm(&c), 20_000, 4, 0).logical_error_rate();
         // Exact matching should not be substantially worse.
         assert!(r_m <= r_uf * 1.25 + 0.01, "uf = {r_uf}, mwpm = {r_m}");
     }
@@ -1061,8 +858,11 @@ mod tests {
     #[test]
     fn early_stop_honours_failure_target() {
         let c = repetition(3, 2, 0.2);
-        let stats =
-            logical_error_rate_until(&c, &uf(&c), 1_000_000, 10, &mut StdRng::seed_from_u64(5));
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 1_000_000,
+            target_failures: 10,
+        };
+        let stats = circuit_stats(&c, &uf(&c), budget, 5, 0);
         assert!(stats.failures >= 10);
         assert!(stats.shots < 1_000_000);
     }
@@ -1074,18 +874,9 @@ mod tests {
         let c = repetition(5, 4, 0.05);
         let d = uf(&c);
         let seed = 0xC0FFEE;
-        let base =
-            logical_error_rate_seeded(&c, &d, 10_000, seed, &McConfig::default().with_threads(1))
-                .unwrap();
+        let base = circuit_stats(&c, &d, 10_000, seed, 1);
         for threads in [2usize, 4, 8] {
-            let multi = logical_error_rate_seeded(
-                &c,
-                &d,
-                10_000,
-                seed,
-                &McConfig::default().with_threads(threads),
-            )
-            .unwrap();
+            let multi = circuit_stats(&c, &d, 10_000, seed, threads);
             assert_eq!(base, multi, "threads = {threads}");
         }
         assert_eq!(base.shots, 10_000);
@@ -1097,25 +888,13 @@ mod tests {
         let c = repetition(3, 3, 0.15);
         let d = uf(&c);
         let seed = 0xBADC0DE;
-        let base = logical_error_rate_until_seeded(
-            &c,
-            &d,
-            200_000,
-            25,
-            seed,
-            &McConfig::default().with_threads(1),
-        )
-        .unwrap();
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 200_000,
+            target_failures: 25,
+        };
+        let base = circuit_stats(&c, &d, budget, seed, 1);
         for threads in [3usize, 7] {
-            let multi = logical_error_rate_until_seeded(
-                &c,
-                &d,
-                200_000,
-                25,
-                seed,
-                &McConfig::default().with_threads(threads),
-            )
-            .unwrap();
+            let multi = circuit_stats(&c, &d, budget, seed, threads);
             assert_eq!(base, multi, "threads = {threads}");
         }
         assert!(base.failures >= 25);
@@ -1125,48 +904,12 @@ mod tests {
     #[test]
     fn zero_failure_target_still_decodes_one_batch() {
         let c = repetition(3, 2, 0.1);
-        let d = uf(&c);
-        let cfg = McConfig::default().with_threads(4);
-        let stats = logical_error_rate_until_seeded(&c, &d, 100_000, 0, 1, &cfg).unwrap();
-        assert_eq!(stats.shots, cfg.batch);
-    }
-
-    #[test]
-    fn batch_size_does_not_change_totals() {
-        let c = repetition(3, 2, 0.1);
-        let d = uf(&c);
-        for batch in [1usize, 7, 64, 1000] {
-            let stats = logical_error_rate_seeded(
-                &c,
-                &d,
-                1_000,
-                42,
-                &McConfig::default().with_batch(batch),
-            )
-            .unwrap();
-            assert_eq!(stats.shots, 1_000, "batch = {batch}");
-        }
-    }
-
-    #[test]
-    fn sequential_policy_matches_single_stream() {
-        // Sequential policy must consume one RNG stream exactly like the
-        // historical loop, regardless of the requested thread count.
-        let c = repetition(3, 3, 0.08);
-        let d = uf(&c);
-        let cfg_a = McConfig {
-            seed_policy: SeedPolicy::Sequential,
-            threads: 1,
-            ..McConfig::default()
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 100_000,
+            target_failures: 0,
         };
-        let cfg_b = McConfig {
-            seed_policy: SeedPolicy::Sequential,
-            threads: 8,
-            ..McConfig::default()
-        };
-        let a = logical_error_rate_seeded(&c, &d, 5_000, 7, &cfg_a).unwrap();
-        let b = logical_error_rate_seeded(&c, &d, 5_000, 7, &cfg_b).unwrap();
-        assert_eq!(a, b);
+        let stats = circuit_stats(&c, &uf(&c), budget, 1, 4);
+        assert_eq!(stats.shots, BATCH);
     }
 
     #[test]
@@ -1179,16 +922,10 @@ mod tests {
         let c = repetition(3, 3, p);
         let d = uf(&c);
         let dem = DetectorErrorModel::from_circuit(&c);
-        let dem_sampler = raa_stabsim::DemSampler::new(&dem);
+        let dem_sampler = DemSampler::new(&dem);
         let shots = 40_000;
-        let cfg = McConfig::default();
-        let circuit_rate =
-            logical_error_rate_sampled(&CircuitSampler::new(&c), &d, shots, 11, &cfg)
-                .unwrap()
-                .logical_error_rate();
-        let dem_rate = logical_error_rate_sampled(&dem_sampler, &d, shots, 11, &cfg)
-            .unwrap()
-            .logical_error_rate();
+        let circuit_rate = circuit_stats(&c, &d, shots, 11, 0).logical_error_rate();
+        let dem_rate = stats(&dem_sampler, &d, shots, 11, 0).logical_error_rate();
         assert!(
             (circuit_rate - dem_rate).abs() < 0.004,
             "circuit {circuit_rate} vs dem {dem_rate}"
@@ -1200,25 +937,11 @@ mod tests {
         let c = repetition(5, 4, 0.05);
         let d = uf(&c);
         let dem = DetectorErrorModel::from_circuit(&c);
-        let sampler = raa_stabsim::DemSampler::new(&dem);
+        let sampler = DemSampler::new(&dem);
         let seed = 0xDE37;
-        let base = logical_error_rate_sampled(
-            &sampler,
-            &d,
-            10_000,
-            seed,
-            &McConfig::default().with_threads(1),
-        )
-        .unwrap();
+        let base = stats(&sampler, &d, 10_000, seed, 1);
         for threads in [2usize, 4, 8] {
-            let multi = logical_error_rate_sampled(
-                &sampler,
-                &d,
-                10_000,
-                seed,
-                &McConfig::default().with_threads(threads),
-            )
-            .unwrap();
+            let multi = stats(&sampler, &d, 10_000, seed, threads);
             assert_eq!(base, multi, "threads = {threads}");
         }
         assert!(base.failures > 0, "p = 5% should produce failures");
@@ -1228,18 +951,14 @@ mod tests {
     fn dem_sampler_early_stop_honours_failure_target() {
         let c = repetition(3, 2, 0.2);
         let dem = DetectorErrorModel::from_circuit(&c);
-        let sampler = raa_stabsim::DemSampler::new(&dem);
-        let stats = logical_error_rate_until_sampled(
-            &sampler,
-            &uf(&c),
-            1_000_000,
-            10,
-            5,
-            &McConfig::default(),
-        )
-        .unwrap();
-        assert!(stats.failures >= 10);
-        assert!(stats.shots < 1_000_000);
+        let sampler = DemSampler::new(&dem);
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 1_000_000,
+            target_failures: 10,
+        };
+        let early = stats(&sampler, &uf(&c), budget, 5, 0);
+        assert!(early.failures >= 10);
+        assert!(early.shots < 1_000_000);
     }
 
     fn windowed(
@@ -1262,22 +981,20 @@ mod tests {
 
     #[test]
     fn streamed_stats_match_batch_entry_point_bit_for_bit() {
-        // The streaming pipeline and the whole-batch reference entry point
-        // (the same StreamingDemSampler through the Sampler trait) must
-        // produce identical DecodeStats: same per-layer streams, same
-        // window steps, different memory profile only.
+        // The streaming pipeline and the whole-batch reference (the same
+        // StreamingDemSampler through the Sampler trait) must produce
+        // identical DecodeStats: same per-layer streams, same window steps,
+        // different memory profile only. A partial batch, whole batches
+        // and a ragged tail.
         let c = repetition(5, 20, 0.06);
         let dem = DetectorErrorModel::from_circuit(&c);
         let sampler = StreamingDemSampler::new(&dem, 4);
         let decoder = windowed(&c, 4, 2, 3);
         let seed = 0x57AE;
-        for batch in [64usize, 256, 1000] {
-            let cfg = McConfig::default().with_batch(batch);
-            let batch_stats =
-                logical_error_rate_sampled(&sampler, &decoder, 3_000, seed, &cfg).unwrap();
-            let streamed =
-                logical_error_rate_streamed(&sampler, &decoder, 3_000, seed, &cfg).unwrap();
-            assert_eq!(batch_stats, streamed, "batch = {batch}");
+        for shots in [100usize, 1_024, 3_000] {
+            let batch_stats = stats(&sampler, &decoder, shots, seed, 0);
+            let streamed = streamed_stats(&sampler, &decoder, shots, seed, 0);
+            assert_eq!(batch_stats, streamed, "shots = {shots}");
             assert!(streamed.failures > 0, "p = 6% must fail sometimes");
         }
     }
@@ -1289,23 +1006,9 @@ mod tests {
         let sampler = StreamingDemSampler::new(&dem, 2);
         let decoder = windowed(&c, 2, 2, 2);
         let seed = 0xF10A;
-        let base = logical_error_rate_streamed(
-            &sampler,
-            &decoder,
-            6_000,
-            seed,
-            &McConfig::default().with_threads(1),
-        )
-        .unwrap();
+        let base = streamed_stats(&sampler, &decoder, 6_000, seed, 1);
         for threads in [2usize, 8] {
-            let multi = logical_error_rate_streamed(
-                &sampler,
-                &decoder,
-                6_000,
-                seed,
-                &McConfig::default().with_threads(threads),
-            )
-            .unwrap();
+            let multi = streamed_stats(&sampler, &decoder, 6_000, seed, threads);
             assert_eq!(base, multi, "threads = {threads}");
         }
         assert!(base.failures > 0);
@@ -1317,11 +1020,12 @@ mod tests {
         let dem = DetectorErrorModel::from_circuit(&c);
         let sampler = StreamingDemSampler::new(&dem, 2);
         let decoder = windowed(&c, 2, 2, 2);
-        let cfg = McConfig::default();
-        let batch_stats =
-            logical_error_rate_until_sampled(&sampler, &decoder, 500_000, 20, 3, &cfg).unwrap();
-        let streamed =
-            logical_error_rate_until_streamed(&sampler, &decoder, 500_000, 20, 3, &cfg).unwrap();
+        let budget = ShotBudget::UntilFailures {
+            max_shots: 500_000,
+            target_failures: 20,
+        };
+        let batch_stats = stats(&sampler, &decoder, budget, 3, 0);
+        let streamed = streamed_stats(&sampler, &decoder, budget, 3, 0);
         assert_eq!(batch_stats, streamed);
         assert!(streamed.failures >= 20);
         assert!(streamed.shots < 500_000);
@@ -1336,51 +1040,7 @@ mod tests {
         // Decoder built over a different circuit: detector counts disagree.
         let c2 = repetition(3, 10, 0.1);
         let decoder = windowed(&c2, 2, 2, 2);
-        logical_error_rate_streamed(&sampler, &decoder, 100, 1, &McConfig::default()).unwrap();
-    }
-
-    /// The same compiled sampler with fusion declined: forces the
-    /// materialize-then-decode reference path on identical RNG streams.
-    struct NoFusion<'a>(&'a raa_stabsim::DemSampler);
-
-    impl Sampler for NoFusion<'_> {
-        type Scratch = ();
-
-        fn sample_into(
-            &self,
-            shots: usize,
-            rng: &mut StdRng,
-            _scratch: &mut (),
-            syndromes: &mut SyndromeBatch,
-            obs_masks: &mut Vec<u64>,
-        ) {
-            self.0
-                .sample_syndromes_into(shots, rng, syndromes, obs_masks);
-        }
-    }
-
-    #[test]
-    fn fused_dem_decode_matches_whole_batch_bit_for_bit() {
-        // The fusion contract: chunking a batch into SAMPLE_BLOCK-shot
-        // sample→decode blocks must not change a single sampled bit or
-        // decode decision. Batches both below and above the block size are
-        // compared against the unfused reference on the same seed.
-        let c = repetition(5, 4, 0.05);
-        let d = uf(&c);
-        let dem = DetectorErrorModel::from_circuit(&c);
-        let sampler = raa_stabsim::DemSampler::new(&dem);
-        assert_eq!(
-            sampler.fusion_block(),
-            Some(raa_stabsim::DemSampler::SAMPLE_BLOCK)
-        );
-        for batch in [256usize, 512, 1000, 4096] {
-            let cfg = McConfig::single_threaded().with_batch(batch);
-            let fused = logical_error_rate_sampled(&sampler, &d, 8_192, 9, &cfg).unwrap();
-            let reference =
-                logical_error_rate_sampled(&NoFusion(&sampler), &d, 8_192, 9, &cfg).unwrap();
-            assert_eq!(fused, reference, "batch = {batch}");
-            assert_eq!(fused.shots, 8_192);
-        }
+        streamed_stats(&sampler, &decoder, 100, 1, 0);
     }
 
     #[test]

@@ -961,45 +961,10 @@ impl<L: LayerAssignment> Decoder for WindowedDecoder<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mc;
-    use raa_stabsim::{Circuit, DetectorErrorModel, MeasRecord};
+    use crate::mc::{self, tests::repetition};
+    use raa_stabsim::{Circuit, DetectorErrorModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// d-bit repetition code memory over `rounds` rounds; detectors come out
-    /// in per-round blocks of (d-1), so UniformLayers applies.
-    fn repetition(d: usize, rounds: usize, p: f64) -> Circuit {
-        let n_anc = d - 1;
-        let data: Vec<u32> = (0..d as u32).map(|i| 2 * i).collect();
-        let anc: Vec<u32> = (0..n_anc as u32).map(|i| 2 * i + 1).collect();
-        let mut c = Circuit::new();
-        c.r(&(0..(d + n_anc) as u32).collect::<Vec<_>>());
-        for round in 0..rounds {
-            c.x_error(&data, p);
-            let pairs: Vec<(u32, u32)> = (0..n_anc)
-                .flat_map(|i| [(data[i], anc[i]), (data[i + 1], anc[i])])
-                .collect();
-            c.cx(&pairs);
-            c.mr(&anc);
-            for i in 0..n_anc {
-                if round == 0 {
-                    c.detector(&[MeasRecord::back(n_anc - i)]);
-                } else {
-                    c.detector(&[MeasRecord::back(n_anc - i), MeasRecord::back(2 * n_anc - i)]);
-                }
-            }
-        }
-        c.m(&data);
-        for i in 0..n_anc {
-            c.detector(&[
-                MeasRecord::back(d - i),
-                MeasRecord::back(d - i - 1),
-                MeasRecord::back(d + n_anc - i),
-            ]);
-        }
-        c.observable_include(0, &[MeasRecord::back(d)]);
-        c
-    }
 
     fn build(
         c: &Circuit,
@@ -1042,6 +1007,14 @@ mod tests {
         assert!(!w.is_global());
     }
 
+    /// The gate-level logical error rate of `c` under `decoder`.
+    fn circuit_rate<D: Decoder + Sync>(c: &Circuit, decoder: &D, shots: usize, seed: u64) -> f64 {
+        let sampler = mc::CircuitSampler::new(c);
+        mc::logical_error_rate_sampled(&sampler, decoder, shots, seed, &mc::McConfig::default())
+            .unwrap()
+            .logical_error_rate()
+    }
+
     #[test]
     fn windowed_accuracy_close_to_global() {
         let p = 0.04;
@@ -1050,10 +1023,8 @@ mod tests {
         let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
         let global = UnionFindDecoder::new(graph);
         let windowed = build(&c, 3, 3, 4);
-        let r_g = mc::logical_error_rate(&c, &global, 12_000, &mut StdRng::seed_from_u64(1))
-            .logical_error_rate();
-        let r_w = mc::logical_error_rate(&c, &windowed, 12_000, &mut StdRng::seed_from_u64(1))
-            .logical_error_rate();
+        let r_g = circuit_rate(&c, &global, 12_000, 1);
+        let r_w = circuit_rate(&c, &windowed, 12_000, 1);
         assert!(
             r_w <= r_g * 2.0 + 0.01,
             "windowed {r_w} vs global {r_g}: buffer should keep accuracy close"
@@ -1067,10 +1038,8 @@ mod tests {
         let c = repetition(5, 12, p);
         let narrow = build(&c, 2, 1, 4);
         let wide = build(&c, 2, 5, 4);
-        let r_narrow = mc::logical_error_rate(&c, &narrow, 10_000, &mut StdRng::seed_from_u64(2))
-            .logical_error_rate();
-        let r_wide = mc::logical_error_rate(&c, &wide, 10_000, &mut StdRng::seed_from_u64(2))
-            .logical_error_rate();
+        let r_narrow = circuit_rate(&c, &narrow, 10_000, 2);
+        let r_wide = circuit_rate(&c, &wide, 10_000, 2);
         assert!(
             r_wide <= r_narrow * 1.25 + 0.01,
             "wide buffer {r_wide} vs narrow {r_narrow}"

@@ -17,9 +17,9 @@
 //! - **Seeds travel as decimal strings** (like the record format): a `u64`
 //!   seed does not fit `f64` exactly.
 //!
-//! A spec's `mc` execution parameters are *not* part of the wire format:
-//! they cannot change any record (the engine's determinism contract), and
-//! the server owns its own execution budget.
+//! A spec's `mc` setting is *not* part of the wire format: it holds only
+//! the decode thread count, which cannot change any record, and the server
+//! owns its own execution budget.
 //!
 //! # Example
 //!
@@ -516,9 +516,9 @@ fn basis_from_wire(text: &str) -> Result<Basis, String> {
     }
 }
 
-/// Encodes a spec as a flat wire object. The `mc` execution parameters are
-/// deliberately dropped: they cannot change the record, and the server owns
-/// its execution budget.
+/// Encodes a spec as a flat wire object. The `mc` setting (the decode
+/// thread count) is deliberately dropped: it cannot change the record, and
+/// the server owns its execution budget.
 pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
     let mut fields: Vec<(&str, Json)> = vec![
         ("name", s(&spec.name)),

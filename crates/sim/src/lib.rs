@@ -16,7 +16,7 @@
 //! Determinism is the load-bearing guarantee: the spec seed drives circuit
 //! construction and the per-batch Monte-Carlo streams through independent
 //! derived streams, so a spec's record (including its JSON bytes) is
-//! identical for any thread count or batch size. [`SweepGrid`] expands
+//! identical for any thread count. [`SweepGrid`] expands
 //! cartesian products (distances × error rates × CNOTs-per-round ×
 //! decoders) into specs with per-point derived seeds, and [`analysis`]
 //! fits the resulting records to Eq. (4) via [`raa_core::fit`].

@@ -6,8 +6,8 @@
 //! content: the cache key is a deterministic hash of the point's complete
 //! *semantic* spec — scenario (with rounds/depth/patches), distance, basis,
 //! noise, decoder, sampler, streaming flag, shot budget and seed — and
-//! deliberately excludes the execution parameters in
-//! [`ExperimentSpec::mc`], which are guaranteed not to change the record.
+//! deliberately excludes [`ExperimentSpec::mc`], which holds only the
+//! decode thread count and so cannot change the record.
 //!
 //! The [`Orchestrator`] runs grid points in parallel across the same
 //! worker-pool machinery the Monte-Carlo pipeline uses, consulting the
@@ -141,9 +141,9 @@ fn budget_fingerprint(budget: ShotBudget) -> String {
 }
 
 /// The canonical, human-readable description of everything that determines
-/// a spec's record — and nothing that doesn't (the `mc` execution
-/// parameters are excluded by the engine's determinism contract). Equal
-/// fingerprints ⇔ byte-identical records. Floats use Rust's shortest
+/// a spec's record — and nothing that doesn't (`mc` holds only the decode
+/// thread count, which cannot change a record). Equal fingerprints ⇔
+/// byte-identical records. Floats use Rust's shortest
 /// round-trip formatting, so the string is platform-stable.
 pub fn spec_fingerprint(spec: &ExperimentSpec) -> String {
     format!(
@@ -331,10 +331,7 @@ impl SweepCache {
                 record.failures, record.shots
             )));
         }
-        if !matches!(
-            record.scenario.as_str(),
-            "memory" | "transversal_cnot" | "ghz_fanout" | "deep_cnot"
-        ) {
+        if !Scenario::LABELS.contains(&record.scenario.as_str()) {
             return Err(corrupt(format!("unknown scenario {:?}", record.scenario)));
         }
         Ok(record)
@@ -1015,11 +1012,9 @@ mod tests {
             assert_ne!(spec_fingerprint(v), fp, "{v:?}");
             assert_ne!(spec_cache_key(v), spec_cache_key(&base));
         }
-        // The mc execution parameters are not semantic: same key.
+        // The decode thread count is not semantic: same key.
         let retimed = ExperimentSpec {
-            mc: raa_decode::McConfig::default()
-                .with_threads(7)
-                .with_batch(33),
+            mc: raa_decode::McConfig::default().with_threads(7),
             ..base.clone()
         };
         assert_eq!(spec_fingerprint(&retimed), fp);
@@ -1295,6 +1290,32 @@ mod tests {
         // The quarantined point is a miss, so the next sweep heals it.
         let healed = orch.run(&grid).unwrap();
         assert_eq!(healed.fresh_points, 1);
+    }
+
+    #[test]
+    fn scrub_keeps_a_valid_record_of_every_scenario_label() {
+        let tmp = TempDir::new("labels");
+        let specs: Vec<ExperimentSpec> = crate::spec::tests::every_scenario()
+            .into_iter()
+            .map(|scenario| {
+                let label = scenario.label();
+                let distance = if label == "code832_memory" { 2 } else { 3 };
+                let mut spec = ExperimentSpec::new(format!("orch/{label}"), scenario, distance);
+                spec.shots = ShotBudget::Fixed(64);
+                spec
+            })
+            .collect();
+        let orch = Orchestrator::new().with_cache_dir(&tmp.0).unwrap();
+        assert_eq!(orch.run_specs(&specs).unwrap().fresh_points, specs.len());
+        let report = orch
+            .cache()
+            .unwrap()
+            .scrub(&ScrubOptions::default())
+            .unwrap();
+        assert_eq!(report.scanned, specs.len());
+        assert_eq!(report.quarantined, 0, "{report:?}");
+        assert_eq!(report.healthy, specs.len());
+        assert_eq!(orch.run_specs(&specs).unwrap().fresh_points, 0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! which is what lets the sweep orchestrator's on-disk cache replay
 //! records byte-for-byte.
 
-use raa_surface::experiments::per_unit_rate;
 use raa_surface::{Basis, NoiseModel};
 
 /// The result of running one [`crate::ExperimentSpec`].
@@ -19,7 +18,7 @@ use raa_surface::{Basis, NoiseModel};
 pub struct ExperimentRecord {
     /// Spec name.
     pub name: String,
-    /// Scenario label ("memory", "transversal_cnot", "ghz_fanout").
+    /// Scenario label (one of [`crate::Scenario::LABELS`]).
     pub scenario: String,
     /// Code distance.
     pub distance: u32,
@@ -79,9 +78,11 @@ impl ExperimentRecord {
     /// Logical error rate per logical qubit per SE round, assuming
     /// independent additive errors.
     pub fn error_per_qubit_round(&self) -> f64 {
+        // In f64, so a parsed record cannot overflow; the product is exact
+        // (and equal to the integer one) below 2^53.
         per_unit_rate(
             self.logical_error_rate(),
-            (self.patches * self.se_rounds) as f64,
+            self.patches as f64 * self.se_rounds as f64,
         )
     }
 
@@ -179,9 +180,11 @@ impl ExperimentRecord {
                 other => Err(format!("field \"{key}\": expected number, got {other:?}")),
             }
         };
+        // Counts above 2^53 are not exact in a JSON number (the wire codec
+        // draws the same line).
         let get_usize = |key: &str| -> Result<usize, String> {
             let v = get_f64(key)?;
-            if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
+            if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
                 Ok(v as usize)
             } else {
                 Err(format!(
@@ -241,6 +244,19 @@ impl ExperimentRecord {
             failures: get_usize("failures")?,
         })
     }
+}
+
+/// Inverts `p_total = 1 - (1 - p_unit)^units`: the per-unit error rate of
+/// `units` independent additive error opportunities compounding to
+/// `p_total`.
+fn per_unit_rate(p_total: f64, units: f64) -> f64 {
+    if p_total <= 0.0 {
+        return 0.0;
+    }
+    if p_total >= 1.0 {
+        return 1.0;
+    }
+    1.0 - (1.0 - p_total).powf(1.0 / units)
 }
 
 /// Serializes records as newline-delimited JSON (one record per line).
@@ -517,6 +533,15 @@ mod tests {
     }
 
     #[test]
+    fn per_unit_rate_inverts_compounding() {
+        let p_unit: f64 = 0.01;
+        let units = 7.0;
+        let p_total = 1.0 - (1.0 - p_unit).powf(units);
+        assert!((per_unit_rate(p_total, units) - p_unit).abs() < 1e-12);
+        assert_eq!(per_unit_rate(0.0, 5.0), 0.0);
+    }
+
+    #[test]
     fn json_shape() {
         let j = record().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
@@ -632,6 +657,20 @@ mod tests {
         assert!(ExperimentRecord::from_json(&fractional)
             .unwrap_err()
             .contains("shots"));
+        // 2^64 is no exact JSON integer: it used to saturate to usize::MAX
+        // and overflow the per-round product on re-serialization.
+        let huge = good.replace("\"patches\":1,", "\"patches\":18446744073709551616,");
+        assert!(ExperimentRecord::from_json(&huge)
+            .unwrap_err()
+            .contains("patches"));
+        // 2^40 patches and rounds are exact, and their product (2^80) does
+        // not fit a usize: the derived rates must not overflow.
+        let wide = good
+            .replace("\"patches\":1,", "\"patches\":1099511627776,")
+            .replace("\"se_rounds\":6,", "\"se_rounds\":1099511627776,");
+        let parsed = ExperimentRecord::from_json(&wide).expect("2^40 is exact");
+        assert_eq!((parsed.patches, parsed.se_rounds), (1 << 40, 1 << 40));
+        assert!(parsed.to_json().contains("\"patches\":1099511627776,"));
     }
 
     #[test]
@@ -657,7 +696,7 @@ mod tests {
             noise in (0.0f64..0.1, 0.0f64..0.1, 0.0f64..0.1, 0.0f64..0.1),
             x_and_flags in (0.05f64..8.0, any::<bool>(), any::<bool>(), any::<bool>()),
             counts in (0usize..100_000, 0u32..1_000, 0usize..5_000, 0usize..10_000),
-            scenario_idx in 0usize..11,
+            scenario_idx in 0usize..crate::Scenario::LABELS.len(),
         ) {
             let name: String = name_bytes
                 .iter()
@@ -672,14 +711,8 @@ mod tests {
                 .collect();
             let (x, has_x, streaming, basis_x) = x_and_flags;
             let (shots, failure_frac, detectors, dem_errors) = counts;
-            // Every label the engine emits, including the factory/gadget
-            // skeletons and the [[8,3,2]] block.
-            let scenario = [
-                "memory", "transversal_cnot", "ghz_fanout", "deep_cnot",
-                "factory_distill15", "factory_ccz", "factory_cultivation",
-                "gadget_adder", "gadget_lookup", "gadget_fanout",
-                "code832_memory",
-            ][scenario_idx];
+            // Every label the engine emits.
+            let scenario = crate::Scenario::LABELS[scenario_idx];
             let record = ExperimentRecord {
                 name,
                 scenario: scenario.into(),

@@ -150,8 +150,23 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Stable label used in records ("memory", "transversal_cnot",
-    /// "ghz_fanout").
+    /// Every label [`Scenario::label`] can return, one per variant and
+    /// protocol/kind: the set a cached record's `scenario` must come from.
+    pub const LABELS: [&'static str; 11] = [
+        "memory",
+        "transversal_cnot",
+        "ghz_fanout",
+        "deep_cnot",
+        "factory_distill15",
+        "factory_ccz",
+        "factory_cultivation",
+        "gadget_adder",
+        "gadget_lookup",
+        "gadget_fanout",
+        "code832_memory",
+    ];
+
+    /// Stable label used in records (one of [`Scenario::LABELS`]).
     pub fn label(&self) -> &'static str {
         match self {
             Scenario::Memory { .. } => "memory",
@@ -194,21 +209,9 @@ impl Scenario {
     }
 }
 
-/// How many shots to spend on one spec point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShotBudget {
-    /// Decode exactly this many shots.
-    Fixed(usize),
-    /// Decode until `target_failures` failures (deterministic early stop,
-    /// see [`raa_decode::mc::logical_error_rate_until_seeded`]), capped at
-    /// `max_shots`.
-    UntilFailures {
-        /// Hard cap on shots.
-        max_shots: usize,
-        /// Failure count that stops the run.
-        target_failures: usize,
-    },
-}
+/// How many shots to spend on one spec point: the Monte-Carlo harness's
+/// own budget type, fixed or a deterministic early stop.
+pub use raa_decode::mc::ShotBudget;
 
 /// Which sampling path feeds the Monte-Carlo decode loop.
 ///
@@ -249,10 +252,13 @@ pub enum DecoderChoice {
     UnionFind,
     /// Exact small-instance matching (the MLE-like accuracy reference).
     Matching,
-    /// Belief-propagation reweighting ahead of union–find.
+    /// Belief propagation on the full DEM: its hard decision when that
+    /// reproduces the syndrome, plain union–find on the static decoding
+    /// graph otherwise (no reweighting; see [`raa_decode::bp`]).
     BpUnionFind,
-    /// Sliding-window union–find over the time axis (memory scenario only;
-    /// layers are one SE round each).
+    /// Sliding-window union–find over the time axis, one SE round per
+    /// layer: any uniformly layered scenario (see
+    /// [`Scenario::detectors_per_layer`]).
     Windowed {
         /// Layers committed per window step.
         commit: usize,
@@ -279,8 +285,8 @@ impl DecoderChoice {
 ///
 /// Running a spec ([`crate::engine::run`]) is deterministic: the seed drives
 /// both circuit construction (random CNOT directions) and the Monte-Carlo
-/// decode streams, and the execution parameters in `mc` (threads, batch
-/// size) are guaranteed not to change the result.
+/// decode streams, and `mc` holds only the decode thread count, which
+/// cannot change the result.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
     /// Record label (grids derive one per point).
@@ -312,8 +318,8 @@ pub struct ExperimentSpec {
     pub shots: ShotBudget,
     /// Base seed for circuit construction and decode streams.
     pub seed: u64,
-    /// Execution parameters (threads, batch size). Not part of the result:
-    /// records are bit-identical for any `mc` setting.
+    /// Decode thread count. Not part of the result: records are
+    /// bit-identical for any thread count.
     pub mc: McConfig,
 }
 
@@ -385,7 +391,7 @@ pub struct SweepGrid {
     pub shots: ShotBudget,
     /// Grid seed; per-point seeds are derived from it and the point index.
     pub seed: u64,
-    /// Execution parameters applied to every point.
+    /// Decode thread count applied to every point.
     pub mc: McConfig,
 }
 
@@ -464,7 +470,7 @@ impl SweepGrid {
         self
     }
 
-    /// Sets the execution parameters.
+    /// Sets the decode thread count.
     pub fn with_mc(mut self, mc: McConfig) -> Self {
         self.mc = mc;
         self
@@ -555,7 +561,7 @@ impl SweepGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -682,63 +688,56 @@ mod tests {
         .specs();
     }
 
+    /// One scenario of every variant, protocol and kind, in
+    /// [`Scenario::LABELS`] order.
+    pub(crate) fn every_scenario() -> Vec<Scenario> {
+        let rounds = Rounds::Fixed(2);
+        let mut all = vec![
+            Scenario::Memory { rounds },
+            Scenario::TransversalCnot {
+                patches: 2,
+                depth: 2,
+                cnots_per_round: 1.0,
+            },
+            Scenario::GhzFanout { targets: 2 },
+            Scenario::DeepCnot {
+                patches: 2,
+                rounds,
+                cnots_per_round: 1.0,
+            },
+        ];
+        all.extend(
+            [
+                FactoryProtocol::Distill15,
+                FactoryProtocol::Ccz,
+                FactoryProtocol::Cultivation,
+            ]
+            .map(|protocol| Scenario::MagicFactory { protocol, rounds }),
+        );
+        all.extend(
+            [
+                (GadgetKind::Adder, 2),
+                (GadgetKind::Lookup, 4),
+                (GadgetKind::Fanout, 3),
+            ]
+            .map(|(kind, width)| Scenario::Gadget {
+                kind,
+                width,
+                rounds,
+            }),
+        );
+        all.push(Scenario::Code832Memory { rounds });
+        all
+    }
+
     #[test]
     fn new_scenario_labels_are_stable() {
-        for (scenario, label) in [
-            (
-                Scenario::MagicFactory {
-                    protocol: FactoryProtocol::Distill15,
-                    rounds: Rounds::Fixed(4),
-                },
-                "factory_distill15",
-            ),
-            (
-                Scenario::MagicFactory {
-                    protocol: FactoryProtocol::Ccz,
-                    rounds: Rounds::Fixed(4),
-                },
-                "factory_ccz",
-            ),
-            (
-                Scenario::MagicFactory {
-                    protocol: FactoryProtocol::Cultivation,
-                    rounds: Rounds::Fixed(4),
-                },
-                "factory_cultivation",
-            ),
-            (
-                Scenario::Gadget {
-                    kind: GadgetKind::Adder,
-                    width: 4,
-                    rounds: Rounds::Fixed(4),
-                },
-                "gadget_adder",
-            ),
-            (
-                Scenario::Gadget {
-                    kind: GadgetKind::Lookup,
-                    width: 4,
-                    rounds: Rounds::Fixed(4),
-                },
-                "gadget_lookup",
-            ),
-            (
-                Scenario::Gadget {
-                    kind: GadgetKind::Fanout,
-                    width: 3,
-                    rounds: Rounds::Fixed(4),
-                },
-                "gadget_fanout",
-            ),
-            (
-                Scenario::Code832Memory {
-                    rounds: Rounds::Fixed(4),
-                },
-                "code832_memory",
-            ),
-        ] {
-            assert_eq!(scenario.label(), label);
-        }
+        let labels: Vec<&str> = every_scenario().iter().map(Scenario::label).collect();
+        assert_eq!(labels, Scenario::LABELS);
+        let mut distinct = labels.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), labels.len(), "labels are distinct");
     }
 
     #[test]

@@ -134,15 +134,6 @@ struct CompiledMech {
 }
 
 impl DemSampler {
-    /// The sampler's internal shot-block size: `sample_syndromes_into`
-    /// walks the trial space in consecutive blocks of this many shots, and
-    /// each block's RNG consumption is independent of its position in the
-    /// batch. Consequence: sampling `n` shots in consecutive chunks of at
-    /// most `SAMPLE_BLOCK` shots through the same RNG yields bit-identical
-    /// output to one `n`-shot call — the guarantee the Monte-Carlo
-    /// harness's fused sample→decode path relies on.
-    pub const SAMPLE_BLOCK: usize = WALK_BLOCK;
-
     /// Compiles `dem` for sampling.
     ///
     /// # Panics

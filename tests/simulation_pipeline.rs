@@ -1,19 +1,36 @@
 //! Integration tests of the full simulation stack: circuit construction →
-//! reference/tableau semantics → frame sampling → DEM extraction → decoding.
-//! These are the cross-crate checks that the substrate behind Fig. 6(a) is
-//! self-consistent.
+//! reference/tableau semantics → frame sampling → DEM extraction → decoding
+//! → engine records. These are the cross-crate checks that the substrate
+//! behind Fig. 6(a) is self-consistent.
 
-use raa::decode::{mc, DecodingGraph, MatchingDecoder, UnionFindDecoder};
+use raa::decode::{mc, CircuitSampler, DecodingGraph, MatchingDecoder, McConfig, UnionFindDecoder};
+use raa::sim::{run, ExperimentRecord, ExperimentSpec, Rounds, Scenario, ShotBudget};
 use raa::stabsim::{DetectorErrorModel, FrameSim, TableauSim};
-use raa::surface::{
-    run_memory, run_transversal, Basis, DecoderKind, MemoryExperiment, NoiseModel,
-    PatchCircuitBuilder, TransversalCnotExperiment,
-};
+use raa::surface::{Basis, MemoryExperiment, NoiseModel, PatchCircuitBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// Runs `scenario` at distance `d` and uniform noise `p` through the
+/// engine (union–find, compiled-DEM sampling).
+fn run_point(scenario: Scenario, d: u32, p: f64, shots: usize, seed: u64) -> ExperimentRecord {
+    let mut spec = ExperimentSpec::new(format!("pipeline/{}", scenario.label()), scenario, d);
+    spec.noise = NoiseModel::uniform(p);
+    spec.shots = ShotBudget::Fixed(shots);
+    spec.seed = seed;
+    run(&spec)
+}
+
+/// The two-patch, depth-8 transversal-CNOT circuit at `x` CNOTs per round.
+fn cnot_scenario(x: f64) -> Scenario {
+    Scenario::TransversalCnot {
+        patches: 2,
+        depth: 8,
+        cnots_per_round: x,
+    }
 }
 
 /// Every detector the builders emit is a deterministic parity check of the
@@ -89,17 +106,10 @@ fn frame_sampler_matches_tableau_statistics() {
 /// error rate of the memory experiment.
 #[test]
 fn memory_error_suppression_with_distance() {
-    let p = 2e-3;
-    let mut r = rng(3);
-    let mut rate = |d: u32| {
-        let exp = MemoryExperiment {
-            distance: d,
-            rounds: d as usize,
-            basis: Basis::Z,
-            noise: NoiseModel::uniform(p),
-        };
-        run_memory(&exp, DecoderKind::UnionFind, 40_000, &mut r).logical_error_rate()
+    let memory = Scenario::Memory {
+        rounds: Rounds::TimesDistance(1),
     };
+    let rate = |d: u32| run_point(memory, d, 2e-3, 40_000, 3).logical_error_rate();
     let r3 = rate(3);
     let r5 = rate(5);
     assert!(
@@ -123,8 +133,14 @@ fn matching_reference_not_worse_than_unionfind() {
     let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
     let uf = UnionFindDecoder::new(graph.clone());
     let mwpm = MatchingDecoder::new(graph);
-    let r_uf = mc::logical_error_rate(&c, &uf, 20_000, &mut rng(4)).logical_error_rate();
-    let r_m = mc::logical_error_rate(&c, &mwpm, 20_000, &mut rng(4)).logical_error_rate();
+    let sampler = CircuitSampler::new(&c);
+    let cfg = McConfig::default();
+    let r_uf = mc::logical_error_rate_sampled(&sampler, &uf, 20_000, 4, &cfg)
+        .unwrap()
+        .logical_error_rate();
+    let r_m = mc::logical_error_rate_sampled(&sampler, &mwpm, 20_000, 4, &cfg)
+        .unwrap()
+        .logical_error_rate();
     assert!(
         r_m <= r_uf * 1.2 + 0.005,
         "matching {r_m} vs union-find {r_uf}"
@@ -136,22 +152,43 @@ fn matching_reference_not_worse_than_unionfind() {
 /// finite and grows with the physical rate.
 #[test]
 fn transversal_cnot_pipeline() {
-    let mut r = rng(5);
-    let mut per_cnot = |p: f64| {
-        let exp = TransversalCnotExperiment {
-            distance: 3,
-            patches: 2,
-            depth: 8,
-            cnots_per_round: 1.0,
-            basis: Basis::Z,
-            noise: NoiseModel::uniform(p),
-        };
-        run_transversal(&exp, DecoderKind::UnionFind, 20_000, &mut r).error_per_cnot()
+    let per_cnot = |p: f64| {
+        let r = run_point(cnot_scenario(1.0), 3, p, 20_000, 5);
+        assert_eq!((r.cnots, r.patches), (8, 2));
+        r.error_per_cnot().expect("the circuit has CNOTs")
     };
     let low = per_cnot(1e-3);
     let high = per_cnot(6e-3);
     assert!(low < high, "error must grow with p: {low} vs {high}");
     assert!(high < 0.5, "decoding must stay useful: {high}");
+}
+
+/// The paper's core point (§II.4): O(1) SE rounds per transversal gate
+/// suffice, and *extra* rounds per gate add noise volume. At fixed depth,
+/// the x = 4 schedule (few rounds) must not be more error-prone per gate
+/// than the x = 0.5 schedule (two rounds per gate).
+#[test]
+fn fewer_se_rounds_per_cnot_is_cheaper_per_gate() {
+    let rate = |x: f64| run_point(cnot_scenario(x), 3, 4e-3, 6_000, 4).logical_error_rate();
+    let slow = rate(0.5); // 2 SE rounds per CNOT: 17 rounds total
+    let fast = rate(4.0); // 4 CNOTs per SE round: 3 rounds total
+    assert!(
+        fast < slow,
+        "extra SE rounds should cost more per gate: slow {slow}, fast {fast}"
+    );
+}
+
+/// Measurement-based GHZ preparation decodes jointly to a low logical
+/// error rate: a failure is any pair parity the decoder mispredicts.
+#[test]
+fn ghz_decodes_under_noise() {
+    let r = run_point(Scenario::GhzFanout { targets: 3 }, 3, 2e-3, 4_000, 12);
+    assert_eq!(r.patches, 5);
+    assert!(
+        r.logical_error_rate() < 0.1,
+        "GHZ logical error = {}",
+        r.logical_error_rate()
+    );
 }
 
 /// The decomposition path: surface-code DEMs contain hyperedges (from Y
