@@ -14,7 +14,9 @@
 //! unchanged tree is a byte-level no-op — diffs show real contract drift.
 
 use crate::rules::Finding;
+use raa_sim::json::{write_string, Json};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -72,50 +74,50 @@ impl Baseline {
                 out.push_str(",\n");
             }
             first = false;
-            out.push_str(&format!(
-                "  {{\"rule\":{},\"file\":{},\"key\":{},\"count\":{}}}",
-                json_string(rule),
-                json_string(file),
-                json_string(key),
-                count
-            ));
+            out.push_str("  {\"rule\":");
+            write_string(&mut out, rule);
+            out.push_str(",\"file\":");
+            write_string(&mut out, file);
+            out.push_str(",\"key\":");
+            write_string(&mut out, key);
+            let _ = write!(out, ",\"count\":{count}}}");
         }
         out.push_str("\n]}\n");
         out
     }
 
-    /// Parses the format written by [`Baseline::to_json`].
+    /// Parses the format written by [`Baseline::to_json`], with the
+    /// workspace's JSON parser ([`Json::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// When the text is not JSON, `"version"` is not 1, or an entry lacks
+    /// a string `rule`, `file` or `key`, or a `count` in `0..=u32::MAX`
+    /// (fractions, negatives and larger values are rejected, never
+    /// truncated or saturated, so a hand-edited entry cannot quietly
+    /// grandfather more findings).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = parse_json(text)?;
-        let Value::Object(top) = value else {
-            return Err("baseline: top level must be an object".to_string());
-        };
-        let entries_val = top
-            .iter()
-            .find(|(k, _)| k == "entries")
-            .map(|(_, v)| v)
-            .ok_or("baseline: missing \"entries\"")?;
-        let Value::Array(items) = entries_val else {
-            return Err("baseline: \"entries\" must be an array".to_string());
-        };
+        Self::read(text).map_err(|e| format!("baseline: {e}"))
+    }
+
+    fn read(text: &str) -> Result<Self, String> {
+        let top = Json::parse(text)?;
+        let version = top.u32_field("version")?;
+        if version != 1 {
+            return Err(format!("unsupported version {version} (expected 1)"));
+        }
         let mut entries = BTreeMap::new();
-        for item in items {
-            let Value::Object(fields) = item else {
-                return Err("baseline: entry must be an object".to_string());
-            };
-            let get_str = |name: &str| -> Result<String, String> {
-                match fields.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-                    Some(Value::String(s)) => Ok(s.clone()),
-                    _ => Err(format!("baseline: entry missing string \"{name}\"")),
-                }
-            };
-            let count = match fields.iter().find(|(k, _)| k == "count").map(|(_, v)| v) {
-                Some(Value::Number(n)) if *n >= 0.0 => *n as u32,
-                _ => return Err("baseline: entry missing numeric \"count\"".to_string()),
-            };
-            *entries
-                .entry((get_str("rule")?, get_str("file")?, get_str("key")?))
-                .or_insert(0) += count;
+        for entry in top.arr_field("entries")? {
+            let key = (
+                entry.str_field("rule")?.to_string(),
+                entry.str_field("file")?.to_string(),
+                entry.str_field("key")?.to_string(),
+            );
+            let count = entry.u32_field("count")?;
+            let total: &mut u32 = entries.entry(key).or_insert(0);
+            *total = total
+                .checked_add(count)
+                .ok_or("repeated entries overflow a u32 count")?;
         }
         Ok(Baseline { entries })
     }
@@ -138,189 +140,4 @@ impl Baseline {
         std::fs::write(&tmp, self.to_json())?;
         std::fs::rename(&tmp, path)
     }
-}
-
-/// Escapes a string into a JSON literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for the baseline format. Object keys keep insertion
-/// order in a Vec — the audit never needs key lookup at scale.
-enum Value {
-    Object(Vec<(String, Value)>),
-    Array(Vec<Value>),
-    String(String),
-    Number(f64),
-    Bool(#[allow(dead_code)] bool),
-    Null,
-}
-
-/// A tiny recursive-descent JSON parser, enough for the baseline file.
-fn parse_json(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("baseline: trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect_byte(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "baseline: expected {:?} at byte {}",
-            b as char, pos
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                expect_byte(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(format!("baseline: expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(format!("baseline: expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Value::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Value::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Value::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Number)
-                .ok_or_else(|| format!("baseline: bad number at byte {start}"))
-        }
-        None => Err("baseline: unexpected end of input".to_string()),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("baseline: expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out)
-                    .map_err(|_| "baseline: invalid UTF-8 in string".to_string())
-            }
-            b'\\' => {
-                let esc = bytes.get(*pos).copied().ok_or("baseline: bad escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0c),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("baseline: bad \\u escape")?;
-                        *pos += 4;
-                        let c = char::from_u32(hex).ok_or("baseline: bad \\u code point")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err("baseline: unknown escape".to_string()),
-                }
-            }
-            b => out.push(b),
-        }
-    }
-    Err("baseline: unterminated string".to_string())
 }

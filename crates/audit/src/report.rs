@@ -1,8 +1,8 @@
 //! Report rendering: the human summary (grouped by rule, then crate) and
 //! the machine-readable `--json` document CI archives as an artifact.
 
-use crate::baseline::json_string;
 use crate::rules::Finding;
+use raa_sim::json::write_string;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -92,17 +92,15 @@ impl Report {
                     out.push_str(",\n");
                 }
                 first = false;
-                let _ = write!(
-                    out,
-                    "  {{\"status\":\"{status}\",\"rule\":{},\"file\":{},\"line\":{},\
-                     \"col\":{},\"message\":{},\"snippet\":{}}}",
-                    json_string(&f.rule),
-                    json_string(&f.file),
-                    f.line,
-                    f.col,
-                    json_string(&f.message),
-                    json_string(&f.snippet),
-                );
+                let _ = write!(out, "  {{\"status\":\"{status}\",\"rule\":");
+                write_string(&mut out, &f.rule);
+                out.push_str(",\"file\":");
+                write_string(&mut out, &f.file);
+                let _ = write!(out, ",\"line\":{},\"col\":{},\"message\":", f.line, f.col);
+                write_string(&mut out, &f.message);
+                out.push_str(",\"snippet\":");
+                write_string(&mut out, &f.snippet);
+                out.push('}');
             }
         }
         out.push_str("\n]}\n");

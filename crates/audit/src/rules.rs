@@ -630,6 +630,10 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/sim/src/orchestrator.rs",
     "crates/sim/src/lock.rs",
     "crates/sim/src/jobs.rs",
+    // The daemon parses wire lines through `json` and cache entries through
+    // `record` on every lookup and scrub.
+    "crates/sim/src/json.rs",
+    "crates/sim/src/record.rs",
 ];
 
 impl Rule for PanicPath {

@@ -200,3 +200,37 @@ fn json_report_is_machine_readable_and_deny_new_composable() {
         assert!(on_disk.contains(needle), "missing {needle} in:\n{on_disk}");
     }
 }
+
+#[test]
+fn from_json_rejects_malformed_baselines() {
+    let with_count = |count: &str| {
+        format!(
+            "{{\"version\":1,\"entries\":[\n  {{\"rule\":\"panic-path\",\
+             \"file\":\"crates/sim/src/jobs.rs\",\"key\":\"v.unwrap()\",\"count\":{count}}}\n]}}\n"
+        )
+    };
+    let good = with_count("2");
+    let parsed = Baseline::from_json(&good).expect("well-formed baseline");
+    assert_eq!(parsed.entries.values().copied().collect::<Vec<_>>(), [2]);
+    assert_eq!(parsed.to_json(), good);
+    // A count is an integer in 0..=u32::MAX: a hand-edited fraction,
+    // negative or huge value used to be truncated or saturated, and so
+    // could grandfather any number of findings.
+    for (text, needle) in [
+        (with_count("1.5"), "\"count\""),
+        (with_count("-1"), "\"count\""),
+        (with_count("1e20"), "\"count\""),
+        (good.replace(",\"count\":2", ""), "\"count\""),
+        (good.replace("\"version\":1", "\"version\":2"), "version 2"),
+        (good.replace("\"version\":1,", ""), "\"version\""),
+        (format!("{good}x"), "trailing"),
+        (good[..good.len() / 2].to_string(), ""),
+        (good[..good.len() - 3].to_string(), ""),
+    ] {
+        let err = Baseline::from_json(&text).expect_err(&text);
+        assert!(
+            err.starts_with("baseline: ") && err.contains(needle),
+            "{err:?} lacks {needle:?}"
+        );
+    }
+}

@@ -157,6 +157,8 @@ fn f(v: Option<u32>) -> u32 {
 #[test]
 fn panic_path_scope_is_the_daemon_reachable_modules_only() {
     assert!(PanicPath.applies_to("crates/sim/src/jobs.rs"));
+    assert!(PanicPath.applies_to("crates/sim/src/json.rs"));
+    assert!(PanicPath.applies_to("crates/sim/src/record.rs"));
     assert!(PanicPath.applies_to("crates/sim/src/lock.rs"));
     assert!(PanicPath.applies_to("crates/sim/src/orchestrator.rs"));
     assert!(!PanicPath.applies_to("crates/sim/src/engine.rs"));

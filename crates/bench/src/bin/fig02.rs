@@ -1,6 +1,6 @@
 //! Regenerates Fig. 2: comparison of the transversal architecture with
-//! lattice-surgery resource estimates (Gidney–Ekerå [8] rescaled to 900 µs
-//! cycles at several reaction times, and a Beverland et al. [9] style point).
+//! lattice-surgery resource estimates (Gidney–Ekerå \[8\] rescaled to 900 µs
+//! cycles at several reaction times, and a Beverland et al. \[9\] style point).
 //!
 //! Columns: label, physical qubits, runtime (days), space–time volume
 //! (Mqubit·days). The paper's headline row should read ≈19 M qubits and

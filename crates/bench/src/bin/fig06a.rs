@@ -9,7 +9,7 @@
 //! the experiment engine, which owns sampling, decoding, parallel sharding
 //! and seeding; set `RAA_JSON=1` to dump the raw records as JSON lines.
 //!
-//! The paper fits the MLE-decoder data of Ref. [17] at p = 0.1%, extracting
+//! The paper fits the MLE-decoder data of Ref. \[17\] at p = 0.1%, extracting
 //! α ≈ 1/6 and Λ ≈ 20. Those error rates need ≥10⁸ shots at d ≥ 7; per the
 //! substitution rule we run the same experiment at an elevated physical
 //! error rate (default p = 4×10⁻³, Λ ≈ 2.5 for union–find) where Monte

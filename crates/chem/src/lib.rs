@@ -8,9 +8,9 @@
 //! *same* transversal building blocks as factoring:
 //!
 //! * PREPARE and PREPARE† are dominated by **table look-up** (90–95% of their
-//!   T-count, per Ref. [77]);
+//!   T-count, per Ref. \[77\]);
 //! * SELECT splits into a look-up (≈30%) and controlled rotations (≈70%),
-//!   with rotations implemented as **phase-gradient additions** [21].
+//!   with rotations implemented as **phase-gradient additions** \[21\].
 //!
 //! This crate maps a THC instance onto [`raa_gadgets`] look-ups and adders
 //! and reuses the factoring architecture's factory/error machinery to
@@ -54,7 +54,7 @@ pub struct ThcInstance {
 
 impl ThcInstance {
     /// A FeMoco-scale benchmark instance (λ ≈ 306 Ha, M ≈ 350, N = 108, the
-    /// scale of Ref. [77]'s headline molecule).
+    /// scale of Ref. \[77\]'s headline molecule).
     pub fn femoco_like() -> Self {
         Self {
             lambda: 306.0,

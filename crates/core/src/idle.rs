@@ -80,7 +80,7 @@ const WINDOW_MAX_DISTANCE: u32 = 199;
 /// it (for `k = (d + 1)/2 > 1`), so only a window around it is evaluated:
 /// the grid is walked by multiplication alone to two points before the
 /// first one at or above the optimum, and scanned from there until a value
-/// exceeds the best by [`WINDOW_MARGIN`]. The window's start is certified
+/// exceeds the best by `WINDOW_MARGIN`. The window's start is certified
 /// — unless it is the grid's first point, its value must exceed the next
 /// one's by the margin, which puts it below the optimum — so every skipped
 /// point's computed value is strictly above the minimum and the result is

@@ -7,7 +7,7 @@ use std::fmt;
 /// The defaults are the paper's standard literature-consistent values:
 /// `C = 0.1`, `Λ = 10` (i.e. `p_thres = 1%` at `p_phys = 0.1%`), and the
 /// decoding factor `α = 1/6` extracted from fitting the correlated-decoding
-/// simulations of Ref. [17] (paper Fig. 6a). With these, one transversal CNOT
+/// simulations of Ref. \[17\] (paper Fig. 6a). With these, one transversal CNOT
 /// per SE round gives an effective threshold of `1%/(1 + 1/6) ≈ 0.86%`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorModelParams {

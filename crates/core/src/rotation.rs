@@ -7,8 +7,8 @@
 //! * **Direct synthesis**: a Clifford+T approximation of `Rz(θ)` to accuracy
 //!   ε costs ≈ `3·log₂(1/ε)` T gates (repeat-until-success/gridsynth-class
 //!   constructions), i.e. ≈ `1.5·log₂(1/ε)` CCZ-equivalents through the
-//!   catalysis of Ref. [99];
-//! * **Phase-gradient addition** [21]: adding the angle register into a
+//!   catalysis of Ref. \[99\];
+//! * **Phase-gradient addition** \[21\]: adding the angle register into a
 //!   resident `b`-bit phase-gradient state costs one `b`-bit addition
 //!   (≈ `b` temporary-AND Toffolis) and is the paper's preferred route for
 //!   batched controlled rotations (§III.3).
@@ -26,7 +26,7 @@ pub fn t_count_direct(epsilon: f64) -> f64 {
     3.0 * (1.0 / epsilon).log2()
 }
 
-/// CCZ-equivalents for one direct synthesis (2 T per CCZ via catalysis [99]).
+/// CCZ-equivalents for one direct synthesis (2 T per CCZ via catalysis \[99\]).
 pub fn ccz_count_direct(epsilon: f64) -> f64 {
     t_count_direct(epsilon) / 2.0
 }

@@ -206,7 +206,7 @@ pub(crate) const WEIGHT_QUANTA: f64 = 32.0;
 /// many heap allocations as there are detectors. `CompiledGraph` repacks the
 /// same structure into CSR form — one offsets array plus one flat edge-index
 /// arena — along with struct-of-arrays edge endpoints, weights already
-/// quantized to [`WEIGHT_QUANTA`] units, and the per-edge observable masks.
+/// quantized to `WEIGHT_QUANTA` units, and the per-edge observable masks.
 /// It is built once per `(DEM, window)` and shared read-only by every decode
 /// worker; nothing in it changes per shot.
 ///
@@ -231,7 +231,7 @@ pub struct CompiledGraph {
 
 impl CompiledGraph {
     /// Compiles `graph` with log-likelihood weights quantized to
-    /// [`WEIGHT_QUANTA`] integer growth units.
+    /// `WEIGHT_QUANTA` integer growth units.
     ///
     /// # Errors
     ///

@@ -1,12 +1,12 @@
 //! The 8T-to-CCZ magic-state factory (paper §III.6, Fig. 8).
 //!
 //! The factory consumes eight cultivated |T⟩ states through the transversal
-//! T gate of the [[8,3,2]] cube code and emits one |CCZ⟩ state after
+//! T gate of the \[\[8,3,2\]\] cube code and emits one |CCZ⟩ state after
 //! post-selection, suppressing input Z errors quadratically:
 //! `p_out = 28 p_in² + O(p_in³)` (Eq. 8 — the coefficient 28 is validated by
 //! exact enumeration in [`raa_surface::code832`]).
 //!
-//! Layout (Fig. 8c,d): four output patches and the eight [[8,3,2]] block
+//! Layout (Fig. 8c,d): four output patches and the eight \[\[8,3,2\]\] block
 //! patches fit a 12d × 3d region executing four transversal CNOT layers with
 //! a 1D move plan (no qubit re-ordering), plus a 12d × 1d bottom row hosting
 //! eight parallel cultivation plots. Timing: the CNOT layers run at one SE
@@ -106,7 +106,7 @@ impl CczFactory {
         FACTORY_CNOTS as f64 * logical::cnot_error(&ctx.error, ctx.distance, ctx.cnots_per_round)
     }
 
-    /// Total output error per |CCZ⟩: exact [[8,3,2]] enumeration plus the
+    /// Total output error per |CCZ⟩: exact \[\[8,3,2\]\] enumeration plus the
     /// Clifford-layer term.
     pub fn output_error(&self, ctx: &ArchContext) -> f64 {
         code832::output_error_exact(self.t_input_error) + Self::clifford_error(ctx)

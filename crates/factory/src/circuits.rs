@@ -17,10 +17,10 @@ use raa_surface::{Basis, NoiseModel, ScheduledCnotExperiment};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FactoryProtocol {
     /// 15-to-1 |T⟩ distillation: the transversal encoding network of the
-    /// [[15,1,3]] punctured Reed–Muller code (four layers of seven CNOTs,
+    /// \[\[15,1,3\]\] punctured Reed–Muller code (four layers of seven CNOTs,
     /// one per code coordinate-hyperplane).
     Distill15,
-    /// 8T-to-CCZ on the [[8,3,2]] cube code (paper §III.6, Fig. 8): three
+    /// 8T-to-CCZ on the \[\[8,3,2\]\] cube code (paper §III.6, Fig. 8): three
     /// cube-dimension CNOT layers over eight patches.
     Ccz,
     /// Magic-state cultivation's repeated two-patch check: alternating

@@ -1,11 +1,11 @@
 //! Magic-state cultivation model: the first factory stage (paper §III.6).
 //!
 //! The paper prepares high-quality |T⟩ inputs with the cultivation scheme of
-//! Gidney–Shutty–Jones [97], which trades post-selection overhead against
+//! Gidney–Shutty–Jones \[97\], which trades post-selection overhead against
 //! output fidelity continuously. Full cultivation simulation (post-selected
 //! colour-code growth at p = 10⁻³) is outside our substrate, so per the
 //! substitution rule we model its published cost curve: a power law in the
-//! target error anchored to the paper's quoted reading of [97] Fig. 1 —
+//! target error anchored to the paper's quoted reading of \[97\] Fig. 1 —
 //! **ε = 7.7×10⁻⁷ costs an expected 1.5×10⁴ qubit·rounds** — with exponent
 //! set so that an order-of-magnitude better fidelity costs ≈ 4× more volume
 //! (the steep-but-polynomial scaling of the published curve).

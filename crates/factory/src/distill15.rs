@@ -1,10 +1,10 @@
 //! 15-to-1 T-state distillation: the classic alternative to cultivation,
 //! implemented as an ablation baseline.
 //!
-//! The paper chooses magic-state cultivation [97] + the 8T-to-CCZ stage
+//! The paper chooses magic-state cultivation \[97\] + the 8T-to-CCZ stage
 //! because cultivation's continuous fidelity/volume trade-off beats fixed
 //! distillation rounds at its operating point. This module models the
-//! textbook alternative — the [[15,1,3]] Reed–Muller factory with
+//! textbook alternative — the \[\[15,1,3\]\] Reed–Muller factory with
 //! `p_out = 35 p_in³` — on the *same transversal substrate* (fast Clifford
 //! rounds, Eq. (4) gate errors), so `cargo run -p raa-bench --bin ablations`
 //! can quantify the paper's design choice.

@@ -4,7 +4,7 @@
 //!
 //! 1. [`cultivation`] — magic-state cultivation of |T⟩ inputs (cost curve
 //!    anchored to the paper's quoted 7.7×10⁻⁷ → 1.5×10⁴ qubit·rounds);
-//! 2. [`ccz`] — the 8T-to-CCZ factory on the [[8,3,2]] cube code with
+//! 2. [`ccz`] — the 8T-to-CCZ factory on the \[\[8,3,2\]\] cube code with
 //!    `p_out = 28 p_in²` suppression (Eq. 8, validated by exact enumeration),
 //!    a 12d × 4d footprint (Fig. 8d) and a pipelined production interval.
 //!

@@ -4,7 +4,7 @@
 //! The adder computes |a⟩|b⟩ → |a⟩|a+b⟩ from MAJ and UMA blocks, one Toffoli
 //! each, implemented with auto-corrected |CCZ⟩ states so execution is limited
 //! only by the reaction time (§III.5). The linear carry chain is cut into
-//! segments by oblivious carry runways [66]: `r_sep`-bit segments padded with
+//! segments by oblivious carry runways \[66\]: `r_sep`-bit segments padded with
 //! `r_pad` runway bits run *in parallel*, so the wall-clock duration is
 //!
 //! ```text
@@ -88,7 +88,7 @@ impl CuccaroAdder {
 
     /// Toffoli (=|CCZ⟩) count: one temporary-AND per bit. The MAJ block
     /// consumes one |CCZ⟩; the UMA block uncomputes its AND ancilla by
-    /// measurement with Clifford feed-forward (Gidney's halving trick [21]),
+    /// measurement with Clifford feed-forward (Gidney's halving trick \[21\]),
     /// which costs a reaction step but no magic state.
     pub fn toffoli_count(&self) -> u64 {
         self.padded_bits()

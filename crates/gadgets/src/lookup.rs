@@ -116,7 +116,7 @@ impl LookupTable {
     }
 
     /// Toffoli count of the measurement-based unlookup (uncomputation):
-    /// `O(2^(w/2))` via the square-root trick of windowed arithmetic [65].
+    /// `O(2^(w/2))` via the square-root trick of windowed arithmetic \[65\].
     pub fn unlookup_toffoli_count(&self) -> u64 {
         1u64 << self.address_bits.div_ceil(2)
     }

@@ -1,7 +1,7 @@
 //! Windowed lookup-addition: the unit step of windowed modular
 //! exponentiation (paper §III.2, Fig. 5b-d).
 //!
-//! Windowed arithmetic [65] computes the coefficients of groups of exponent
+//! Windowed arithmetic \[65\] computes the coefficients of groups of exponent
 //! bits (window `w_exp`) and multiplier bits (window `w_mul`) classically,
 //! loads them through a `2^(w_exp+w_mul)`-entry look-up table, and adds the
 //! loaded value into the target register with a runway-segmented Cuccaro

@@ -11,7 +11,7 @@
 //! deceleration during the second half of the trajectory. A constant-jerk
 //! schedule has the same scaling; the Table I acceleration is calibrated from
 //! measured move data (55 µm in 200 µs), so the law is accurate for that
-//! schedule too (paper footnote [42]).
+//! schedule too (paper footnote \[42\]).
 
 use crate::geometry::Site;
 use crate::params::PhysicalParams;

@@ -11,7 +11,7 @@
 //! | [`physics`] | Table I parameters, Eq. (1) movement law, QEC cycle timing | §II.1 |
 //! | [`stabsim`] | stabilizer circuit IR, tableau + Pauli-frame simulators, DEM extraction | §III.4 substrate |
 //! | [`decode`] | decoding graphs, union–find and exact matching decoders | §II.4 |
-//! | [`surface`] | rotated surface code, transversal-CNOT experiments, [[8,3,2]] code | §II.3, §III.6 |
+//! | [`surface`] | rotated surface code, transversal-CNOT experiments, \[\[8,3,2\]\] code | §II.3, §III.6 |
 //! | [`sim`] | declarative experiment engine: specs, sweep grids, JSON records, Eq. (4) fits | §III.4 evaluation |
 //! | [`core`] | the logical-error model Eqs. (2)–(6), fits, idle/SE optimization | §III.4, §III.5 |
 //! | [`factory`] | cultivation + 8T-to-CCZ factory (28 p² verified exactly) | §III.6 |

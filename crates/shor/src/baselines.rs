@@ -1,5 +1,5 @@
-//! Lattice-surgery baselines for Fig. 2: the Gidney–Ekerå cost model [8]
-//! rescaled to neutral-atom timescales, and the Beverland et al. estimate [9].
+//! Lattice-surgery baselines for Fig. 2: the Gidney–Ekerå cost model \[8\]
+//! rescaled to neutral-atom timescales, and the Beverland et al. estimate \[9\].
 //!
 //! Per the substitution rule, we reimplement the *published cost model* of
 //! Gidney–Ekerå ("How to factor 2048 bit RSA integers in 8 hours using 20
@@ -114,7 +114,7 @@ impl GidneyEkeraModel {
     }
 }
 
-/// The Beverland et al. [9] style estimate: formula-based lattice-surgery
+/// The Beverland et al. \[9\] style estimate: formula-based lattice-surgery
 /// accounting at 100 µs gate/measurement times with the reaction time
 /// neglected, which the paper cites as yielding a *larger* resource estimate
 /// (year-scale runtimes on atomic platforms).

@@ -4,7 +4,7 @@
 //! The Ekerå–Håstad variant [74, 75] factors an RSA integer by computing a
 //! short discrete logarithm, shortening the exponent to about `1.5 n` bits
 //! with near-unity classical post-processing success. Modular exponentiation
-//! is compiled with windowed arithmetic [65]: exponent windows of `w_exp`
+//! is compiled with windowed arithmetic \[65\]: exponent windows of `w_exp`
 //! bits and multiplication windows of `w_mul` bits turn each modular
 //! multiplication into table look-ups plus accumulator additions. Each
 //! multiplication appears twice (compute and uncompute), giving

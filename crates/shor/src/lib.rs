@@ -12,9 +12,9 @@
 //! * [`optimizer`] — the Table II parameter search;
 //! * [`sensitivity`] — the Fig. 13/14 sweeps (α, coherence, acceleration,
 //!   reaction time, qubit caps, dense qLDPC storage);
-//! * [`baselines`] — the Gidney–Ekerå [8] cost model (calibrated to their
+//! * [`baselines`] — the Gidney–Ekerå \[8\] cost model (calibrated to their
 //!   20 M qubits / ≈8 h at 1 µs cycles, rescaled to 900 µs lattice surgery)
-//!   and a Beverland-et-al.-style [9] point, regenerating Fig. 2.
+//!   and a Beverland-et-al.-style \[9\] point, regenerating Fig. 2.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 //! minimizing expected space–time volume under the failure budget. The
 //! transversal cost structure (fast Cliffords, reaction-limited arithmetic)
 //! pushes the optimum towards *smaller* windows and *much shorter* runway
-//! separations than the lattice-surgery compilation of Ref. [8], which is
+//! separations than the lattice-surgery compilation of Ref. \[8\], which is
 //! exactly the Table II contrast (3/4/96 versus their 5/5/1024).
 
 use crate::architecture::{ResourceEstimate, TransversalArchitecture, DEFAULT_TOTAL_BUDGET};

@@ -1,12 +1,11 @@
 //! The JSON-lines job codec spoken between `raa-sweepd` and its clients.
 //!
 //! One request per line, one response per line, over any byte stream
-//! (TCP in practice). The wire format is self-contained JSON built on the
-//! crate's own recursive [`Json`] value — the record format's flat parser
-//! ([`crate::record`]) deliberately rejects nesting, and the workspace is
-//! offline-vendored, so the codec carries its own (depth-limited) parser
-//! and writer with the exact same escaping and shortest-round-trip float
-//! formatting rules as the record format.
+//! (TCP in practice). This module holds only the codec: specs, calibration
+//! configs, record transport, requests and responses. It parses, escapes
+//! and formats numbers through the crate's one JSON module,
+//! [`crate::json`], the same rules the record format uses, and reads fields
+//! with its typed accessors.
 //!
 //! Two transport rules keep the daemon's headline guarantees intact:
 //!
@@ -51,367 +50,9 @@ use raa_factory::FactoryProtocol;
 use raa_gadgets::GadgetKind;
 use raa_surface::{Basis, NoiseModel};
 
-/// Deepest nesting the wire parser accepts (requests are ~3 levels deep;
-/// the limit exists so hostile input cannot blow the stack).
-const MAX_DEPTH: usize = 16;
-
-/// A JSON value, recursive (unlike the record format's flat parser).
-/// Object fields keep insertion order, so encoding is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (written with shortest round-trip formatting).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, fields in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON value (the whole input must be consumed).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    /// Serializes to a single line (no interior newlines: every newline in
-    /// a string is escaped, so one value is always one line).
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_json_string(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(out, key);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Field lookup on an object (`None` on other variants).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// The exact escaping rules of the record format.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'n') if self.literal("null") => Ok(Json::Null),
-            Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect_byte(b':')?;
-                    let value = self.value(depth + 1)?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(&other) => Err(format!(
-                "unexpected byte {:?} at offset {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("malformed number at offset {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("malformed number {text:?} at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let Some(ch) = rest.chars().next() else {
-                        return Err("invalid utf-8 in string".to_string());
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Field helpers
-// ---------------------------------------------------------------------------
-
-fn req_field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_str(obj: &Json, key: &str) -> Result<String, String> {
-    req_field(obj, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field {key:?} must be a string"))
-}
-
-fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    req_field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} must be a number"))
-}
-
-fn req_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    let v = req_f64(obj, key)?;
-    if v < 0.0 || v.fract() != 0.0 || v > 2f64.powi(53) {
-        return Err(format!("field {key:?} must be a non-negative integer"));
-    }
-    Ok(v as usize)
-}
-
-/// A non-negative integer that fits in `u32` (distances): larger values
-/// are rejected, never wrapped or saturated.
-fn u32_value(v: &Json, key: &str) -> Result<u32, String> {
-    v.as_f64()
-        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-        .and_then(|x| u32::try_from(x as u64).ok())
-        .ok_or_else(|| format!("field {key:?}: expected an integer in 0..=4294967295"))
-}
-
-fn req_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    req_field(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} must be a boolean"))
-}
-
-fn req_u64_str(obj: &Json, key: &str) -> Result<u64, String> {
-    req_str(obj, key)?
-        .parse()
-        .map_err(|_| format!("field {key:?} must be a decimal u64 string"))
-}
-
-fn req_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    req_field(obj, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field {key:?} must be an array"))
-}
+/// The wire value, re-exported from [`crate::json`] at the path the
+/// benchmark package (`e2ebench/`) imports it from.
+pub use crate::json::Json;
 
 fn num(v: f64) -> Json {
     Json::Num(v)
@@ -575,75 +216,75 @@ pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
 
 /// Decodes a wire spec. The resulting spec carries default `mc` execution
 /// parameters — the server decides its own threading.
-pub fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
-    let scenario = match req_str(v, "scenario")?.as_str() {
+fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
+    let scenario = match v.str_field("scenario")? {
         "memory" => Scenario::Memory {
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "transversal_cnot" => Scenario::TransversalCnot {
-            patches: req_usize(v, "patches")?,
-            depth: req_usize(v, "depth")?,
-            cnots_per_round: req_f64(v, "cnots_per_round")?,
+            patches: v.count_field("patches")?,
+            depth: v.count_field("depth")?,
+            cnots_per_round: v.f64_field("cnots_per_round")?,
         },
         "ghz_fanout" => Scenario::GhzFanout {
-            targets: req_usize(v, "targets")?,
+            targets: v.count_field("targets")?,
         },
         "deep_cnot" => Scenario::DeepCnot {
-            patches: req_usize(v, "patches")?,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
-            cnots_per_round: req_f64(v, "cnots_per_round")?,
+            patches: v.count_field("patches")?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            cnots_per_round: v.f64_field("cnots_per_round")?,
         },
         "factory_distill15" => Scenario::MagicFactory {
             protocol: FactoryProtocol::Distill15,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "factory_ccz" => Scenario::MagicFactory {
             protocol: FactoryProtocol::Ccz,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "factory_cultivation" => Scenario::MagicFactory {
             protocol: FactoryProtocol::Cultivation,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "gadget_adder" => Scenario::Gadget {
             kind: GadgetKind::Adder,
-            width: req_usize(v, "width")?,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            width: v.count_field("width")?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "gadget_lookup" => Scenario::Gadget {
             kind: GadgetKind::Lookup,
-            width: req_usize(v, "width")?,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            width: v.count_field("width")?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "gadget_fanout" => Scenario::Gadget {
             kind: GadgetKind::Fanout,
-            width: req_usize(v, "width")?,
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            width: v.count_field("width")?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         "code832_memory" => Scenario::Code832Memory {
-            rounds: rounds_from_wire(&req_str(v, "rounds")?)?,
+            rounds: rounds_from_wire(v.str_field("rounds")?)?,
         },
         other => return Err(format!("unknown scenario {other:?}")),
     };
-    let distance = u32_value(req_field(v, "distance")?, "distance")?;
-    let mut spec = ExperimentSpec::new(req_str(v, "name")?, scenario, distance);
-    spec.basis = basis_from_wire(&req_str(v, "basis")?)?;
+    let distance = v.u32_field("distance")?;
+    let mut spec = ExperimentSpec::new(v.str_field("name")?, scenario, distance);
+    spec.basis = basis_from_wire(v.str_field("basis")?)?;
     spec.noise = NoiseModel {
-        p2: req_f64(v, "p2")?,
-        p_idle: req_f64(v, "p_idle")?,
-        p_prep: req_f64(v, "p_prep")?,
-        p_meas: req_f64(v, "p_meas")?,
+        p2: v.f64_field("p2")?,
+        p_idle: v.f64_field("p_idle")?,
+        p_prep: v.f64_field("p_prep")?,
+        p_meas: v.f64_field("p_meas")?,
     };
-    spec.decoder = decoder_from_label(&req_str(v, "decoder")?)?;
-    spec.sampler = sampler_from_label(&req_str(v, "sampler")?)?;
-    spec.streaming = req_bool(v, "streaming")?;
-    spec.shots = shots_from_wire(&req_str(v, "shots")?)?;
-    spec.seed = req_u64_str(v, "seed")?;
+    spec.decoder = decoder_from_label(v.str_field("decoder")?)?;
+    spec.sampler = sampler_from_label(v.str_field("sampler")?)?;
+    spec.streaming = v.bool_field("streaming")?;
+    spec.shots = shots_from_wire(v.str_field("shots")?)?;
+    spec.seed = v.u64_str_field("seed")?;
     Ok(spec)
 }
 
 fn specs_from_field(v: &Json) -> Result<Vec<ExperimentSpec>, String> {
-    req_arr(v, "specs")?
+    v.arr_field("specs")?
         .iter()
         .enumerate()
         .map(|(i, item)| spec_from_json(item).map_err(|e| format!("spec #{i}: {e}")))
@@ -678,29 +319,17 @@ fn config_to_json(cfg: &CalibrationConfig) -> Json {
 /// Decodes a wire calibration config. `cache_dir` and `point_threads` are
 /// not wire fields: the server's own cache and worker pool are used.
 fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
-    let f64_arr = |key: &str| -> Result<Vec<f64>, String> {
-        req_arr(v, key)?
-            .iter()
-            .map(|item| {
-                item.as_f64()
-                    .ok_or_else(|| format!("field {key:?} must hold numbers"))
-            })
-            .collect()
-    };
     Ok(CalibrationConfig {
-        p_phys: req_f64(v, "p_phys")?,
-        distances: req_arr(v, "distances")?
-            .iter()
-            .map(|item| u32_value(item, "distances"))
-            .collect::<Result<_, _>>()?,
-        cnots_per_round: f64_arr("cnots_per_round")?,
-        memory_shots: req_usize(v, "memory_shots")?,
-        cnot_shots: req_usize(v, "cnot_shots")?,
-        memory_rounds_factor: req_usize(v, "memory_rounds_factor")?,
-        cnot_depth: req_usize(v, "cnot_depth")?,
-        c: req_f64(v, "c")?,
-        memory_seed: req_u64_str(v, "memory_seed")?,
-        cnot_seed: req_u64_str(v, "cnot_seed")?,
+        p_phys: v.f64_field("p_phys")?,
+        distances: v.u32_items("distances")?,
+        cnots_per_round: v.f64_items("cnots_per_round")?,
+        memory_shots: v.count_field("memory_shots")?,
+        cnot_shots: v.count_field("cnot_shots")?,
+        memory_rounds_factor: v.count_field("memory_rounds_factor")?,
+        cnot_depth: v.count_field("cnot_depth")?,
+        c: v.f64_field("c")?,
+        memory_seed: v.u64_str_field("memory_seed")?,
+        cnot_seed: v.u64_str_field("cnot_seed")?,
         cache_dir: None,
         point_threads: 0,
     })
@@ -735,7 +364,7 @@ fn records_to_wire(records: &[Option<ExperimentRecord>]) -> Json {
 }
 
 fn records_from_field(v: &Json, key: &str) -> Result<Vec<Option<ExperimentRecord>>, String> {
-    req_arr(v, key)?
+    v.arr_field(key)?
         .iter()
         .enumerate()
         .map(|(i, item)| record_from_wire(item).map_err(|e| format!("{key}[{i}]: {e}")))
@@ -842,8 +471,8 @@ impl Request {
     /// Decodes one JSON line.
     pub fn from_line(line: &str) -> Result<Request, String> {
         let v = Json::parse(line.trim())?;
-        let id = req_str(&v, "id")?;
-        match req_str(&v, "type")?.as_str() {
+        let id = v.str_field("id")?.to_string();
+        match v.str_field("type")? {
             "sweep" => Ok(Request::Sweep {
                 id,
                 specs: specs_from_field(&v)?,
@@ -854,7 +483,7 @@ impl Request {
             }),
             "calibrate" => Ok(Request::Calibrate {
                 id,
-                config: config_from_json(req_field(&v, "config")?)?,
+                config: config_from_json(v.field("config")?)?,
             }),
             "status" => Ok(Request::Status { id }),
             "scrub" => Ok(Request::Scrub { id }),
@@ -997,10 +626,10 @@ fn poisoned_to_wire(p: &PoisonedPoint) -> Json {
 
 fn poisoned_from_wire(v: &Json) -> Result<PoisonedPoint, String> {
     Ok(PoisonedPoint {
-        index: req_usize(v, "index")?,
-        name: req_str(v, "name")?,
-        key: req_str(v, "key")?,
-        message: req_str(v, "message")?,
+        index: v.count_field("index")?,
+        name: v.str_field("name")?.to_string(),
+        key: v.str_field("key")?.to_string(),
+        message: v.str_field("message")?.to_string(),
     })
 }
 
@@ -1154,18 +783,16 @@ impl Response {
     /// Decodes one JSON line.
     pub fn from_line(line: &str) -> Result<Response, String> {
         let v = Json::parse(line.trim())?;
-        let id = req_str(&v, "id")?;
-        match (
-            req_str(&v, "type")?.as_str(),
-            req_str(&v, "status")?.as_str(),
-        ) {
+        let id = v.str_field("id")?.to_string();
+        match (v.str_field("type")?, v.str_field("status")?) {
             ("sweep", "ok") => Ok(Response::Sweep {
                 id,
-                fresh_points: req_usize(&v, "fresh_points")?,
-                cached_points: req_usize(&v, "cached_points")?,
-                fresh_shots: req_usize(&v, "fresh_shots")?,
-                corrupt_replaced: req_usize(&v, "corrupt_replaced")?,
-                poisoned: req_arr(&v, "poisoned")?
+                fresh_points: v.count_field("fresh_points")?,
+                cached_points: v.count_field("cached_points")?,
+                fresh_shots: v.count_field("fresh_shots")?,
+                corrupt_replaced: v.count_field("corrupt_replaced")?,
+                poisoned: v
+                    .arr_field("poisoned")?
                     .iter()
                     .map(poisoned_from_wire)
                     .collect::<Result<_, _>>()?,
@@ -1173,36 +800,28 @@ impl Response {
             }),
             ("query", "ok") => Ok(Response::Query {
                 id,
-                hits: req_usize(&v, "hits")?,
-                misses: req_usize(&v, "misses")?,
+                hits: v.count_field("hits")?,
+                misses: v.count_field("misses")?,
                 records: records_from_field(&v, "records")?,
             }),
             ("calibrate", "ok") => {
                 let fit = FitResult {
-                    alpha: req_f64(&v, "alpha")?,
-                    lambda: req_f64(&v, "lambda")?,
-                    c: req_f64(&v, "c")?,
-                    residual: req_f64(&v, "residual")?,
+                    alpha: v.f64_field("alpha")?,
+                    lambda: v.f64_field("lambda")?,
+                    c: v.f64_field("c")?,
+                    residual: v.f64_field("residual")?,
                 };
                 let params = ErrorModelParams {
                     c: fit.c,
-                    p_phys: req_f64(&v, "p_phys")?,
-                    p_thres: req_f64(&v, "p_thres")?,
+                    p_phys: v.f64_field("p_phys")?,
+                    p_thres: v.f64_field("p_thres")?,
                     alpha: fit.alpha,
-                };
-                let lambda_memory = match req_field(&v, "lambda_memory")? {
-                    Json::Null => None,
-                    other => Some(
-                        other
-                            .as_f64()
-                            .ok_or("field \"lambda_memory\" must be a number or null")?,
-                    ),
                 };
                 Ok(Response::Calibrate {
                     id,
                     calibration: Calibration {
                         fit,
-                        lambda_memory,
+                        lambda_memory: v.opt_f64_field("lambda_memory")?,
                         params,
                         memory_records: dense_records(
                             records_from_field(&v, "memory_records")?,
@@ -1212,31 +831,32 @@ impl Response {
                             records_from_field(&v, "cnot_records")?,
                             "cnot_records",
                         )?,
-                        fresh_points: req_usize(&v, "fresh_points")?,
-                        cached_points: req_usize(&v, "cached_points")?,
-                        fresh_shots: req_usize(&v, "fresh_shots")?,
+                        fresh_points: v.count_field("fresh_points")?,
+                        cached_points: v.count_field("cached_points")?,
+                        fresh_shots: v.count_field("fresh_shots")?,
                     },
                 })
             }
             ("status", "ok") => Ok(Response::Status {
                 id,
                 status: ServiceStatus {
-                    draining: req_bool(&v, "draining")?,
-                    workers: req_usize(&v, "workers")?,
-                    jobs_completed: req_usize(&v, "jobs_completed")? as u64,
-                    points_completed: req_usize(&v, "points_completed")? as u64,
-                    cache_hits: req_usize(&v, "cache_hits")? as u64,
-                    fresh_points: req_usize(&v, "fresh_points")? as u64,
-                    fresh_shots: req_usize(&v, "fresh_shots")? as u64,
-                    corrupt_replaced: req_usize(&v, "corrupt_replaced")? as u64,
-                    shed_points: req_usize(&v, "shed_points")? as u64,
-                    quarantined: req_arr(&v, "quarantined")?
+                    draining: v.bool_field("draining")?,
+                    workers: v.count_field("workers")?,
+                    jobs_completed: v.count_field("jobs_completed")? as u64,
+                    points_completed: v.count_field("points_completed")? as u64,
+                    cache_hits: v.count_field("cache_hits")? as u64,
+                    fresh_points: v.count_field("fresh_points")? as u64,
+                    fresh_shots: v.count_field("fresh_shots")? as u64,
+                    corrupt_replaced: v.count_field("corrupt_replaced")? as u64,
+                    shed_points: v.count_field("shed_points")? as u64,
+                    quarantined: v
+                        .arr_field("quarantined")?
                         .iter()
                         .map(|q| {
                             Ok(QuarantinedPoint {
-                                key: req_str(q, "key")?,
-                                name: req_str(q, "name")?,
-                                message: req_str(q, "message")?,
+                                key: q.str_field("key")?.to_string(),
+                                name: q.str_field("name")?.to_string(),
+                                message: q.str_field("message")?.to_string(),
                             })
                         })
                         .collect::<Result<_, String>>()?,
@@ -1245,24 +865,24 @@ impl Response {
             ("scrub", "ok") => Ok(Response::Scrub {
                 id,
                 report: ScrubReport {
-                    scanned: req_usize(&v, "scanned")?,
-                    healthy: req_usize(&v, "healthy")?,
-                    quarantined: req_usize(&v, "quarantined")?,
-                    evicted: req_usize(&v, "evicted")?,
-                    stale_tmps_removed: req_usize(&v, "stale_tmps_removed")?,
-                    stale_locks_removed: req_usize(&v, "stale_locks_removed")?,
-                    skipped_locked: req_usize(&v, "skipped_locked")?,
-                    bytes_after: req_f64(&v, "bytes_after")? as u64,
+                    scanned: v.count_field("scanned")?,
+                    healthy: v.count_field("healthy")?,
+                    quarantined: v.count_field("quarantined")?,
+                    evicted: v.count_field("evicted")?,
+                    stale_tmps_removed: v.count_field("stale_tmps_removed")?,
+                    stale_locks_removed: v.count_field("stale_locks_removed")?,
+                    skipped_locked: v.count_field("skipped_locked")?,
+                    bytes_after: v.f64_field("bytes_after")? as u64,
                 },
             }),
             ("shutdown", "draining") => Ok(Response::Draining { id }),
             (_, "shed") => Ok(Response::Shed {
                 id,
-                message: req_str(&v, "message")?,
+                message: v.str_field("message")?.to_string(),
             }),
             (_, "error") => Ok(Response::Error {
                 id,
-                message: req_str(&v, "message")?,
+                message: v.str_field("message")?.to_string(),
             }),
             (ty, status) => Err(format!("unknown response {ty:?} with status {status:?}")),
         }
@@ -1352,39 +972,6 @@ mod tests {
             2,
         ));
         specs
-    }
-
-    #[test]
-    fn json_value_round_trips() {
-        let line = r#"{"a":[1,2.5,-3e-2],"b":{"nested":"va\"l\nue"},"c":null,"d":true}"#;
-        let v = Json::parse(line).unwrap();
-        assert_eq!(Json::parse(&v.to_line()).unwrap(), v);
-        assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            v.get("b").unwrap().get("nested").unwrap().as_str(),
-            Some("va\"l\nue")
-        );
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\":}",
-            "[1,]",
-            "{\"a\":1} trailing",
-            "\"unterminated",
-            "nul",
-            &format!(
-                "{}1{}",
-                "[".repeat(MAX_DEPTH + 2),
-                "]".repeat(MAX_DEPTH + 2)
-            ),
-        ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
     }
 
     #[test]
@@ -1595,5 +1182,15 @@ mod tests {
             let err = Request::from_line(&line.replace(from, to)).unwrap_err();
             assert!(err.contains("0..=4294967295"), "{err:?}");
         }
+        // A number that overflows to infinity is a typed error naming its
+        // offset, not a spec with p2 = inf for the circuit builder to panic
+        // on.
+        let p2 = format!("\"p2\":{},", sample_specs()[0].noise.p2);
+        assert!(sweep.contains(&p2), "{sweep}");
+        let err = Request::from_line(&sweep.replace(&p2, "\"p2\":1e999,")).unwrap_err();
+        assert!(
+            err.contains("overflows") && err.contains("offset"),
+            "{err:?}"
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! [`Orchestrator`] runs grid points in parallel over an on-disk record
 //! cache keyed by each point's semantic fingerprint (resume interrupted
 //! sweeps, replay repeated ones byte-for-byte without sampling), and
-//! [`calibrate`] closes the paper's sim → model → estimate loop — sweeps →
+//! [`calibrate()`] closes the paper's sim → model → estimate loop — sweeps →
 //! (α, Λ) fit → [`raa_core::ErrorModelParams`] anchored at the sweep's own
 //! `p_phys` (`p_thres = Λ·p_phys`), ready for the `shor` optimizer.
 //!
@@ -65,6 +65,7 @@ pub mod calibrate;
 pub mod engine;
 pub mod error;
 pub mod jobs;
+pub mod json;
 pub mod lock;
 pub mod orchestrator;
 pub mod record;

@@ -2,15 +2,17 @@
 //!
 //! A record is the full, self-describing outcome of one engine run: the
 //! spec echo (scenario, geometry, noise, decoder, seed), the circuit/DEM
-//! shape and the decode statistics. Serialization is hand-rolled (the build
-//! has no serde) with a fixed key order and shortest-round-trip float
-//! formatting, so for a given spec the JSON is **byte-identical across
-//! runs, platforms and thread counts** — the property the engine's
-//! determinism tests pin. [`ExperimentRecord::from_json`] parses the same
-//! format back losslessly (`from_json ∘ to_json = id`, proptest-pinned),
-//! which is what lets the sweep orchestrator's on-disk cache replay
-//! records byte-for-byte.
+//! shape and the decode statistics. [`ExperimentRecord::to_json`] writes it
+//! as one flat JSON object with a fixed key order, through the escaping and
+//! shortest-round-trip number rules of [`crate::json`], so for a given spec
+//! the JSON is **byte-identical across runs, platforms and thread counts**
+//! — the property the engine's determinism tests pin.
+//! [`ExperimentRecord::from_json`] reads it back with [`Json::parse`] and
+//! the typed accessors, losslessly (`from_json ∘ to_json = id`,
+//! proptest-pinned), which is what lets the sweep orchestrator's on-disk
+//! cache and the daemon's wire codec replay records byte-for-byte.
 
+use crate::json::{write_number, write_string, Json};
 use raa_surface::{Basis, NoiseModel};
 
 /// The result of running one [`crate::ExperimentSpec`].
@@ -93,50 +95,69 @@ impl ExperimentRecord {
 
     /// Serializes the record to one line of JSON with a fixed key order.
     pub fn to_json(&self) -> String {
+        // `None` is written as `null`, as every non-finite number is.
+        let opt = |v: Option<f64>| v.unwrap_or(f64::NAN);
         let mut s = String::with_capacity(256);
-        s.push('{');
-        json_str(&mut s, "name", &self.name);
-        json_str(&mut s, "scenario", &self.scenario);
-        json_num(&mut s, "distance", self.distance as f64);
-        json_str(
+        s.push_str("{\"name\":");
+        write_string(&mut s, &self.name);
+        s.push_str(",\"scenario\":");
+        write_string(&mut s, &self.scenario);
+        s.push_str(",\"distance\":");
+        write_number(&mut s, f64::from(self.distance));
+        s.push_str(",\"basis\":");
+        write_string(
             &mut s,
-            "basis",
             match self.basis {
                 Basis::Z => "Z",
                 Basis::X => "X",
             },
         );
-        json_num(&mut s, "patches", self.patches as f64);
-        json_num(&mut s, "cnots", self.cnots as f64);
-        json_num(&mut s, "se_rounds", self.se_rounds as f64);
-        json_opt(&mut s, "cnots_per_round", self.cnots_per_round);
-        json_num(&mut s, "p2", self.noise.p2);
-        json_num(&mut s, "p_idle", self.noise.p_idle);
-        json_num(&mut s, "p_prep", self.noise.p_prep);
-        json_num(&mut s, "p_meas", self.noise.p_meas);
-        json_str(&mut s, "decoder", &self.decoder);
-        json_str(&mut s, "sampler", &self.sampler);
-        json_bool(&mut s, "streaming", self.streaming);
+        s.push_str(",\"patches\":");
+        write_number(&mut s, self.patches as f64);
+        s.push_str(",\"cnots\":");
+        write_number(&mut s, self.cnots as f64);
+        s.push_str(",\"se_rounds\":");
+        write_number(&mut s, self.se_rounds as f64);
+        s.push_str(",\"cnots_per_round\":");
+        write_number(&mut s, opt(self.cnots_per_round));
+        s.push_str(",\"p2\":");
+        write_number(&mut s, self.noise.p2);
+        s.push_str(",\"p_idle\":");
+        write_number(&mut s, self.noise.p_idle);
+        s.push_str(",\"p_prep\":");
+        write_number(&mut s, self.noise.p_prep);
+        s.push_str(",\"p_meas\":");
+        write_number(&mut s, self.noise.p_meas);
+        s.push_str(",\"decoder\":");
+        write_string(&mut s, &self.decoder);
+        s.push_str(",\"sampler\":");
+        write_string(&mut s, &self.sampler);
+        s.push_str(if self.streaming {
+            ",\"streaming\":true"
+        } else {
+            ",\"streaming\":false"
+        });
         // u64 seeds overflow JSON's interoperable double range: keep as text.
-        json_str(&mut s, "seed", &self.seed.to_string());
-        json_num(&mut s, "num_detectors", self.num_detectors as f64);
-        json_num(&mut s, "num_dem_errors", self.num_dem_errors as f64);
-        json_num(
-            &mut s,
-            "arbitrary_decompositions",
-            self.arbitrary_decompositions as f64,
-        );
-        json_num(&mut s, "shots", self.shots as f64);
-        json_num(&mut s, "failures", self.failures as f64);
-        json_num(&mut s, "logical_error_rate", self.logical_error_rate());
-        json_num(&mut s, "standard_error", self.standard_error());
-        json_num(
-            &mut s,
-            "error_per_qubit_round",
-            self.error_per_qubit_round(),
-        );
-        json_opt(&mut s, "error_per_cnot", self.error_per_cnot());
-        s.pop(); // trailing comma
+        s.push_str(",\"seed\":");
+        write_string(&mut s, &self.seed.to_string());
+        s.push_str(",\"num_detectors\":");
+        write_number(&mut s, self.num_detectors as f64);
+        s.push_str(",\"num_dem_errors\":");
+        write_number(&mut s, self.num_dem_errors as f64);
+        s.push_str(",\"arbitrary_decompositions\":");
+        write_number(&mut s, self.arbitrary_decompositions as f64);
+        s.push_str(",\"shots\":");
+        write_number(&mut s, self.shots as f64);
+        s.push_str(",\"failures\":");
+        write_number(&mut s, self.failures as f64);
+        s.push_str(",\"logical_error_rate\":");
+        write_number(&mut s, self.logical_error_rate());
+        s.push_str(",\"standard_error\":");
+        write_number(&mut s, self.standard_error());
+        s.push_str(",\"error_per_qubit_round\":");
+        write_number(&mut s, self.error_per_qubit_round());
+        s.push_str(",\"error_per_cnot\":");
+        write_number(&mut s, opt(self.error_per_cnot()));
         s.push('}');
         s
     }
@@ -145,103 +166,52 @@ impl ExperimentRecord {
 impl ExperimentRecord {
     /// Parses a record from the JSON produced by [`ExperimentRecord::to_json`].
     ///
-    /// The parser accepts any flat JSON object (keys in any order, unknown
-    /// keys ignored — derived rates like `logical_error_rate` are
-    /// recomputed, not read back). Because `to_json` uses shortest
-    /// round-trip float formatting and text-encodes the `seed` (u64 values
-    /// overflow JSON's interoperable double range), the composition
-    /// `from_json ∘ to_json` is the identity, field for field and therefore
-    /// byte for byte on re-serialization.
+    /// The line is parsed by [`Json::parse`] and must be a JSON object. Keys
+    /// may come in any order, and unknown keys (nested values included) are
+    /// ignored — derived rates like `logical_error_rate` are recomputed, not
+    /// read back. Counts follow the [`crate::json`] count rule. Because
+    /// `to_json` uses shortest round-trip float formatting and text-encodes
+    /// the `seed` (u64 values overflow JSON's interoperable double range),
+    /// the composition `from_json ∘ to_json` is the identity, field for
+    /// field and therefore byte for byte on re-serialization.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem found: malformed JSON, a
-    /// missing required field, or a field value of the wrong type/range
-    /// (e.g. a fractional `shots`, a seed that is not a `u64`, an unknown
-    /// `basis` letter).
+    /// Returns a description of the first problem found: malformed JSON
+    /// (including a number that overflows an `f64`), a missing required
+    /// field, or a field value of the wrong type/range (e.g. a fractional
+    /// `shots`, a seed that is not a `u64`, an unknown `basis` letter).
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(s)?;
-        let get = |key: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field \"{key}\""))
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                JsonValue::Str(v) => Ok(v.clone()),
-                other => Err(format!("field \"{key}\": expected string, got {other:?}")),
-            }
-        };
-        let get_f64 = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                JsonValue::Num(v) => Ok(*v),
-                other => Err(format!("field \"{key}\": expected number, got {other:?}")),
-            }
-        };
-        // Counts above 2^53 are not exact in a JSON number (the wire codec
-        // draws the same line).
-        let get_usize = |key: &str| -> Result<usize, String> {
-            let v = get_f64(key)?;
-            if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) {
-                Ok(v as usize)
-            } else {
-                Err(format!(
-                    "field \"{key}\": expected non-negative integer, got {v}"
-                ))
-            }
-        };
-        let get_bool = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                JsonValue::Bool(v) => Ok(*v),
-                other => Err(format!("field \"{key}\": expected bool, got {other:?}")),
-            }
-        };
-        let get_opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                JsonValue::Num(v) => Ok(Some(*v)),
-                JsonValue::Null => Ok(None),
-                other => Err(format!(
-                    "field \"{key}\": expected number or null, got {other:?}"
-                )),
-            }
-        };
-        let basis = match get_str("basis")?.as_str() {
+        let v = Json::parse(s)?;
+        let basis = match v.str_field("basis")? {
             "Z" => Basis::Z,
             "X" => Basis::X,
             other => return Err(format!("field \"basis\": unknown basis {other:?}")),
         };
-        let seed_text = get_str("seed")?;
-        let seed: u64 = seed_text
-            .parse()
-            .map_err(|_| format!("field \"seed\": not a u64: {seed_text:?}"))?;
-        let distance = u32::try_from(get_usize("distance")?)
-            .map_err(|_| "field \"distance\": exceeds u32".to_string())?;
         Ok(ExperimentRecord {
-            name: get_str("name")?,
-            scenario: get_str("scenario")?,
-            distance,
+            name: v.str_field("name")?.to_string(),
+            scenario: v.str_field("scenario")?.to_string(),
+            distance: v.u32_field("distance")?,
             basis,
-            patches: get_usize("patches")?,
-            cnots: get_usize("cnots")?,
-            se_rounds: get_usize("se_rounds")?,
-            cnots_per_round: get_opt_f64("cnots_per_round")?,
+            patches: v.count_field("patches")?,
+            cnots: v.count_field("cnots")?,
+            se_rounds: v.count_field("se_rounds")?,
+            cnots_per_round: v.opt_f64_field("cnots_per_round")?,
             noise: NoiseModel {
-                p2: get_f64("p2")?,
-                p_idle: get_f64("p_idle")?,
-                p_prep: get_f64("p_prep")?,
-                p_meas: get_f64("p_meas")?,
+                p2: v.f64_field("p2")?,
+                p_idle: v.f64_field("p_idle")?,
+                p_prep: v.f64_field("p_prep")?,
+                p_meas: v.f64_field("p_meas")?,
             },
-            decoder: get_str("decoder")?,
-            sampler: get_str("sampler")?,
-            streaming: get_bool("streaming")?,
-            seed,
-            num_detectors: get_usize("num_detectors")?,
-            num_dem_errors: get_usize("num_dem_errors")?,
-            arbitrary_decompositions: get_usize("arbitrary_decompositions")?,
-            shots: get_usize("shots")?,
-            failures: get_usize("failures")?,
+            decoder: v.str_field("decoder")?.to_string(),
+            sampler: v.str_field("sampler")?.to_string(),
+            streaming: v.bool_field("streaming")?,
+            seed: v.u64_str_field("seed")?,
+            num_detectors: v.count_field("num_detectors")?,
+            num_dem_errors: v.count_field("num_dem_errors")?,
+            arbitrary_decompositions: v.count_field("arbitrary_decompositions")?,
+            shots: v.count_field("shots")?,
+            failures: v.count_field("failures")?,
         })
     }
 }
@@ -269,56 +239,6 @@ pub fn to_json_lines(records: &[ExperimentRecord]) -> String {
     out
 }
 
-fn json_key(s: &mut String, key: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn json_str(s: &mut String, key: &str, value: &str) {
-    json_key(s, key);
-    s.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push_str("\",");
-}
-
-fn json_bool(s: &mut String, key: &str, value: bool) {
-    json_key(s, key);
-    s.push_str(if value { "true" } else { "false" });
-    s.push(',');
-}
-
-fn json_num(s: &mut String, key: &str, value: f64) {
-    json_key(s, key);
-    if value.is_finite() {
-        // Shortest round-trip formatting: deterministic and lossless.
-        s.push_str(&format!("{value}"));
-    } else {
-        s.push_str("null");
-    }
-    s.push(',');
-}
-
-fn json_opt(s: &mut String, key: &str, value: Option<f64>) {
-    match value {
-        Some(v) => json_num(s, key, v),
-        None => {
-            json_key(s, key);
-            s.push_str("null,");
-        }
-    }
-}
-
 /// Parses newline-delimited JSON records ([`to_json_lines`] output); blank
 /// lines are skipped. Fails on the first malformed record, identifying its
 /// line number.
@@ -330,165 +250,6 @@ pub fn parse_json_lines(text: &str) -> Result<Vec<ExperimentRecord>, String> {
             ExperimentRecord::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))
         })
         .collect()
-}
-
-/// One value of a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-/// Parses a single flat JSON object (no nesting — the record format) into
-/// its key/value pairs in document order.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.parse_value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after object at offset {}", p.pos));
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected {:?}, got {other:?}", want as char)),
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected literal {word:?} at offset {}", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("malformed number {text:?}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .map_err(|_| "non-ascii \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("malformed \\u escape {hex:?}"))?;
-                        self.pos += 4;
-                        // The writer only emits \u for control characters
-                        // (< 0x20), so surrogate pairs never occur here.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("unknown escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: the input is a &str, so the bytes
-                    // are valid — find the char at this byte position.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8() - 1;
-                    let _ = b;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -618,7 +379,8 @@ mod tests {
             "p2":0.001,"p_idle":0.001,"p_prep":0.001,"p_meas":0.001,
             "decoder":"union_find","sampler":"dem","streaming":false,"seed":"7",
             "num_detectors":8,"num_dem_errors":40,"arbitrary_decompositions":0,
-            "future_field":"ignored","logical_error_rate":0.1}"#
+            "future_field":"ignored","future_nested":{"list":[1,[true,null]]},
+            "logical_error_rate":0.1}"#
             .replace('\n', "");
         let r = ExperimentRecord::from_json(&j).expect("unknown keys are fine");
         assert_eq!(r.shots, 10);
@@ -671,6 +433,12 @@ mod tests {
         let parsed = ExperimentRecord::from_json(&wide).expect("2^40 is exact");
         assert_eq!((parsed.patches, parsed.se_rounds), (1 << 40, 1 << 40));
         assert!(parsed.to_json().contains("\"patches\":1099511627776,"));
+        // 1e999 overflows to infinity, which `to_json` would write as
+        // `null`: rejected, so `from_json ∘ to_json` stays the identity.
+        let overflow = good.replace("\"p2\":0.001,", "\"p2\":1e999,");
+        assert_ne!(overflow, good);
+        let err = ExperimentRecord::from_json(&overflow).unwrap_err();
+        assert!(err.contains("overflows") && err.contains("offset"), "{err}");
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub enum Scenario {
         /// Total SE rounds (≥ 1), possibly distance-dependent.
         rounds: Rounds,
     },
-    /// Circuit-level memory on the [[8,3,2]] cube code behind the 8T-to-CCZ
+    /// Circuit-level memory on the \[\[8,3,2\]\] cube code behind the 8T-to-CCZ
     /// factory ([`raa_surface::Code832MemoryExperiment`], pinned against the
     /// PR 2 golden DEM). The block is a fixed code: the spec's `distance`
     /// must be 2 (its code distance), and detectors come in uniform layers
@@ -190,7 +190,7 @@ impl Scenario {
     /// Detectors per SE-round time layer at distance `distance`, for the
     /// scenarios whose circuits emit detectors in uniform round-by-round
     /// blocks (memory, deep-CNOT, factory/gadget skeletons and the
-    /// [[8,3,2]] block); `None` where the layering is non-uniform
+    /// \[\[8,3,2\]\] block); `None` where the layering is non-uniform
     /// (transversal-CNOT's debt schedule, GHZ fan-out's measurement-based
     /// preparation), which is what rejects windowed/streaming decoding for
     /// those scenarios.
@@ -309,7 +309,7 @@ pub struct ExperimentSpec {
     /// depth, opening deep-round sweeps. Requires a
     /// [`DecoderChoice::Windowed`] decoder, the (default) DEM sampler and a
     /// uniformly layered scenario (memory, deep-CNOT, factory/gadget
-    /// skeleton or [[8,3,2]] memory). The streaming
+    /// skeleton or \[\[8,3,2\]\] memory). The streaming
     /// path derives per-layer sample streams, so its records are not
     /// shot-comparable with the whole-batch path — but are themselves
     /// bit-identical across thread counts.

@@ -33,7 +33,7 @@
 //! * **ziggurat exponentials** — a geometric skip is `⌊E / −ln(1−p)⌋`
 //!   with `E ~ Exp(1)`. Instead of the textbook `E = −ln(u)` (a `ln` call
 //!   per hit, the dominant cost), `E` is drawn by a 256-layer ziggurat
-//!   ([`zexp`]): one `u64` draw plus two table lookups on the ~99% fast
+//!   (`zexp`): one `u64` draw plus two table lookups on the ~99% fast
 //!   path, identical distribution.
 //!
 //! The DEM treats mechanisms as independent Bernoulli sources. For X/Y/Z

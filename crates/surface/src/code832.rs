@@ -1,4 +1,4 @@
-//! The [[8,3,2]] colour code on the cube, used by the 8T-to-CCZ magic-state
+//! The \[\[8,3,2\]\] colour code on the cube, used by the 8T-to-CCZ magic-state
 //! factory (paper §III.6, Fig. 8).
 //!
 //! Qubits sit on the 8 vertices of a cube, indexed by their coordinate bits:
@@ -168,7 +168,7 @@ pub fn harmful_pattern_counts() -> (usize, usize, usize, usize) {
     (counts[0], counts[1], counts[2], counts[3])
 }
 
-/// A circuit-level memory experiment on the [[8,3,2]] cube code: prepare
+/// A circuit-level memory experiment on the \[\[8,3,2\]\] cube code: prepare
 /// logical |000⟩ by measuring the four Z stabilizers through ancillas 8..12
 /// for `rounds` rounds, then read the data out transversally in Z with final
 /// stabilizer detectors and the three logical Z observables (cube edges).

@@ -10,7 +10,7 @@
 //!   and GHZ fan-out circuits, the simulation inputs behind the paper's
 //!   logical-error model (its Fig. 6a); the experiment engine (`raa-sim`)
 //!   samples and decodes them;
-//! * [`code832`] — the [[8,3,2]] cube code behind the 8T-to-CCZ factory,
+//! * [`code832`] — the \[\[8,3,2\]\] cube code behind the 8T-to-CCZ factory,
 //!   including the exact enumeration behind `p_out = 28 p_in²` (its Eq. 8).
 
 #![forbid(unsafe_code)]
