@@ -8,11 +8,11 @@
 //! is bit-identical for any thread count (the only setting in `spec.mc`).
 
 use crate::record::ExperimentRecord;
-use crate::spec::{DecoderChoice, ExperimentSpec, SamplerChoice, Scenario, SweepGrid};
+use crate::spec::{DecoderChoice, ExperimentSpec, SamplerChoice, Scenario, ShotBudget, SweepGrid};
 use raa_decode::mc::{self, CircuitSampler, DecodeStats, McError};
 use raa_decode::{
-    BpUnionFindDecoder, Decoder, DecodingGraph, MatchingDecoder, UniformLayers, UnionFindDecoder,
-    WindowedDecoder,
+    BpUnionFindDecoder, Decoder, DecodingGraph, MatchingDecoder, McConfig, UniformLayers,
+    UnionFindDecoder, WindowedDecoder,
 };
 use raa_stabsim::{Circuit, DemSampler, DetectorErrorModel, StreamingDemSampler};
 use raa_surface::{
@@ -45,21 +45,9 @@ pub fn build_circuit(spec: &ExperimentSpec) -> Circuit {
             noise: spec.noise,
         }
         .build(),
-        Scenario::TransversalCnot {
-            patches,
-            depth,
-            cnots_per_round,
-        } => {
+        Scenario::TransversalCnot { .. } | Scenario::DeepCnot { .. } => {
             let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, CIRCUIT_STREAM));
-            TransversalCnotExperiment {
-                distance: spec.distance,
-                patches,
-                depth,
-                cnots_per_round,
-                basis: spec.basis,
-                noise: spec.noise,
-            }
-            .build(&mut rng)
+            cnot_experiment(spec).build(&mut rng)
         }
         Scenario::GhzFanout { targets } => GhzFanoutExperiment {
             distance: spec.distance,
@@ -67,10 +55,6 @@ pub fn build_circuit(spec: &ExperimentSpec) -> Circuit {
             noise: spec.noise,
         }
         .build(),
-        Scenario::DeepCnot { .. } => {
-            let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, CIRCUIT_STREAM));
-            deep_cnot_experiment(spec).build(&mut rng)
-        }
         Scenario::MagicFactory { .. } | Scenario::Gadget { .. } => {
             scheduled_experiment(spec).build()
         }
@@ -113,36 +97,57 @@ fn scheduled_experiment(spec: &ExperimentSpec) -> ScheduledCnotExperiment {
     }
 }
 
-/// The [`TransversalCnotExperiment`] behind a [`Scenario::DeepCnot`] spec:
-/// the round count is the knob, so the CNOT depth is derived as the largest
-/// depth whose schedule (one SE round after initialization plus
-/// `⌈depth / x⌉` more) emits **at most** `rounds` SE rounds — exactly
-/// `rounds` whenever `(rounds − 1) · x` is an integer, never more.
+/// The schedule of a [`Scenario::DeepCnot`] circuit given `rounds` SE
+/// rounds at `x` CNOTs per round: its CNOT depth, the largest whose
+/// schedule (one SE round after initialization plus `⌈depth / x⌉` more)
+/// fits in `rounds`, and the SE rounds that schedule emits. That is exactly
+/// `rounds` whenever `(rounds − 1) · x` is an integer, and more only when
+/// not even one CNOT fits. `None` below two rounds (no room for a gate).
+/// Its integer steps wrap, as in a release build, so the cache's echo
+/// guard can call it on any spec without a panic.
+pub(crate) fn deep_cnot_schedule(rounds: usize, x: f64) -> Option<(usize, usize)> {
+    if rounds < 2 {
+        return None;
+    }
+    let rounds_for = |depth: usize| 1usize.wrapping_add((depth as f64 / x).ceil() as usize);
+    // Start one above the float floor (guarding rounding dirt in the
+    // product), then step down until the schedule fits the round budget.
+    let mut depth = ((((rounds - 1) as f64) * x).floor() as usize).wrapping_add(1);
+    while depth > 1 && rounds_for(depth) > rounds {
+        depth -= 1;
+    }
+    Some((depth, rounds_for(depth)))
+}
+
+/// The [`TransversalCnotExperiment`] behind a transversal- or deep-CNOT
+/// spec. A deep-CNOT spec's round count is the knob, and its CNOT depth is
+/// derived from it by [`deep_cnot_schedule`].
 ///
 /// # Panics
 ///
-/// Panics if the resolved round count is below 2 (no room for a gate).
-fn deep_cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
-    let Scenario::DeepCnot {
-        patches,
-        rounds,
-        cnots_per_round,
-    } = spec.scenario
-    else {
-        unreachable!("only called for deep-CNOT specs")
+/// Panics if a deep-CNOT spec resolves to fewer than 2 rounds (no room for
+/// a gate).
+fn cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
+    let (patches, depth, cnots_per_round) = match spec.scenario {
+        Scenario::TransversalCnot {
+            patches,
+            depth,
+            cnots_per_round,
+        } => (patches, depth, cnots_per_round),
+        Scenario::DeepCnot {
+            patches,
+            rounds,
+            cnots_per_round,
+        } => {
+            let total_rounds = rounds.resolve(spec.distance);
+            let (depth, _) =
+                deep_cnot_schedule(total_rounds, cnots_per_round).unwrap_or_else(|| {
+                    panic!("deep-CNOT needs at least two SE rounds, got {total_rounds}")
+                });
+            (patches, depth, cnots_per_round)
+        }
+        _ => unreachable!("only called for transversal- and deep-CNOT specs"),
     };
-    let total_rounds = rounds.resolve(spec.distance);
-    assert!(
-        total_rounds >= 2,
-        "deep-CNOT needs at least two SE rounds, got {total_rounds}"
-    );
-    let rounds_for = |depth: usize| 1 + (depth as f64 / cnots_per_round).ceil() as usize;
-    // Start one above the float floor (guarding rounding dirt in the
-    // product), then step down until the schedule fits the round budget.
-    let mut depth = (((total_rounds - 1) as f64) * cnots_per_round).floor() as usize + 1;
-    while depth > 1 && rounds_for(depth) > total_rounds {
-        depth -= 1;
-    }
     TransversalCnotExperiment {
         distance: spec.distance,
         patches,
@@ -160,24 +165,18 @@ fn decode_budget<D: Decoder + Sync>(
     circuit: &Circuit,
     dem: &DetectorErrorModel,
     decoder: &D,
-    spec: &ExperimentSpec,
+    sampler: SamplerChoice,
+    shots: ShotBudget,
     seed: u64,
+    mc: &McConfig,
 ) -> Result<DecodeStats, McError> {
-    match spec.sampler {
-        SamplerChoice::Dem => mc::logical_error_rate_sampled(
-            &DemSampler::new(dem),
-            decoder,
-            spec.shots,
-            seed,
-            &spec.mc,
-        ),
-        SamplerChoice::Circuit => mc::logical_error_rate_sampled(
-            &CircuitSampler::new(circuit),
-            decoder,
-            spec.shots,
-            seed,
-            &spec.mc,
-        ),
+    match sampler {
+        SamplerChoice::Dem => {
+            mc::logical_error_rate_sampled(&DemSampler::new(dem), decoder, shots, seed, mc)
+        }
+        SamplerChoice::Circuit => {
+            mc::logical_error_rate_sampled(&CircuitSampler::new(circuit), decoder, shots, seed, mc)
+        }
     }
 }
 
@@ -239,14 +238,29 @@ pub fn try_run(spec: &ExperimentSpec) -> Result<ExperimentRecord, McError> {
 /// Returns [`McError::PoolBuild`] when the spec's [`raa_decode::McConfig`]
 /// requests a dedicated thread pool and building it fails.
 pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), McError> {
+    // Every field is named, so a new spec field fails to compile here (and
+    // in the wire writer that decides the cache key) until it is handled.
+    let ExperimentSpec {
+        ref name,
+        scenario,
+        distance,
+        basis,
+        noise,
+        decoder,
+        sampler,
+        streaming,
+        shots,
+        seed,
+        ref mc,
+    } = *spec;
     // raa-audit: allow(nondet-time): the wall-clock split is reported beside the record in RunTiming and never enters a record, fingerprint, or memo.
     let start = Instant::now();
     let circuit = build_circuit(spec);
     let dem = DetectorErrorModel::from_circuit(&circuit);
     let (graph, arbitrary) = DecodingGraph::from_dem_decomposed(&dem);
-    let decode_seed = derive_seed(spec.seed, DECODE_STREAM);
+    let decode_seed = derive_seed(seed, DECODE_STREAM);
     assert!(
-        !spec.streaming || matches!(spec.decoder, DecoderChoice::Windowed { .. }),
+        !streaming || matches!(decoder, DecoderChoice::Windowed { .. }),
         "streaming decoding requires the windowed decoder"
     );
     let timed = |decode: &dyn Fn() -> Result<DecodeStats, McError>| {
@@ -255,30 +269,30 @@ pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTimi
         let stats = decode()?;
         Ok::<_, McError>((stats, t0.elapsed().as_secs_f64()))
     };
-    let (stats, decode_seconds) = match spec.decoder {
+    let (stats, decode_seconds) = match decoder {
         DecoderChoice::UnionFind => {
             let decoder = UnionFindDecoder::new(graph);
-            timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+            timed(&|| decode_budget(&circuit, &dem, &decoder, sampler, shots, decode_seed, mc))
         }
         DecoderChoice::Matching => {
             let decoder = MatchingDecoder::new(graph);
-            timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+            timed(&|| decode_budget(&circuit, &dem, &decoder, sampler, shots, decode_seed, mc))
         }
         DecoderChoice::BpUnionFind => {
             let decoder = BpUnionFindDecoder::new(&dem);
-            timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+            timed(&|| decode_budget(&circuit, &dem, &decoder, sampler, shots, decode_seed, mc))
         }
         DecoderChoice::Windowed { commit, buffer } => {
-            let detectors_per_layer = spec.scenario.detectors_per_layer(spec.distance).expect(
+            let detectors_per_layer = scenario.detectors_per_layer(distance).expect(
                 "windowed decoding requires a uniformly layered scenario \
                  (memory, deep-CNOT, factory/gadget skeleton or code832)",
             );
             let layers = UniformLayers {
                 detectors_per_layer,
             };
-            if spec.streaming {
+            if streaming {
                 assert!(
-                    matches!(spec.sampler, SamplerChoice::Dem),
+                    matches!(sampler, SamplerChoice::Dem),
                     "streaming decoding samples the time-sliced DEM; set the DEM sampler"
                 );
                 // Streaming promises O(window) resident state, which a
@@ -287,21 +301,15 @@ pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTimi
                 // validating constructor turns that into a typed error.
                 let decoder = WindowedDecoder::try_new(graph, layers, commit, buffer)
                     .unwrap_or_else(|e| panic!("streaming windowed decode rejected: {e}"));
-                let sampler = StreamingDemSampler::new(&dem, detectors_per_layer);
+                let stream = StreamingDemSampler::new(&dem, detectors_per_layer);
                 timed(&|| {
-                    mc::logical_error_rate_streamed(
-                        &sampler,
-                        &decoder,
-                        spec.shots,
-                        decode_seed,
-                        &spec.mc,
-                    )
+                    mc::logical_error_rate_streamed(&stream, &decoder, shots, decode_seed, mc)
                 })
             } else {
                 // The batch path stays permissive: convergence sweeps
                 // legitimately drive buffer 0 and global-window points.
                 let decoder = WindowedDecoder::new(graph, layers, commit, buffer);
-                timed(&|| decode_budget(&circuit, &dem, &decoder, spec, decode_seed))
+                timed(&|| decode_budget(&circuit, &dem, &decoder, sampler, shots, decode_seed, mc))
             }
         }
     }?;
@@ -309,71 +317,44 @@ pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTimi
         setup_seconds: start.elapsed().as_secs_f64() - decode_seconds,
         decode_seconds,
     };
-    let (patches, cnots, se_rounds, cnots_per_round) = match spec.scenario {
-        Scenario::Memory { rounds } => (1, 0, rounds.resolve(spec.distance), None),
-        Scenario::TransversalCnot {
-            patches,
-            depth,
-            cnots_per_round,
-        } => {
+    let (patches, cnots, se_rounds, cnots_per_round) = match scenario {
+        Scenario::Memory { rounds } | Scenario::Code832Memory { rounds } => {
+            (1, 0, rounds.resolve(distance), None)
+        }
+        Scenario::TransversalCnot { .. } | Scenario::DeepCnot { .. } => {
             // The builder owns the round schedule; ask it rather than
             // re-deriving the formula here.
-            let exp = TransversalCnotExperiment {
-                distance: spec.distance,
-                patches,
-                depth,
-                cnots_per_round,
-                basis: spec.basis,
-                noise: spec.noise,
-            };
-            (
-                patches,
-                depth,
-                exp.expected_se_rounds(),
-                Some(cnots_per_round),
-            )
+            let exp = cnot_experiment(spec);
+            let se_rounds = exp.expected_se_rounds();
+            (exp.patches, exp.depth, se_rounds, Some(exp.cnots_per_round))
         }
         Scenario::GhzFanout { targets } => {
             let exp = GhzFanoutExperiment {
-                distance: spec.distance,
+                distance,
                 targets,
-                noise: spec.noise,
+                noise,
             };
             (exp.patches(), exp.cnots(), exp.se_rounds(), None)
-        }
-        Scenario::DeepCnot {
-            patches,
-            cnots_per_round,
-            ..
-        } => {
-            let exp = deep_cnot_experiment(spec);
-            (
-                patches,
-                exp.depth,
-                exp.expected_se_rounds(),
-                Some(cnots_per_round),
-            )
         }
         Scenario::MagicFactory { .. } | Scenario::Gadget { .. } => {
             let exp = scheduled_experiment(spec);
             (exp.patches, exp.cnots(), exp.rounds, None)
         }
-        Scenario::Code832Memory { rounds } => (1, 0, rounds.resolve(spec.distance), None),
     };
     let record = ExperimentRecord {
-        name: spec.name.clone(),
-        scenario: spec.scenario.label().into(),
-        distance: spec.distance,
-        basis: spec.basis,
+        name: name.clone(),
+        scenario: scenario.label().into(),
+        distance,
+        basis,
         patches,
         cnots,
         se_rounds,
         cnots_per_round,
-        noise: spec.noise,
-        decoder: spec.decoder.label(),
-        sampler: spec.sampler.label().into(),
-        streaming: spec.streaming,
-        seed: spec.seed,
+        noise,
+        decoder: decoder.label(),
+        sampler: sampler.label().into(),
+        streaming,
+        seed,
         num_detectors: circuit.num_detectors(),
         num_dem_errors: dem.len(),
         arbitrary_decompositions: arbitrary,

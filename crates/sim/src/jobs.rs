@@ -16,9 +16,12 @@
 //! - **Seeds travel as decimal strings** (like the record format): a `u64`
 //!   seed does not fit `f64` exactly.
 //!
-//! A spec's `mc` setting is *not* part of the wire format: it holds only
-//! the decode thread count, which cannot change any record, and the server
-//! owns its own execution budget.
+//! A spec travels as one flat object from one writer, which names every
+//! spec field. The cache key hashes the same bytes
+//! ([`crate::orchestrator::spec_fingerprint`]), so the wire line decides
+//! which fields reach a record's identity. The writer leaves out `mc`: it
+//! holds only the decode thread count, which cannot change any record, and
+//! the server owns its own execution budget.
 //!
 //! # Example
 //!
@@ -41,14 +44,17 @@
 
 use crate::calibrate::{Calibration, CalibrationConfig};
 use crate::error::PoisonedPoint;
+use crate::json::{write_number, write_string};
 use crate::orchestrator::ScrubReport;
-use crate::record::ExperimentRecord;
+use crate::record::{basis_field, basis_letter, ExperimentRecord};
 use crate::spec::{DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario, ShotBudget};
 use raa_core::fit::FitResult;
 use raa_core::ErrorModelParams;
+use raa_decode::McConfig;
 use raa_factory::FactoryProtocol;
 use raa_gadgets::GadgetKind;
-use raa_surface::{Basis, NoiseModel};
+use raa_surface::NoiseModel;
+use std::fmt::Write as _;
 
 /// The wire value, re-exported from [`crate::json`] at the path the
 /// benchmark package (`e2ebench/`) imports it from.
@@ -74,13 +80,6 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
 // Spec codec
 // ---------------------------------------------------------------------------
 
-fn rounds_to_wire(rounds: Rounds) -> String {
-    match rounds {
-        Rounds::Fixed(n) => format!("fixed:{n}"),
-        Rounds::TimesDistance(k) => format!("xd:{k}"),
-    }
-}
-
 fn rounds_from_wire(text: &str) -> Result<Rounds, String> {
     let parse = |v: &str| v.parse().map_err(|_| format!("malformed rounds {text:?}"));
     if let Some(n) = text.strip_prefix("fixed:") {
@@ -89,16 +88,6 @@ fn rounds_from_wire(text: &str) -> Result<Rounds, String> {
         Ok(Rounds::TimesDistance(parse(k)?))
     } else {
         Err(format!("malformed rounds {text:?}"))
-    }
-}
-
-fn shots_to_wire(shots: ShotBudget) -> String {
-    match shots {
-        ShotBudget::Fixed(n) => format!("fixed:{n}"),
-        ShotBudget::UntilFailures {
-            max_shots,
-            target_failures,
-        } => format!("until:{max_shots}:{target_failures}"),
     }
 }
 
@@ -142,85 +131,134 @@ fn sampler_from_label(label: &str) -> Result<SamplerChoice, String> {
     }
 }
 
-fn basis_to_wire(basis: Basis) -> &'static str {
-    match basis {
-        Basis::Z => "Z",
-        Basis::X => "X",
-    }
+/// Appends `,"key":` to `out`.
+fn field(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
 }
 
-fn basis_from_wire(text: &str) -> Result<Basis, String> {
-    match text {
-        "Z" => Ok(Basis::Z),
-        "X" => Ok(Basis::X),
-        other => Err(format!("unknown basis {other:?}")),
-    }
+/// Appends `,"key":value` to `out`.
+fn number_field(out: &mut String, key: &str, value: f64) {
+    field(out, key);
+    write_number(out, value);
 }
 
-/// Encodes a spec as a flat wire object. The `mc` setting (the decode
-/// thread count) is deliberately dropped: it cannot change the record, and
-/// the server owns its execution budget.
-pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
-    let mut fields: Vec<(&str, Json)> = vec![
-        ("name", s(&spec.name)),
-        ("scenario", s(spec.scenario.label())),
-    ];
-    match spec.scenario {
-        Scenario::Memory { rounds } => fields.push(("rounds", s(rounds_to_wire(rounds)))),
+fn write_rounds(out: &mut String, rounds: Rounds) {
+    let _ = match rounds {
+        Rounds::Fixed(n) => write!(out, ",\"rounds\":\"fixed:{n}\""),
+        Rounds::TimesDistance(k) => write!(out, ",\"rounds\":\"xd:{k}\""),
+    };
+}
+
+/// Appends a spec's wire object to `out`. This is the one spec encoding:
+/// [`Request::to_line`] sends it, and
+/// [`crate::orchestrator::spec_fingerprint`] hashes it into the cache key.
+/// Every field of the spec, of its noise model and of each scenario variant
+/// is named, so a new field fails to compile here until it is encoded or
+/// ruled out.
+pub(crate) fn write_spec(out: &mut String, spec: &ExperimentSpec) {
+    let ExperimentSpec {
+        name,
+        scenario,
+        distance,
+        basis,
+        noise:
+            NoiseModel {
+                p2,
+                p_idle,
+                p_prep,
+                p_meas,
+            },
+        decoder,
+        sampler,
+        streaming,
+        shots,
+        seed,
+        // Left out: `mc` holds only the decode thread count, which cannot
+        // change a record, and the server owns its execution budget.
+        mc: _,
+    } = spec;
+    out.push_str("{\"name\":");
+    write_string(out, name);
+    field(out, "scenario");
+    write_string(out, scenario.label());
+    // The label carries the factory protocol and the gadget kind.
+    match *scenario {
+        Scenario::Memory { rounds }
+        | Scenario::MagicFactory {
+            protocol: _,
+            rounds,
+        }
+        | Scenario::Code832Memory { rounds } => write_rounds(out, rounds),
         Scenario::TransversalCnot {
             patches,
             depth,
             cnots_per_round,
         } => {
-            fields.push(("patches", unum(patches)));
-            fields.push(("depth", unum(depth)));
-            fields.push(("cnots_per_round", num(cnots_per_round)));
+            number_field(out, "patches", patches as f64);
+            number_field(out, "depth", depth as f64);
+            number_field(out, "cnots_per_round", cnots_per_round);
         }
-        Scenario::GhzFanout { targets } => fields.push(("targets", unum(targets))),
+        Scenario::GhzFanout { targets } => number_field(out, "targets", targets as f64),
         Scenario::DeepCnot {
             patches,
             rounds,
             cnots_per_round,
         } => {
-            fields.push(("patches", unum(patches)));
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
-            fields.push(("cnots_per_round", num(cnots_per_round)));
+            number_field(out, "patches", patches as f64);
+            write_rounds(out, rounds);
+            number_field(out, "cnots_per_round", cnots_per_round);
         }
-        // The protocol/kind is carried by the per-variant scenario label.
-        Scenario::MagicFactory { rounds, .. } => {
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
-        }
-        Scenario::Gadget { width, rounds, .. } => {
-            fields.push(("width", unum(width)));
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
-        }
-        Scenario::Code832Memory { rounds } => {
-            fields.push(("rounds", s(rounds_to_wire(rounds))));
+        Scenario::Gadget {
+            kind: _,
+            width,
+            rounds,
+        } => {
+            number_field(out, "width", width as f64);
+            write_rounds(out, rounds);
         }
     }
-    fields.extend([
-        ("distance", num(f64::from(spec.distance))),
-        ("basis", s(basis_to_wire(spec.basis))),
-        ("p2", num(spec.noise.p2)),
-        ("p_idle", num(spec.noise.p_idle)),
-        ("p_prep", num(spec.noise.p_prep)),
-        ("p_meas", num(spec.noise.p_meas)),
-        ("decoder", s(spec.decoder.label())),
-        ("sampler", s(spec.sampler.label())),
-        ("streaming", Json::Bool(spec.streaming)),
-        ("shots", s(shots_to_wire(spec.shots))),
-        ("seed", s(spec.seed.to_string())),
-    ]);
-    obj(fields)
+    number_field(out, "distance", f64::from(*distance));
+    field(out, "basis");
+    write_string(out, basis_letter(*basis));
+    number_field(out, "p2", *p2);
+    number_field(out, "p_idle", *p_idle);
+    number_field(out, "p_prep", *p_prep);
+    number_field(out, "p_meas", *p_meas);
+    field(out, "decoder");
+    write_string(out, &decoder.label());
+    field(out, "sampler");
+    write_string(out, sampler.label());
+    field(out, "streaming");
+    out.push_str(if *streaming { "true" } else { "false" });
+    let _ = match *shots {
+        ShotBudget::Fixed(n) => write!(out, ",\"shots\":\"fixed:{n}\""),
+        ShotBudget::UntilFailures {
+            max_shots,
+            target_failures,
+        } => write!(out, ",\"shots\":\"until:{max_shots}:{target_failures}\""),
+    };
+    // A `u64` seed does not fit an `f64`: it travels as a decimal string.
+    let _ = write!(out, ",\"seed\":\"{seed}\"}}");
 }
 
-/// Decodes a wire spec. The resulting spec carries default `mc` execution
-/// parameters — the server decides its own threading.
+/// The spec's wire object as a [`Json`] value: the line [`Request::to_line`]
+/// writes for it, parsed back. The benchmark package (`e2ebench/`) imports
+/// it.
+pub fn spec_to_json(spec: &ExperimentSpec) -> Json {
+    let mut line = String::new();
+    write_spec(&mut line, spec);
+    // The writer emits one JSON object, so the parse cannot fail.
+    Json::parse(&line).unwrap_or(Json::Null)
+}
+
+/// Decodes a wire spec. The resulting spec carries the default `mc`
+/// setting: the server decides its own threading.
 fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
+    let rounds = || rounds_from_wire(v.str_field("rounds")?);
     let scenario = match v.str_field("scenario")? {
-        "memory" => Scenario::Memory {
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
-        },
+        "memory" => Scenario::Memory { rounds: rounds()? },
         "transversal_cnot" => Scenario::TransversalCnot {
             patches: v.count_field("patches")?,
             depth: v.count_field("depth")?,
@@ -231,56 +269,58 @@ fn spec_from_json(v: &Json) -> Result<ExperimentSpec, String> {
         },
         "deep_cnot" => Scenario::DeepCnot {
             patches: v.count_field("patches")?,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
             cnots_per_round: v.f64_field("cnots_per_round")?,
         },
         "factory_distill15" => Scenario::MagicFactory {
             protocol: FactoryProtocol::Distill15,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
         },
         "factory_ccz" => Scenario::MagicFactory {
             protocol: FactoryProtocol::Ccz,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
         },
         "factory_cultivation" => Scenario::MagicFactory {
             protocol: FactoryProtocol::Cultivation,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
         },
         "gadget_adder" => Scenario::Gadget {
             kind: GadgetKind::Adder,
             width: v.count_field("width")?,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
         },
         "gadget_lookup" => Scenario::Gadget {
             kind: GadgetKind::Lookup,
             width: v.count_field("width")?,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
         },
         "gadget_fanout" => Scenario::Gadget {
             kind: GadgetKind::Fanout,
             width: v.count_field("width")?,
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
+            rounds: rounds()?,
         },
-        "code832_memory" => Scenario::Code832Memory {
-            rounds: rounds_from_wire(v.str_field("rounds")?)?,
-        },
+        "code832_memory" => Scenario::Code832Memory { rounds: rounds()? },
         other => return Err(format!("unknown scenario {other:?}")),
     };
     let distance = v.u32_field("distance")?;
-    let mut spec = ExperimentSpec::new(v.str_field("name")?, scenario, distance);
-    spec.basis = basis_from_wire(v.str_field("basis")?)?;
-    spec.noise = NoiseModel {
-        p2: v.f64_field("p2")?,
-        p_idle: v.f64_field("p_idle")?,
-        p_prep: v.f64_field("p_prep")?,
-        p_meas: v.f64_field("p_meas")?,
-    };
-    spec.decoder = decoder_from_label(v.str_field("decoder")?)?;
-    spec.sampler = sampler_from_label(v.str_field("sampler")?)?;
-    spec.streaming = v.bool_field("streaming")?;
-    spec.shots = shots_from_wire(v.str_field("shots")?)?;
-    spec.seed = v.u64_str_field("seed")?;
-    Ok(spec)
+    Ok(ExperimentSpec {
+        name: v.str_field("name")?.to_string(),
+        scenario,
+        distance,
+        basis: basis_field(v)?,
+        noise: NoiseModel {
+            p2: v.f64_field("p2")?,
+            p_idle: v.f64_field("p_idle")?,
+            p_prep: v.f64_field("p_prep")?,
+            p_meas: v.f64_field("p_meas")?,
+        },
+        decoder: decoder_from_label(v.str_field("decoder")?)?,
+        sampler: sampler_from_label(v.str_field("sampler")?)?,
+        streaming: v.bool_field("streaming")?,
+        shots: shots_from_wire(v.str_field("shots")?)?,
+        seed: v.u64_str_field("seed")?,
+        mc: McConfig::default(),
+    })
 }
 
 fn specs_from_field(v: &Json) -> Result<Vec<ExperimentSpec>, String> {
@@ -443,29 +483,36 @@ impl Request {
         }
     }
 
-    /// Encodes as one JSON line (no trailing newline).
+    /// Encodes as one JSON line (no trailing newline). Specs go through
+    /// the one spec writer, so they carry the bytes their cache keys hash.
     pub fn to_line(&self) -> String {
-        let v = match self {
-            Request::Sweep { id, specs } => obj(vec![
-                ("type", s("sweep")),
-                ("id", s(id)),
-                ("specs", Json::Arr(specs.iter().map(spec_to_json).collect())),
-            ]),
-            Request::Query { id, specs } => obj(vec![
-                ("type", s("query")),
-                ("id", s(id)),
-                ("specs", Json::Arr(specs.iter().map(spec_to_json).collect())),
-            ]),
-            Request::Calibrate { id, config } => obj(vec![
-                ("type", s("calibrate")),
-                ("id", s(id)),
-                ("config", config_to_json(config)),
-            ]),
-            Request::Status { id } => obj(vec![("type", s("status")), ("id", s(id))]),
-            Request::Scrub { id } => obj(vec![("type", s("scrub")), ("id", s(id))]),
-            Request::Shutdown { id } => obj(vec![("type", s("shutdown")), ("id", s(id))]),
+        let (kind, specs) = match self {
+            Request::Sweep { specs, .. } => ("sweep", Some(specs)),
+            Request::Query { specs, .. } => ("query", Some(specs)),
+            Request::Calibrate { .. } => ("calibrate", None),
+            Request::Status { .. } => ("status", None),
+            Request::Scrub { .. } => ("scrub", None),
+            Request::Shutdown { .. } => ("shutdown", None),
         };
-        v.to_line()
+        let mut out = format!("{{\"type\":\"{kind}\"");
+        field(&mut out, "id");
+        write_string(&mut out, self.id());
+        if let Some(specs) = specs {
+            out.push_str(",\"specs\":[");
+            for (i, spec) in specs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_spec(&mut out, spec);
+            }
+            out.push(']');
+        }
+        if let Request::Calibrate { config, .. } = self {
+            field(&mut out, "config");
+            out.push_str(&config_to_json(config).to_line());
+        }
+        out.push('}');
+        out
     }
 
     /// Decodes one JSON line.
@@ -872,7 +919,7 @@ impl Response {
                     stale_tmps_removed: v.count_field("stale_tmps_removed")?,
                     stale_locks_removed: v.count_field("stale_locks_removed")?,
                     skipped_locked: v.count_field("skipped_locked")?,
-                    bytes_after: v.f64_field("bytes_after")? as u64,
+                    bytes_after: v.count_field("bytes_after")? as u64,
                 },
             }),
             ("shutdown", "draining") => Ok(Response::Draining { id }),
@@ -894,6 +941,7 @@ mod tests {
     use super::*;
     use crate::engine;
     use crate::spec::SweepGrid;
+    use raa_surface::Basis;
 
     fn sample_specs() -> Vec<ExperimentSpec> {
         let mut specs = SweepGrid::new(
@@ -1117,9 +1165,19 @@ mod tests {
                 bytes_after: 4_096,
             },
         };
-        match Response::from_line(&scrub.to_line()).unwrap() {
+        let line = scrub.to_line();
+        match Response::from_line(&line).unwrap() {
             Response::Scrub { report, .. } => assert_eq!(report.bytes_after, 4_096),
             other => panic!("wrong variant: {other:?}"),
+        }
+        // `bytes_after` follows the count rule: a negative, fractional or
+        // too large value is an error, not a saturating cast.
+        let exact = "\"bytes_after\":4096";
+        assert!(line.contains(exact), "{line}");
+        for bad in ["-5", "1.5", "1e30"] {
+            let bad_line = line.replace(exact, &format!("\"bytes_after\":{bad}"));
+            let err = Response::from_line(&bad_line).unwrap_err();
+            assert!(err.contains("\"bytes_after\""), "{bad}: {err}");
         }
 
         for (resp, needle) in [

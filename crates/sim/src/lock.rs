@@ -125,16 +125,6 @@ impl Default for LockOptions {
     }
 }
 
-impl LockOptions {
-    /// Options that fail fast: a single immediate attempt, no waiting.
-    pub fn try_once() -> Self {
-        Self {
-            wait: Duration::ZERO,
-            ..Self::default()
-        }
-    }
-}
-
 /// Why a lock could not be acquired.
 #[derive(Debug)]
 pub enum LockError {

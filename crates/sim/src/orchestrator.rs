@@ -3,11 +3,12 @@
 //!
 //! Running a [`SweepGrid`] is a pure function of its specs (the engine's
 //! determinism guarantee), which makes every grid point cacheable by
-//! content: the cache key is a deterministic hash of the point's complete
-//! *semantic* spec — scenario (with rounds/depth/patches), distance, basis,
-//! noise, decoder, sampler, streaming flag, shot budget and seed — and
-//! deliberately excludes [`ExperimentSpec::mc`], which holds only the
-//! decode thread count and so cannot change the record.
+//! content: the cache key ([`spec_cache_key`]) hashes `v1;` followed by
+//! the spec's wire line, the bytes a `sweep` request carries for it
+//! ([`crate::jobs`]). One writer produces that line and names every spec
+//! field, so a field that changes a record cannot miss the key. It leaves
+//! out [`ExperimentSpec::mc`], which holds only the decode thread count and
+//! so cannot change the record.
 //!
 //! The [`Orchestrator`] runs grid points in parallel across the same
 //! worker-pool machinery the Monte-Carlo pipeline uses, consulting the
@@ -69,12 +70,15 @@
 
 use crate::engine;
 use crate::error::{OrchestratorError, PoisonedPoint};
+use crate::jobs;
 use crate::lock::{retry_io, Backoff, FileLock, LockError, LockOptions};
 use crate::record::ExperimentRecord;
 use crate::spec::{DecoderChoice, ExperimentSpec, Rounds, Scenario, ShotBudget, SweepGrid};
 use raa_decode::WindowError;
+use raa_surface::GhzFanoutExperiment;
 use rayon::prelude::*;
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -87,83 +91,17 @@ use std::time::{Duration, SystemTime};
 /// misses instead of replaying records from the old pipeline.
 const FINGERPRINT_VERSION: u32 = 1;
 
-fn rounds_fingerprint(rounds: Rounds) -> String {
-    match rounds {
-        Rounds::Fixed(n) => format!("fixed:{n}"),
-        Rounds::TimesDistance(k) => format!("xd:{k}"),
-    }
-}
-
-fn scenario_fingerprint(scenario: &Scenario) -> String {
-    match *scenario {
-        Scenario::Memory { rounds } => {
-            format!("memory(rounds={})", rounds_fingerprint(rounds))
-        }
-        Scenario::TransversalCnot {
-            patches,
-            depth,
-            cnots_per_round,
-        } => format!("transversal_cnot(patches={patches},depth={depth},x={cnots_per_round})"),
-        Scenario::GhzFanout { targets } => format!("ghz_fanout(targets={targets})"),
-        Scenario::DeepCnot {
-            patches,
-            rounds,
-            cnots_per_round,
-        } => format!(
-            "deep_cnot(patches={patches},rounds={},x={cnots_per_round})",
-            rounds_fingerprint(rounds)
-        ),
-        // The protocol/kind is already part of the per-variant label.
-        Scenario::MagicFactory { rounds, .. } => format!(
-            "{}(rounds={})",
-            scenario.label(),
-            rounds_fingerprint(rounds)
-        ),
-        Scenario::Gadget { width, rounds, .. } => format!(
-            "{}(width={width},rounds={})",
-            scenario.label(),
-            rounds_fingerprint(rounds)
-        ),
-        Scenario::Code832Memory { rounds } => {
-            format!("code832_memory(rounds={})", rounds_fingerprint(rounds))
-        }
-    }
-}
-
-fn budget_fingerprint(budget: ShotBudget) -> String {
-    match budget {
-        ShotBudget::Fixed(shots) => format!("fixed:{shots}"),
-        ShotBudget::UntilFailures {
-            max_shots,
-            target_failures,
-        } => format!("until:{max_shots}:{target_failures}"),
-    }
-}
-
-/// The canonical, human-readable description of everything that determines
-/// a spec's record — and nothing that doesn't (`mc` holds only the decode
-/// thread count, which cannot change a record). Equal fingerprints ⇔
-/// byte-identical records. Floats use Rust's shortest
-/// round-trip formatting, so the string is platform-stable.
+/// Everything that determines a spec's record: `v{FINGERPRINT_VERSION};`
+/// followed by the spec's wire line, the bytes a `sweep` request carries
+/// for it ([`crate::jobs`]). The line leaves out `mc`, the decode thread
+/// count, which cannot change a record. Equal fingerprints mean
+/// byte-identical records, and floats use the shortest round-trip form, so
+/// the string is platform-stable.
 pub fn spec_fingerprint(spec: &ExperimentSpec) -> String {
-    format!(
-        "v{FINGERPRINT_VERSION};name={};scenario={};d={};basis={:?};\
-         p2={};p_idle={};p_prep={};p_meas={};decoder={};sampler={};\
-         streaming={};shots={};seed={}",
-        spec.name,
-        scenario_fingerprint(&spec.scenario),
-        spec.distance,
-        spec.basis,
-        spec.noise.p2,
-        spec.noise.p_idle,
-        spec.noise.p_prep,
-        spec.noise.p_meas,
-        spec.decoder.label(),
-        spec.sampler.label(),
-        spec.streaming,
-        budget_fingerprint(spec.shots),
-        spec.seed,
-    )
+    let mut fp = String::with_capacity(384);
+    let _ = write!(fp, "v{FINGERPRINT_VERSION};");
+    jobs::write_spec(&mut fp, spec);
+    fp
 }
 
 /// FNV-1a over `bytes` from the given offset basis, finished with a
@@ -182,9 +120,10 @@ fn hash64(bytes: &[u8], offset: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// The content-addressed cache key of a spec: 128 bits of fingerprint hash
-/// as 32 hex characters (two independent 64-bit passes, so accidental
-/// collisions are out of reach for any realistic sweep census).
+/// The content-addressed cache key of a spec: a 128-bit hash of its
+/// [`spec_fingerprint`] as 32 hex characters (two independent 64-bit
+/// passes, so accidental collisions are out of reach for any realistic
+/// sweep census). It changes whenever the spec's wire line does.
 pub fn spec_cache_key(spec: &ExperimentSpec) -> String {
     let fp = spec_fingerprint(spec);
     let a = hash64(fp.as_bytes(), 0xCBF2_9CE4_8422_2325);
@@ -538,13 +477,16 @@ fn record_matches_spec(record: &ExperimentRecord, spec: &ExperimentSpec) -> bool
                 && (record.failures >= target_failures || record.shots == max_shots)
         }
     };
-    // The scenario label alone cannot distinguish e.g. two memory round
-    // schedules, so also check the scenario parameters the record echoes.
+    // The scenario label alone cannot tell e.g. two memory round schedules
+    // apart, so also check the shape the record echoes. Lookups run outside
+    // the engine's `catch_unwind`, so no check may panic on any spec.
+    let rounds_ok =
+        |rounds: Rounds| rounds.checked_resolve(spec.distance) == Some(record.se_rounds);
     let scenario_ok = match spec.scenario {
-        Scenario::Memory { rounds } => {
+        Scenario::Memory { rounds } | Scenario::Code832Memory { rounds } => {
             record.patches == 1
                 && record.cnots == 0
-                && record.se_rounds == rounds.resolve(spec.distance)
+                && rounds_ok(rounds)
                 && record.cnots_per_round.is_none()
         }
         Scenario::TransversalCnot {
@@ -556,19 +498,35 @@ fn record_matches_spec(record: &ExperimentRecord, spec: &ExperimentSpec) -> bool
                 && record.cnots == depth
                 && record.cnots_per_round == Some(cnots_per_round)
         }
-        Scenario::GhzFanout { .. } => record.cnots_per_round.is_none(),
+        Scenario::GhzFanout { targets } => {
+            let exp = GhzFanoutExperiment {
+                distance: spec.distance,
+                targets,
+                noise: spec.noise,
+            };
+            // The range keeps the builder's `2t − 1` and `2(t − 1)` from
+            // overflowing.
+            (1..=usize::MAX / 2).contains(&targets)
+                && record.patches == exp.patches()
+                && record.cnots == exp.cnots()
+                && record.se_rounds == exp.se_rounds()
+                && record.cnots_per_round.is_none()
+        }
         Scenario::DeepCnot {
             patches,
             rounds,
             cnots_per_round,
         } => {
+            let schedule = rounds
+                .checked_resolve(spec.distance)
+                .and_then(|rounds| engine::deep_cnot_schedule(rounds, cnots_per_round));
             record.patches == patches
-                && record.se_rounds <= rounds.resolve(spec.distance)
+                && schedule == Some((record.cnots, record.se_rounds))
                 && record.cnots_per_round == Some(cnots_per_round)
         }
         Scenario::MagicFactory { protocol, rounds } => {
             record.patches == protocol.patches()
-                && record.se_rounds == rounds.resolve(spec.distance)
+                && rounds_ok(rounds)
                 && record.cnots_per_round.is_none()
         }
         Scenario::Gadget {
@@ -576,14 +534,10 @@ fn record_matches_spec(record: &ExperimentRecord, spec: &ExperimentSpec) -> bool
             width,
             rounds,
         } => {
-            record.patches == kind.patches(width)
-                && record.se_rounds == rounds.resolve(spec.distance)
-                && record.cnots_per_round.is_none()
-        }
-        Scenario::Code832Memory { rounds } => {
-            record.patches == 1
-                && record.cnots == 0
-                && record.se_rounds == rounds.resolve(spec.distance)
+            // The bound keeps the adder's `2 · width + 1` in range.
+            width <= usize::MAX / 2
+                && record.patches == kind.patches(width)
+                && rounds_ok(rounds)
                 && record.cnots_per_round.is_none()
         }
     };
@@ -655,7 +609,6 @@ pub struct Orchestrator {
     point_threads: usize,
     isolate_panics: bool,
     lock_opts: LockOptions,
-    io_backoff: Backoff,
 }
 
 thread_local! {
@@ -731,12 +684,6 @@ impl Orchestrator {
     /// staleness) used around cold-point sampling and cache writes.
     pub fn with_lock_options(mut self, opts: LockOptions) -> Self {
         self.lock_opts = opts;
-        self
-    }
-
-    /// Configures the bounded retry schedule for transient cache-write I/O.
-    pub fn with_io_backoff(mut self, backoff: Backoff) -> Self {
-        self.io_backoff = backoff;
         self
     }
 
@@ -857,7 +804,7 @@ impl Orchestrator {
         };
 
         if let Some(cache) = &self.cache {
-            retry_io(&self.io_backoff, || cache.store(spec, &record)).map_err(|e| {
+            retry_io(&Backoff::default(), || cache.store(spec, &record)).map_err(|e| {
                 OrchestratorError::io(
                     format!(
                         "persisting cache entry {}",
@@ -940,6 +887,9 @@ mod tests {
     use super::*;
     use crate::spec::{DecoderChoice, SamplerChoice};
     use crate::{run_sweep, NoiseModel};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngExt, SeedableRng};
 
     struct TempDir(PathBuf);
 
@@ -1093,30 +1043,367 @@ mod tests {
         }
     }
 
+    /// A spec of `scenario` at its smallest distance (d = 3, code832 at
+    /// 2) with 64 shots.
+    fn small_spec(scenario: Scenario) -> ExperimentSpec {
+        let label = scenario.label();
+        let distance = if label == "code832_memory" { 2 } else { 3 };
+        let mut spec = ExperimentSpec::new(format!("orch/{label}"), scenario, distance);
+        spec.shots = ShotBudget::Fixed(64);
+        spec
+    }
+
+    /// `rounds` with one more round at every distance.
+    fn one_more(rounds: Rounds) -> Rounds {
+        match rounds {
+            Rounds::Fixed(n) => Rounds::Fixed(n + 1),
+            Rounds::TimesDistance(k) => Rounds::TimesDistance(k + 1),
+        }
+    }
+
+    /// A sibling of `scenario` under the same label whose record differs:
+    /// one more round, or for the round-free scenarios one more CNOT or GHZ
+    /// branch.
+    fn sibling(scenario: Scenario) -> Scenario {
+        match scenario {
+            Scenario::TransversalCnot {
+                patches,
+                depth,
+                cnots_per_round,
+            } => Scenario::TransversalCnot {
+                patches,
+                depth: depth + 1,
+                cnots_per_round,
+            },
+            Scenario::GhzFanout { targets } => Scenario::GhzFanout {
+                targets: targets + 1,
+            },
+            Scenario::Memory { rounds } => Scenario::Memory {
+                rounds: one_more(rounds),
+            },
+            Scenario::DeepCnot {
+                patches,
+                rounds,
+                cnots_per_round,
+            } => Scenario::DeepCnot {
+                patches,
+                rounds: one_more(rounds),
+                cnots_per_round,
+            },
+            Scenario::MagicFactory { protocol, rounds } => Scenario::MagicFactory {
+                protocol,
+                rounds: one_more(rounds),
+            },
+            Scenario::Gadget {
+                kind,
+                width,
+                rounds,
+            } => Scenario::Gadget {
+                kind,
+                width,
+                rounds: one_more(rounds),
+            },
+            Scenario::Code832Memory { rounds } => Scenario::Code832Memory {
+                rounds: one_more(rounds),
+            },
+        }
+    }
+
     #[test]
     fn stale_entry_with_same_label_but_different_scenario_params_misses() {
         let tmp = TempDir::new("stale");
-        let grid = small_grid();
-        let spec = grid.specs().remove(0); // Memory { rounds: Fixed(2) }
         let orch = Orchestrator::new().with_cache_dir(&tmp.0).unwrap();
-        let record = orch.run_specs(std::slice::from_ref(&spec)).unwrap().records[0].clone();
-        // Same name/seed/noise/decoder and the same "memory" label, but a
-        // different round schedule: the stale entry must not replay.
-        let longer = ExperimentSpec {
-            scenario: Scenario::Memory {
-                rounds: Rounds::Fixed(3),
-            },
-            ..spec.clone()
-        };
         let cache = orch.cache().unwrap();
-        fs::write(cache.entry_path(&longer), format!("{}\n", record.to_json())).unwrap();
-        assert!(
-            cache.load(&longer).is_none(),
-            "se_rounds mismatch must be a miss"
+        for scenario in crate::spec::tests::every_scenario() {
+            // Same name, seed, noise, decoder and label, but a different
+            // shape: neither point's entry may replay for the other.
+            let spec = small_spec(scenario);
+            let other = ExperimentSpec {
+                scenario: sibling(scenario),
+                ..spec.clone()
+            };
+            let record = engine::run(&spec);
+            let other_record = engine::run(&other);
+            assert_ne!(record.to_json(), other_record.to_json(), "{scenario:?}");
+            for (planted, at) in [(&record, &other), (&other_record, &spec)] {
+                fs::write(cache.entry_path(at), format!("{}\n", planted.to_json())).unwrap();
+                assert!(
+                    cache.load(at).is_none(),
+                    "{} replayed a sibling's record for {:?}",
+                    at.scenario.label(),
+                    at.scenario
+                );
+            }
+            let healed = orch.run_specs(std::slice::from_ref(&other)).unwrap();
+            assert_eq!(healed.fresh_points, 1);
+            assert_eq!(healed.records[0].to_json(), other_record.to_json());
+        }
+    }
+
+    /// The wire line a spec's key hashes.
+    fn wire_line(spec: &ExperimentSpec) -> String {
+        let mut line = String::new();
+        jobs::write_spec(&mut line, spec);
+        line
+    }
+
+    #[test]
+    fn cache_keys_and_wire_lines_are_pinned() {
+        let memory = ExperimentSpec::new(
+            "golden/memory",
+            Scenario::Memory {
+                rounds: Rounds::Fixed(2),
+            },
+            3,
         );
-        let healed = orch.run_specs(std::slice::from_ref(&longer)).unwrap();
-        assert_eq!(healed.fresh_points, 1);
-        assert_eq!(healed.records[0].se_rounds, 3);
+        let mut deep = ExperimentSpec::new(
+            "golden/deep",
+            Scenario::DeepCnot {
+                patches: 2,
+                rounds: Rounds::TimesDistance(20),
+                cnots_per_round: 0.5,
+            },
+            5,
+        );
+        deep.basis = raa_surface::Basis::X;
+        deep.noise = NoiseModel::uniform(2e-3);
+        deep.decoder = DecoderChoice::Windowed {
+            commit: 2,
+            buffer: 3,
+        };
+        deep.streaming = true;
+        deep.shots = ShotBudget::UntilFailures {
+            max_shots: 100_000,
+            target_failures: 50,
+        };
+        deep.seed = u64::MAX - 3;
+        let mut gadget = ExperimentSpec::new(
+            "golden/gadget \"adder\"\n",
+            Scenario::Gadget {
+                kind: crate::GadgetKind::Adder,
+                width: 4,
+                rounds: Rounds::Fixed(8),
+            },
+            3,
+        );
+        gadget.decoder = DecoderChoice::Matching;
+        gadget.sampler = SamplerChoice::Circuit;
+        gadget.seed = 42;
+        // Re-pinning these is a deliberate re-keying: every cache misses once.
+        for (spec, line, key) in [
+            (
+                &memory,
+                r#"{"name":"golden/memory","scenario":"memory","rounds":"fixed:2","distance":3,"basis":"Z","p2":0.001,"p_idle":0.001,"p_prep":0.001,"p_meas":0.001,"decoder":"union_find","sampler":"dem","streaming":false,"shots":"fixed:10000","seed":"0"}"#,
+                "3b2311e995c3c39fa5791ae5c668739f",
+            ),
+            (
+                &deep,
+                r#"{"name":"golden/deep","scenario":"deep_cnot","patches":2,"rounds":"xd:20","cnots_per_round":0.5,"distance":5,"basis":"X","p2":0.002,"p_idle":0.002,"p_prep":0.002,"p_meas":0.002,"decoder":"windowed_2+3","sampler":"dem","streaming":true,"shots":"until:100000:50","seed":"18446744073709551612"}"#,
+                "e639e15b204b82407ebadaca209a512d",
+            ),
+            (
+                &gadget,
+                r#"{"name":"golden/gadget \"adder\"\n","scenario":"gadget_adder","width":4,"rounds":"fixed:8","distance":3,"basis":"Z","p2":0.001,"p_idle":0.001,"p_prep":0.001,"p_meas":0.001,"decoder":"matching","sampler":"circuit","streaming":false,"shots":"fixed:10000","seed":"42"}"#,
+                "13245e991cd05c89df52d63720313a9c",
+            ),
+        ] {
+            assert_eq!(wire_line(spec), line);
+            assert_eq!(spec_fingerprint(spec), format!("v1;{line}"));
+            assert_eq!(crate::jobs::spec_to_json(spec).to_line(), line);
+            assert_eq!(spec_cache_key(spec), key, "{}", spec.name);
+        }
+    }
+
+    /// Cases of the key-sensitivity property: each runs the engine twice,
+    /// so a debug build runs a few and the release CI step runs the rest.
+    const SENSITIVITY_CASES: u32 = if cfg!(debug_assertions) { 12 } else { 256 };
+
+    /// A random spec of one of `every_scenario()`'s scenarios at its
+    /// smallest distance, with a decoder the scenario accepts and a few
+    /// dozen shots.
+    fn random_spec(rng: &mut StdRng) -> ExperimentSpec {
+        let scenarios = crate::spec::tests::every_scenario();
+        let mut spec = small_spec(scenarios[rng.random_range(0..scenarios.len())]);
+        spec.noise = NoiseModel::uniform([2e-3, 5e-3][rng.random_range(0..2usize)]);
+        spec.shots = ShotBudget::Fixed(rng.random_range(24..48));
+        spec.seed = rng.random();
+        let layered = spec.scenario.detectors_per_layer(spec.distance).is_some();
+        spec.decoder = match rng.random_range(0..4u32) {
+            0 => DecoderChoice::Matching,
+            1 => DecoderChoice::BpUnionFind,
+            2 if layered => DecoderChoice::Windowed {
+                commit: 1,
+                buffer: 1,
+            },
+            _ => DecoderChoice::UnionFind,
+        };
+        if matches!(spec.decoder, DecoderChoice::Windowed { .. }) {
+            // A streamed window of two layers needs a circuit of three.
+            spec.scenario = sibling(spec.scenario);
+            spec.streaming = rng.random();
+        }
+        spec
+    }
+
+    /// `base` with field number `field` changed, or `None` where that
+    /// change would make the engine reject the spec.
+    fn one_field_changed(
+        base: &ExperimentSpec,
+        field: u32,
+        rng: &mut StdRng,
+    ) -> Option<ExperimentSpec> {
+        let mut spec = base.clone();
+        let windowed = matches!(spec.decoder, DecoderChoice::Windowed { .. });
+        match field {
+            0 => spec.name.push('\''),
+            1 => spec.scenario = sibling(spec.scenario),
+            2 if spec.distance == 3 => spec.distance = 5,
+            3 => spec.basis = raa_surface::Basis::X,
+            4 => match rng.random_range(0..4u32) {
+                0 => spec.noise.p2 *= 2.0,
+                1 => spec.noise.p_idle *= 2.0,
+                2 => spec.noise.p_prep *= 2.0,
+                _ => spec.noise.p_meas *= 2.0,
+            },
+            5 if !spec.streaming => {
+                spec.decoder = match spec.decoder {
+                    DecoderChoice::UnionFind => DecoderChoice::Matching,
+                    _ => DecoderChoice::UnionFind,
+                }
+            }
+            6 if !spec.streaming => spec.sampler = SamplerChoice::Circuit,
+            7 if windowed => spec.streaming = !spec.streaming,
+            8 => {
+                let ShotBudget::Fixed(n) = spec.shots else {
+                    return None;
+                };
+                spec.shots = match rng.random_range(0..3u32) {
+                    0 => ShotBudget::Fixed(n + 1),
+                    target_failures => ShotBudget::UntilFailures {
+                        max_shots: n,
+                        target_failures: [1, 1_000][target_failures as usize - 1],
+                    },
+                };
+            }
+            9 => spec.seed = spec.seed.wrapping_add(1),
+            10 => spec.mc = raa_decode::McConfig::default().with_threads(rng.random_range(1..4)),
+            _ => return None,
+        }
+        Some(spec)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(SENSITIVITY_CASES))]
+
+        /// Whenever one changed field changes the record, it changes the
+        /// cache key, and a change of `mc.threads` moves neither. A key
+        /// may move without the record for one reason only: two shot
+        /// budgets the run cannot tell apart, such as `Fixed(n)` against
+        /// an `UntilFailures` capped at `n` shots that runs to its cap.
+        #[test]
+        fn cache_key_moves_whenever_the_record_does(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = random_spec(&mut rng);
+            let (field, changed) = loop {
+                let field = rng.random_range(0..11u32);
+                if let Some(changed) = one_field_changed(&base, field, &mut rng) {
+                    break (field, changed);
+                }
+            };
+            let (record, changed_record) = (engine::run(&base), engine::run(&changed));
+            let (key, changed_key) = (spec_cache_key(&base), spec_cache_key(&changed));
+            if field == 10 {
+                prop_assert_eq!(&key, &changed_key);
+                prop_assert_eq!(record.to_json(), changed_record.to_json());
+            } else if record.to_json() != changed_record.to_json() {
+                prop_assert_ne!(&key, &changed_key, "{:?} -> {:?}", base, changed);
+            } else if key != changed_key {
+                // The named exception: only the shot budget changed, and
+                // both budgets ran exactly the record's shots.
+                let ran_all = |budget: ShotBudget| match budget {
+                    ShotBudget::Fixed(n) => n == record.shots,
+                    ShotBudget::UntilFailures { max_shots, .. } => max_shots == record.shots,
+                };
+                prop_assert!(
+                    field == 8 && ran_all(base.shots) && ran_all(changed.shots),
+                    "{:?} -> {:?} moved the key but not the record",
+                    base,
+                    changed
+                );
+            }
+            // A spec decoded from its own wire line keeps its key.
+            for spec in [&base, &changed] {
+                let line = crate::jobs::Request::Sweep {
+                    id: String::new(),
+                    specs: vec![spec.clone()],
+                }
+                .to_line();
+                let crate::jobs::Request::Sweep { specs, .. } =
+                    crate::jobs::Request::from_line(&line).unwrap()
+                else {
+                    panic!("a sweep line decodes as a sweep");
+                };
+                prop_assert_eq!(spec_cache_key(&specs[0]), spec_cache_key(spec));
+            }
+        }
+    }
+
+    #[test]
+    fn deep_cnot_entry_replays_when_one_gate_overshoots_its_rounds() {
+        // At x = 0.5 one CNOT takes three SE rounds, one more than the spec
+        // asks for; the record's echo must still match its own spec.
+        let spec = small_spec(Scenario::DeepCnot {
+            patches: 2,
+            rounds: Rounds::Fixed(2),
+            cnots_per_round: 0.5,
+        });
+        let record = engine::run(&spec);
+        assert_eq!((record.cnots, record.se_rounds), (1, 3));
+        assert!(record_matches_spec(&record, &spec));
+    }
+
+    #[test]
+    fn echo_guard_never_panics_on_a_hostile_spec() {
+        // Lookups run outside `catch_unwind`: a spec whose shape overflows
+        // or underflows must read as a mismatch, not panic the worker.
+        let record = engine::run(&small_spec(Scenario::Memory {
+            rounds: Rounds::Fixed(2),
+        }));
+        let huge = Rounds::TimesDistance(usize::MAX);
+        for scenario in [
+            Scenario::Memory {
+                rounds: Rounds::Fixed(0),
+            },
+            Scenario::Memory { rounds: huge },
+            Scenario::GhzFanout { targets: 0 },
+            Scenario::GhzFanout {
+                targets: usize::MAX,
+            },
+            Scenario::DeepCnot {
+                patches: 2,
+                rounds: Rounds::Fixed(0),
+                cnots_per_round: 1.0,
+            },
+            Scenario::Gadget {
+                kind: crate::GadgetKind::Adder,
+                width: usize::MAX,
+                rounds: huge,
+            },
+            Scenario::Code832Memory { rounds: huge },
+        ]
+        .into_iter()
+        .chain(
+            [0.0, -1.0, 1e-300, 1e300, f64::NAN, f64::INFINITY].map(|x| Scenario::DeepCnot {
+                patches: 2,
+                rounds: Rounds::Fixed(usize::MAX),
+                cnots_per_round: x,
+            }),
+        ) {
+            assert!(
+                !record_matches_spec(&record, &small_spec(scenario)),
+                "{scenario:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,23 @@
 use crate::json::{write_number, write_string, Json};
 use raa_surface::{Basis, NoiseModel};
 
+/// The letter a basis is written as, in records and on the wire.
+pub(crate) fn basis_letter(basis: Basis) -> &'static str {
+    match basis {
+        Basis::Z => "Z",
+        Basis::X => "X",
+    }
+}
+
+/// The field `"basis"` of the object `v`, read as a basis letter.
+pub(crate) fn basis_field(v: &Json) -> Result<Basis, String> {
+    match v.str_field("basis")? {
+        "Z" => Ok(Basis::Z),
+        "X" => Ok(Basis::X),
+        other => Err(format!("field \"basis\": unknown basis {other:?}")),
+    }
+}
+
 /// The result of running one [`crate::ExperimentSpec`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
@@ -105,13 +122,7 @@ impl ExperimentRecord {
         s.push_str(",\"distance\":");
         write_number(&mut s, f64::from(self.distance));
         s.push_str(",\"basis\":");
-        write_string(
-            &mut s,
-            match self.basis {
-                Basis::Z => "Z",
-                Basis::X => "X",
-            },
-        );
+        write_string(&mut s, basis_letter(self.basis));
         s.push_str(",\"patches\":");
         write_number(&mut s, self.patches as f64);
         s.push_str(",\"cnots\":");
@@ -183,11 +194,7 @@ impl ExperimentRecord {
     /// `shots`, a seed that is not a `u64`, an unknown `basis` letter).
     pub fn from_json(s: &str) -> Result<Self, String> {
         let v = Json::parse(s)?;
-        let basis = match v.str_field("basis")? {
-            "Z" => Basis::Z,
-            "X" => Basis::X,
-            other => return Err(format!("field \"basis\": unknown basis {other:?}")),
-        };
+        let basis = basis_field(&v)?;
         Ok(ExperimentRecord {
             name: v.str_field("name")?.to_string(),
             scenario: v.str_field("scenario")?.to_string(),

@@ -26,18 +26,29 @@ pub enum Rounds {
 }
 
 impl Rounds {
+    /// The round count at code distance `distance`, or `None` when it is
+    /// zero or overflows a `usize`. It never panics, so the cache's echo
+    /// guard can call it on any spec.
+    pub(crate) fn checked_resolve(&self, distance: u32) -> Option<usize> {
+        match *self {
+            Rounds::Fixed(n) => Some(n),
+            Rounds::TimesDistance(k) => k.checked_mul(distance as usize),
+        }
+        .filter(|&rounds| rounds >= 1)
+    }
+
     /// The round count at code distance `distance`.
     ///
     /// # Panics
     ///
-    /// Panics if the resolved count is zero.
+    /// Panics if the resolved count is zero or overflows a `usize`.
     pub fn resolve(&self, distance: u32) -> usize {
-        let rounds = match *self {
-            Rounds::Fixed(n) => n,
-            Rounds::TimesDistance(k) => k * distance as usize,
-        };
-        assert!(rounds >= 1, "need at least one SE round");
-        rounds
+        self.checked_resolve(distance).unwrap_or_else(|| {
+            panic!(
+                "need at least one SE round and a count that fits a usize, \
+                 got {self:?} at d = {distance}"
+            )
+        })
     }
 }
 
@@ -347,7 +358,8 @@ impl ExperimentSpec {
 
 /// A cartesian sweep: distances × physical error rates × (optionally)
 /// CNOTs-per-round × decoders, each point a full [`ExperimentSpec`] with a
-/// seed derived from the grid seed and the point index.
+/// seed derived from the grid seed and the point index. Every point
+/// protects the Z basis; set [`ExperimentSpec::basis`] on a spec for X.
 ///
 /// # Example
 ///
@@ -371,8 +383,6 @@ pub struct SweepGrid {
     pub name: String,
     /// Scenario template (per-point axes override its fields).
     pub scenario: Scenario,
-    /// Logical basis protected.
-    pub basis: Basis,
     /// Code distances (one axis).
     pub distances: Vec<u32>,
     /// Uniform physical error rates (one axis).
@@ -396,13 +406,12 @@ pub struct SweepGrid {
 }
 
 impl SweepGrid {
-    /// A grid with the given scenario template and defaults: Z basis,
-    /// distance 3 only, p = 1e-3 only, union–find, 10k shots, seed 0.
+    /// A grid with the given scenario template and defaults: distance 3
+    /// only, p = 1e-3 only, union–find, 10k shots, seed 0.
     pub fn new(name: impl Into<String>, scenario: Scenario) -> Self {
         Self {
             name: name.into(),
             scenario,
-            basis: Basis::Z,
             distances: vec![3],
             p_phys: vec![1e-3],
             cnots_per_round: Vec::new(),
@@ -449,12 +458,6 @@ impl SweepGrid {
     /// (see [`ExperimentSpec::streaming`]).
     pub fn with_streaming(mut self, streaming: bool) -> Self {
         self.streaming = streaming;
-        self
-    }
-
-    /// Sets the logical basis.
-    pub fn with_basis(mut self, basis: Basis) -> Self {
-        self.basis = basis;
         self
     }
 
@@ -543,7 +546,7 @@ impl SweepGrid {
                             name,
                             scenario,
                             distance: d,
-                            basis: self.basis,
+                            basis: Basis::Z,
                             noise: NoiseModel::uniform(p),
                             decoder,
                             sampler: self.sampler,
