@@ -15,7 +15,7 @@
 //! prunes dead (solid or internal) edges and counts each live edge's visits,
 //! pass 2 grows every live edge one quantum per visit and collects the edges
 //! that reach their weight, which then solidify and merge in visit order.
-//! Four mechanisms make the batched Monte-Carlo hot path cheap:
+//! Five mechanisms make the batched Monte-Carlo hot path cheap:
 //!
 //! - **Compiled graph.** The decoder walks a [`CompiledGraph`] — CSR
 //!   adjacency in one flat arena with pre-quantized integer weights — built
@@ -31,6 +31,13 @@
 //!   in no merge kept its nodes, so every edge on its pruned frontier still
 //!   leaves the cluster and is not solid (solidifying it would have merged
 //!   the cluster); pass 1 only counts its visits.
+//! - **Pruning by copy parity.** A prune looks up no root. An edge on an
+//!   active cluster's frontier is dead exactly when both of its copies are
+//!   on that list, so the prune toggles a parity bit per listed copy, then
+//!   drops the edges left even and counts the odd ones' visits in the same
+//!   sweep. Each edge keeps the quanta it still needs in its scratch slot,
+//!   so neither pass reads the compiled weights, and a merge resolves each
+//!   endpoint's root once.
 //! - **Folded round jump.** Weighted growth jumps over rounds in which no
 //!   edge can reach its weight, which matters for heavy edges quantized to
 //!   many growth quanta. Pass 1 keeps the running minimum of
@@ -40,10 +47,25 @@
 //!   clusters and frontiers are the same across them and the literal round
 //!   that follows sees the state the unit rounds would have produced.
 //!
+//! The parity rule is exact because of how copies enter and leave lists:
+//!
+//! - Every node of a cluster has been seeded: defects at the start, and
+//!   both endpoints of a solidifying edge before their union. Seeding
+//!   appends each incident edge once to the node's cluster list, so an
+//!   edge has one copy per seeded endpoint (a self-loop has two).
+//! - Lists only merge, with their clusters. A prune drops a dead edge only
+//!   from the list it scans, and both copies of a dead edge are on it, so
+//!   the two copies always leave together.
+//! - So on an active cluster's list an edge between two detectors has two
+//!   copies exactly when both endpoints are in the cluster, and a solid
+//!   edge is internal. A boundary edge has one copy and is never dead
+//!   there, because an active cluster never holds the boundary.
+//!
 //! All of these are exact: the decision stream (solidified set and order,
 //! merge order, frontier and peel order, correction and reach) is
 //! bit-identical to the literal one-quantum-per-round formulation, which the
-//! tests keep as an independent reference.
+//! tests keep as an independent reference. Debug builds also check every
+//! parity verdict against the endpoints' roots.
 //!
 //! Every syndrome takes the same path — seed, grow, peel — and leaves two
 //! records in its scratch: the correction edges ([`UfScratch::correction`])
@@ -100,16 +122,32 @@ struct NodeSlot {
 }
 
 /// Per-edge working state, reinitialized on the edge's first touch in a
-/// decode.
+/// decode (the first prune of a list that holds it).
 #[derive(Debug, Clone, Copy, Default)]
 struct EdgeSlot {
     /// Decode generation that last initialized this slot.
     epoch: u32,
-    /// Growth accumulated so far, in quanta.
-    growth: u32,
+    /// Growth quanta the edge still needs to reach its weight; set from the
+    /// weight on first touch, 0 once reached.
+    remaining: u32,
     /// This round's pass-1 visits that pass 2 has not yet applied.
     pending: u8,
-    solid: bool,
+    /// Parity of the edge's copies on the list being pruned; clear outside
+    /// [`UfScratch::prune_and_count`].
+    odd: bool,
+}
+
+impl EdgeSlot {
+    /// Counts one pass-1 visit of a live edge and folds ⌈remaining /
+    /// pending⌉, the rounds until the edge reaches its weight, into the
+    /// running minimum `delta` (a shift, since `pending` ≤ 2).
+    #[inline]
+    fn count_visit(&mut self, delta: &mut u32) {
+        self.pending += 1;
+        debug_assert!(self.pending <= 2 && self.remaining > 0);
+        let rounds = (self.remaining + u32::from(self.pending) - 1) >> (self.pending - 1);
+        *delta = (*delta).min(rounds);
+    }
 }
 
 /// Reusable working state for [`UnionFindDecoder`].
@@ -120,20 +158,24 @@ struct EdgeSlot {
 /// decoders of different shapes).
 ///
 /// Per-node state (union–find forest, cluster flags, peeling marks) is
-/// packed into one `NodeSlot` per node and per-edge state (growth, pending
-/// visits, solid flag) into one `EdgeSlot` per edge. Each slot carries the
+/// packed into one `NodeSlot` per node and per-edge state (quanta still
+/// needed, pending visits, copy parity) into one `EdgeSlot` per edge. Each
+/// slot carries the
 /// decode generation that last wrote it and is reinitialized on first
 /// touch, which for a node also clears its frontier list, so the
 /// inter-shot reset is O(1) plus the handful of explicit list clears: the
 /// batched Monte-Carlo path never pays an O(graph) wipe for a sparse
 /// syndrome, and touching a node or an edge writes a single slot.
 ///
-/// Two invariants tie the slots to the growth loop (see the
+/// Three invariants tie the slots to the growth loop (see the
 /// [module docs](self)):
 ///
 /// - A cluster root without the unpruned flag has a frontier of live edges
 ///   only: each was touched this decode, is not solid, and leaves the
 ///   cluster. Only seeding and merging break this, and both set the flag.
+/// - A node slot is read only after a `find` touched it this decode:
+///   seeding and union get nodes `find` just resolved, and peeling reads
+///   only defects and endpoints of solid edges.
 /// - An edge's `pending` count is nonzero only between a round's two
 ///   passes: its pass-1 visits, at most one per endpoint and so at most 2,
 ///   which pass 2 applies together with the folded round jump.
@@ -227,18 +269,6 @@ impl UfScratch {
         }
     }
 
-    /// Reinitializes edge `e`'s slot if it is stale.
-    #[inline]
-    fn touch_edge(&mut self, e: u32) {
-        let slot = &mut self.edges[e as usize];
-        if slot.epoch != self.epoch {
-            *slot = EdgeSlot {
-                epoch: self.epoch,
-                ..EdgeSlot::default()
-            };
-        }
-    }
-
     /// The correction of the last decode through this scratch: the graph
     /// edge indices peeling selected, in peel order. The predicted
     /// observable mask is the XOR of these edges' observable masks; the
@@ -274,52 +304,77 @@ impl UfScratch {
         x
     }
 
-    /// Adds `node`'s incident edges to its cluster's frontier (and to the
-    /// reach) the first time the node joins a cluster.
-    fn seed(&mut self, g: &CompiledGraph, node: u32) {
+    /// Adds `node`'s incident edges to the frontier of its cluster `root`
+    /// (and to the reach) the first time the node joins a cluster.
+    fn seed(&mut self, g: &CompiledGraph, node: u32, root: u32) {
         if self.nodes[node as usize].flags & SEEDED == 0 {
             self.nodes[node as usize].flags |= SEEDED;
-            let root = self.find(node);
             self.nodes[root as usize].flags |= UNPRUNED;
             self.frontier[root as usize].extend_from_slice(g.incident(node));
             self.mark_edges(g.incident(node));
         }
     }
 
-    /// Drops solid and internal edges from the frontier of cluster `root`
-    /// with `swap_remove`, which keeps the live edges in encounter order.
-    fn prune(&mut self, g: &CompiledGraph, root: u32) {
+    /// Prunes the frontier of cluster `root` and counts its live edges'
+    /// pass-1 visits into `delta`. Pass A touches each listed edge and
+    /// toggles its copy parity; pass B drops the edges left even (both
+    /// copies listed: solid or internal, see the module docs) with
+    /// `swap_remove`, which keeps the live edges in encounter order, and
+    /// clears and counts the odd ones.
+    fn prune_and_count(&mut self, g: &CompiledGraph, root: u32, delta: &mut u32) {
         let ri = root as usize;
         self.nodes[ri].flags &= !UNPRUNED;
+        let epoch = self.epoch;
+        for &ei in &self.frontier[ri] {
+            let e = &mut self.edges[ei as usize];
+            if e.epoch != epoch {
+                *e = EdgeSlot {
+                    epoch,
+                    remaining: g.weight(ei),
+                    ..EdgeSlot::default()
+                };
+            }
+            e.odd = !e.odd;
+        }
+        #[cfg(debug_assertions)]
+        for &ei in &self.frontier[ri] {
+            let [u, v] = g.endpoints(ei).map(|x| self.root_of(x) == root);
+            debug_assert!(u || v, "frontier edge {ei} has no endpoint inside");
+            debug_assert_eq!(self.edges[ei as usize].odd, !(u && v), "edge {ei}");
+        }
+        let frontier = &mut self.frontier[ri];
         let mut i = 0;
-        while i < self.frontier[ri].len() {
-            let ei = self.frontier[ri][i];
-            self.touch_edge(ei);
-            let dead = self.edges[ei as usize].solid || {
-                // Every frontier edge of `root` has at least one endpoint
-                // inside the cluster, so when one endpoint resolves
-                // elsewhere the edge cannot be internal.
-                let [u, v] = g.endpoints(ei);
-                let fu = self.find(u);
-                debug_assert!(fu == root || self.find(v) == root);
-                fu == root && self.find(v) == root
-            };
-            if dead {
-                self.frontier[ri].swap_remove(i);
-            } else {
+        while i < frontier.len() {
+            let e = &mut self.edges[frontier[i] as usize];
+            if e.odd {
+                e.odd = false;
+                e.count_visit(delta);
                 i += 1;
+            } else {
+                frontier.swap_remove(i);
             }
         }
     }
 
-    /// Unions the clusters of `a` and `b`, merging parity, boundary flags and
-    /// frontier lists (small list drains into large) and marking the merged
-    /// frontier unpruned.
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
+    /// `x`'s root, read without touching or compressing anything: a node
+    /// stale in this decode is its own singleton cluster.
+    #[cfg(debug_assertions)]
+    fn root_of(&self, mut x: u32) -> u32 {
+        if self.nodes[x as usize].epoch != self.epoch {
+            return x;
         }
+        while self.nodes[x as usize].parent != x {
+            x = self.nodes[x as usize].parent;
+        }
+        x
+    }
+
+    /// Unions the distinct clusters with roots `ra` and `rb`, merging
+    /// parity, boundary flags and frontier lists (small list drains into
+    /// large) and marking the merged frontier unpruned.
+    fn union(&mut self, ra: u32, rb: u32) {
+        debug_assert!(ra != rb && self.nodes[ra as usize].parent == ra);
+        debug_assert!(self.nodes[rb as usize].parent == rb);
         let (big, small) = if self.nodes[ra as usize].rank >= self.nodes[rb as usize].rank {
             (ra, rb)
         } else {
@@ -468,9 +523,9 @@ impl UnionFindDecoder {
         // Seed odd-parity singleton clusters at the defects. Each defect's
         // frontier starts as its incident edges.
         for &d in defects {
-            let r = scratch.find(d) as usize;
-            scratch.nodes[r].flags ^= PARITY;
-            scratch.seed(g, d);
+            let r = scratch.find(d);
+            scratch.nodes[r as usize].flags ^= PARITY;
+            scratch.seed(g, d, r);
         }
         for &d in defects {
             let r = scratch.find(d);
@@ -488,23 +543,20 @@ impl UnionFindDecoder {
         // Pass 1 prunes the frontiers of clusters seeded or merged since
         // their last prune, counts each live edge's visits (`pending`) and
         // keeps the running minimum `delta` of ⌈remaining / pending⌉, the
-        // rounds until the first edge reaches its weight (a shift, since
-        // `pending` ≤ 2). Pass 2 adds the `delta − 1` skipped rounds' growth
-        // on its first visit of an edge, then grows one quantum per visit.
-        // The module docs explain why both shortcuts are exact.
+        // rounds until the first edge reaches its weight. Pass 2 adds the
+        // `delta − 1` skipped rounds' growth on its first visit of an edge,
+        // then grows one quantum per visit. The module docs explain why the
+        // shortcuts are exact.
         loop {
             let mut delta = u32::MAX;
             for ai in 0..scratch.active.len() {
                 let root = scratch.active[ai];
                 if scratch.nodes[root as usize].flags & UNPRUNED != 0 {
-                    scratch.prune(g, root);
-                }
-                for &ei in &scratch.frontier[root as usize] {
-                    let e = &mut scratch.edges[ei as usize];
-                    e.pending += 1;
-                    debug_assert!(e.epoch == scratch.epoch && !e.solid && e.pending <= 2);
-                    let remaining = g.weight(ei) - e.growth;
-                    delta = delta.min((remaining + u32::from(e.pending) - 1) >> (e.pending - 1));
+                    scratch.prune_and_count(g, root, &mut delta);
+                } else {
+                    for &ei in &scratch.frontier[root as usize] {
+                        scratch.edges[ei as usize].count_visit(&mut delta);
+                    }
                 }
             }
             if delta == u32::MAX {
@@ -512,15 +564,16 @@ impl UnionFindDecoder {
             }
             // Pass 2, in pass-1 visit order: collect edges that reach their
             // weight (an edge shared by two active clusters may be pushed
-            // twice; the merge loop below skips the duplicate via its solid
-            // check).
+            // twice; the merge loop below skips the duplicate, whose
+            // endpoints the first copy merged).
             scratch.to_merge.clear();
             for &root in &scratch.active {
                 for &ei in &scratch.frontier[root as usize] {
                     let e = &mut scratch.edges[ei as usize];
-                    e.growth += (delta - 1) * u32::from(e.pending) + 1;
+                    let growth = (delta - 1) * u32::from(e.pending) + 1;
+                    e.remaining = e.remaining.saturating_sub(growth);
                     e.pending = 0;
-                    if e.growth >= g.weight(ei) {
+                    if e.remaining == 0 {
                         scratch.to_merge.push(ei);
                     }
                 }
@@ -528,18 +581,18 @@ impl UnionFindDecoder {
             for ti in 0..scratch.to_merge.len() {
                 let ei = scratch.to_merge[ti];
                 let [u, v] = g.endpoints(ei);
+                let (ru, rv) = (scratch.find(u), scratch.find(v));
                 // Skip the duplicate of an edge both endpoints pushed, and
                 // an edge made internal by an earlier merge this round.
-                if scratch.edges[ei as usize].solid || scratch.find(u) == scratch.find(v) {
+                if ru == rv {
                     continue;
                 }
-                scratch.edges[ei as usize].solid = true;
                 scratch.solid_edges.push(ei);
                 // A node joining its first cluster contributes its incident
                 // edges to the merged frontier.
-                scratch.seed(g, u);
-                scratch.seed(g, v);
-                scratch.union(u, v);
+                scratch.seed(g, u, ru);
+                scratch.seed(g, v, rv);
+                scratch.union(ru, rv);
             }
             // Refresh the active list: re-resolve every candidate root and
             // keep odd, non-boundary clusters that can still grow.
@@ -1243,7 +1296,7 @@ mod tests {
     #[test]
     fn growth_matches_literal_unit_round_reference() {
         use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::{Rng, RngExt, SeedableRng};
 
         // Every decision of the decoder — outcome, convergence, correction
         // edges in peel order, and reach — must equal the literal
@@ -1255,7 +1308,29 @@ mod tests {
         graphs.push(repetition_graph(7, 3, 1e-4, 0.05));
         graphs.extend((0..24).map(|seed| random_graph(seed, 0.45)));
         graphs.push(random_graph(99, 0.5)); // degenerate: uniform fallback
+
+        // Real circuit graphs, decomposed from golden DEMs: they carry
+        // hyperedge pieces and parallel edges with conflicting observable
+        // masks, which the graphs above lack.
+        for text in [
+            include_str!("../../../tests/fixtures/d3_rotated_memory.dem"),
+            include_str!("../../../tests/fixtures/factory_distill15_d3.dem"),
+        ] {
+            let dem = raa_stabsim::parse_dem(text).unwrap();
+            let graph = DecodingGraph::from_dem_decomposed(&dem).0;
+            let mut masks = std::collections::BTreeMap::new();
+            let conflicting = graph
+                .edges()
+                .iter()
+                .filter(|e| *masks.entry((e.u, e.v)).or_insert(e.observables) != e.observables)
+                .count();
+            assert!(conflicting > 0, "the fixture must carry conflicting masks");
+            graphs.push(graph);
+        }
         let mut rng = StdRng::seed_from_u64(41);
+        // The low-weight faults below draw from a second stream, so the
+        // density syndromes do not depend on them.
+        let mut fault_rng = StdRng::seed_from_u64(43);
         let mut scratch = UfScratch::default();
         let (mut min_w, mut max_w) = (u32::MAX, 0);
         for graph in graphs {
@@ -1275,6 +1350,20 @@ mod tests {
                 syndromes.extend(
                     (0..60).map(|_| (0..nd).filter(|_| rng.random_bool(density)).collect()),
                 );
+            }
+            // Low-weight faults, the regime sampled shots decode in: the
+            // syndrome of 1 to 4 random edges.
+            for faults in 1..=4 {
+                syndromes.extend((0..15).map(|_| {
+                    let mut fired = vec![false; nd as usize + 1];
+                    for _ in 0..faults {
+                        let ei = fault_rng.random_range(0..g.num_edges() as u32);
+                        for x in g.endpoints(ei) {
+                            fired[x as usize] ^= true;
+                        }
+                    }
+                    (0..nd).filter(|&x| fired[x as usize]).collect()
+                }));
             }
             for syndrome in syndromes {
                 let out = decoder.decode_into(&syndrome, &mut scratch);

@@ -97,26 +97,32 @@ fn scheduled_experiment(spec: &ExperimentSpec) -> ScheduledCnotExperiment {
     }
 }
 
+/// The SE rounds a [`Scenario::DeepCnot`] schedule of `depth` CNOTs at `x`
+/// CNOTs per round emits: one after initialization plus `⌈depth / x⌉`.
+/// The step wraps, as in a release build, so it is total on any spec.
+fn deep_cnot_rounds(depth: usize, x: f64) -> usize {
+    1usize.wrapping_add((depth as f64 / x).ceil() as usize)
+}
+
 /// The schedule of a [`Scenario::DeepCnot`] circuit given `rounds` SE
 /// rounds at `x` CNOTs per round: its CNOT depth, the largest whose
-/// schedule (one SE round after initialization plus `⌈depth / x⌉` more)
-/// fits in `rounds`, and the SE rounds that schedule emits. That is exactly
-/// `rounds` whenever `(rounds − 1) · x` is an integer, and more only when
-/// not even one CNOT fits. `None` below two rounds (no room for a gate).
-/// Its integer steps wrap, as in a release build, so the cache's echo
-/// guard can call it on any spec without a panic.
+/// schedule ([`deep_cnot_rounds`]) fits in `rounds`, and the SE rounds
+/// that schedule emits, which is exactly `rounds` whenever
+/// `(rounds − 1) · x` is an integer. `None` below two rounds or when not
+/// even one CNOT fits. Its integer steps wrap, as in a release build, so
+/// the cache's echo guard can call it on any spec without a panic.
 pub(crate) fn deep_cnot_schedule(rounds: usize, x: f64) -> Option<(usize, usize)> {
     if rounds < 2 {
         return None;
     }
-    let rounds_for = |depth: usize| 1usize.wrapping_add((depth as f64 / x).ceil() as usize);
     // Start one above the float floor (guarding rounding dirt in the
     // product), then step down until the schedule fits the round budget.
     let mut depth = ((((rounds - 1) as f64) * x).floor() as usize).wrapping_add(1);
-    while depth > 1 && rounds_for(depth) > rounds {
+    while depth > 1 && deep_cnot_rounds(depth, x) > rounds {
         depth -= 1;
     }
-    Some((depth, rounds_for(depth)))
+    let used = deep_cnot_rounds(depth, x);
+    (used <= rounds).then_some((depth, used))
 }
 
 /// The [`TransversalCnotExperiment`] behind a transversal- or deep-CNOT
@@ -125,8 +131,8 @@ pub(crate) fn deep_cnot_schedule(rounds: usize, x: f64) -> Option<(usize, usize)
 ///
 /// # Panics
 ///
-/// Panics if a deep-CNOT spec resolves to fewer than 2 rounds (no room for
-/// a gate).
+/// Panics if a deep-CNOT spec resolves to fewer rounds than one CNOT needs
+/// (at least 2; 3 at x = 1/2), naming the rounds needed.
 fn cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
     let (patches, depth, cnots_per_round) = match spec.scenario {
         Scenario::TransversalCnot {
@@ -142,7 +148,11 @@ fn cnot_experiment(spec: &ExperimentSpec) -> TransversalCnotExperiment {
             let total_rounds = rounds.resolve(spec.distance);
             let (depth, _) =
                 deep_cnot_schedule(total_rounds, cnots_per_round).unwrap_or_else(|| {
-                    panic!("deep-CNOT needs at least two SE rounds, got {total_rounds}")
+                    let needed = deep_cnot_rounds(1, cnots_per_round).max(2);
+                    panic!(
+                        "deep-CNOT at {cnots_per_round} CNOTs per round needs at least \
+                         {needed} SE rounds for one CNOT, got {total_rounds}"
+                    )
                 });
             (patches, depth, cnots_per_round)
         }

@@ -144,6 +144,12 @@ fn number_field(out: &mut String, key: &str, value: f64) {
     write_number(out, value);
 }
 
+/// Appends `,"key":"value"` to `out`, escaping the value.
+fn string_field(out: &mut String, key: &str, value: &str) {
+    field(out, key);
+    write_string(out, value);
+}
+
 fn write_rounds(out: &mut String, rounds: Rounds) {
     let _ = match rounds {
         Rounds::Fixed(n) => write!(out, ",\"rounds\":\"fixed:{n}\""),
@@ -181,8 +187,7 @@ pub(crate) fn write_spec(out: &mut String, spec: &ExperimentSpec) {
     } = spec;
     out.push_str("{\"name\":");
     write_string(out, name);
-    field(out, "scenario");
-    write_string(out, scenario.label());
+    string_field(out, "scenario", scenario.label());
     // The label carries the factory protocol and the gadget kind.
     match *scenario {
         Scenario::Memory { rounds }
@@ -220,16 +225,13 @@ pub(crate) fn write_spec(out: &mut String, spec: &ExperimentSpec) {
         }
     }
     number_field(out, "distance", f64::from(*distance));
-    field(out, "basis");
-    write_string(out, basis_letter(*basis));
+    string_field(out, "basis", basis_letter(*basis));
     number_field(out, "p2", *p2);
     number_field(out, "p_idle", *p_idle);
     number_field(out, "p_prep", *p_prep);
     number_field(out, "p_meas", *p_meas);
-    field(out, "decoder");
-    write_string(out, &decoder.label());
-    field(out, "sampler");
-    write_string(out, sampler.label());
+    string_field(out, "decoder", &decoder.label());
+    string_field(out, "sampler", sampler.label());
     field(out, "streaming");
     out.push_str(if *streaming { "true" } else { "false" });
     let _ = match *shots {
@@ -379,11 +381,27 @@ fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
 // Record transport
 // ---------------------------------------------------------------------------
 
-/// A record travels as its exact JSON line inside one JSON string — the
-/// escaping is lossless, so the bytes a warm client replays are identical
-/// to what a local sweep writes.
-fn record_to_wire(record: &ExperimentRecord) -> Json {
-    Json::Str(record.to_json())
+/// Appends `,"key":[...]` with one slot per record: a record travels as
+/// its exact JSON line inside one JSON string — the escaping is lossless,
+/// so the bytes a warm client replays are identical to what a local sweep
+/// writes — and an empty slot as `null`.
+fn write_records<'a>(
+    out: &mut String,
+    key: &str,
+    records: impl Iterator<Item = Option<&'a ExperimentRecord>>,
+) {
+    field(out, key);
+    out.push('[');
+    for (i, slot) in records.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match slot {
+            Some(record) => write_string(out, &record.to_json()),
+            None => out.push_str("null"),
+        }
+    }
+    out.push(']');
 }
 
 fn record_from_wire(v: &Json) -> Result<Option<ExperimentRecord>, String> {
@@ -392,15 +410,6 @@ fn record_from_wire(v: &Json) -> Result<Option<ExperimentRecord>, String> {
         Json::Str(line) => ExperimentRecord::from_json(line).map(Some),
         _ => Err("record slots must be strings or null".into()),
     }
-}
-
-fn records_to_wire(records: &[Option<ExperimentRecord>]) -> Json {
-    Json::Arr(
-        records
-            .iter()
-            .map(|slot| slot.as_ref().map_or(Json::Null, record_to_wire))
-            .collect(),
-    )
 }
 
 fn records_from_field(v: &Json, key: &str) -> Result<Vec<Option<ExperimentRecord>>, String> {
@@ -495,8 +504,7 @@ impl Request {
             Request::Shutdown { .. } => ("shutdown", None),
         };
         let mut out = format!("{{\"type\":\"{kind}\"");
-        field(&mut out, "id");
-        write_string(&mut out, self.id());
+        string_field(&mut out, "id", self.id());
         if let Some(specs) = specs {
             out.push_str(",\"specs\":[");
             for (i, spec) in specs.iter().enumerate() {
@@ -662,15 +670,6 @@ pub enum Response {
     },
 }
 
-fn poisoned_to_wire(p: &PoisonedPoint) -> Json {
-    obj(vec![
-        ("index", unum(p.index)),
-        ("name", s(&p.name)),
-        ("key", s(&p.key)),
-        ("message", s(&p.message)),
-    ])
-}
-
 fn poisoned_from_wire(v: &Json) -> Result<PoisonedPoint, String> {
     Ok(PoisonedPoint {
         index: v.count_field("index")?,
@@ -695,136 +694,137 @@ impl Response {
         }
     }
 
-    /// Encodes as one JSON line (no trailing newline).
+    /// Encodes as one JSON line (no trailing newline), written straight
+    /// into the line: records as escaped strings, counts and floats through
+    /// the JSON module's number rule.
     pub fn to_line(&self) -> String {
-        let v = match self {
+        let (kind, status) = match self {
+            Response::Sweep { .. } => ("sweep", "ok"),
+            Response::Query { .. } => ("query", "ok"),
+            Response::Calibrate { .. } => ("calibrate", "ok"),
+            Response::Status { .. } => ("status", "ok"),
+            Response::Scrub { .. } => ("scrub", "ok"),
+            Response::Draining { .. } => ("shutdown", "draining"),
+            Response::Shed { .. } => ("shed", "shed"),
+            Response::Error { .. } => ("error", "error"),
+        };
+        let mut out = format!("{{\"type\":\"{kind}\"");
+        string_field(&mut out, "id", self.id());
+        let _ = write!(out, ",\"status\":\"{status}\"");
+        match self {
             Response::Sweep {
-                id,
+                id: _,
                 fresh_points,
                 cached_points,
                 fresh_shots,
                 corrupt_replaced,
                 poisoned,
                 records,
-            } => obj(vec![
-                ("type", s("sweep")),
-                ("id", s(id)),
-                ("status", s("ok")),
-                ("fresh_points", unum(*fresh_points)),
-                ("cached_points", unum(*cached_points)),
-                ("fresh_shots", unum(*fresh_shots)),
-                ("corrupt_replaced", unum(*corrupt_replaced)),
-                (
-                    "poisoned",
-                    Json::Arr(poisoned.iter().map(poisoned_to_wire).collect()),
-                ),
-                ("records", records_to_wire(records)),
-            ]),
+            } => {
+                number_field(&mut out, "fresh_points", *fresh_points as f64);
+                number_field(&mut out, "cached_points", *cached_points as f64);
+                number_field(&mut out, "fresh_shots", *fresh_shots as f64);
+                number_field(&mut out, "corrupt_replaced", *corrupt_replaced as f64);
+                out.push_str(",\"poisoned\":[");
+                for (i, p) in poisoned.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"index\":");
+                    write_number(&mut out, p.index as f64);
+                    string_field(&mut out, "name", &p.name);
+                    string_field(&mut out, "key", &p.key);
+                    string_field(&mut out, "message", &p.message);
+                    out.push('}');
+                }
+                out.push(']');
+                write_records(&mut out, "records", records.iter().map(Option::as_ref));
+            }
             Response::Query {
-                id,
+                id: _,
                 hits,
                 misses,
                 records,
-            } => obj(vec![
-                ("type", s("query")),
-                ("id", s(id)),
-                ("status", s("ok")),
-                ("hits", unum(*hits)),
-                ("misses", unum(*misses)),
-                ("records", records_to_wire(records)),
-            ]),
-            Response::Calibrate { id, calibration } => {
-                let memory: Vec<Option<ExperimentRecord>> = calibration
-                    .memory_records
-                    .iter()
-                    .cloned()
-                    .map(Some)
-                    .collect();
-                let cnot: Vec<Option<ExperimentRecord>> =
-                    calibration.cnot_records.iter().cloned().map(Some).collect();
-                obj(vec![
-                    ("type", s("calibrate")),
-                    ("id", s(id)),
-                    ("status", s("ok")),
-                    ("alpha", num(calibration.fit.alpha)),
-                    ("lambda", num(calibration.fit.lambda)),
-                    ("c", num(calibration.fit.c)),
-                    ("residual", num(calibration.fit.residual)),
-                    (
-                        "lambda_memory",
-                        calibration.lambda_memory.map_or(Json::Null, num),
-                    ),
-                    ("p_phys", num(calibration.params.p_phys)),
-                    ("p_thres", num(calibration.params.p_thres)),
-                    ("fresh_points", unum(calibration.fresh_points)),
-                    ("cached_points", unum(calibration.cached_points)),
-                    ("fresh_shots", unum(calibration.fresh_shots)),
-                    ("memory_records", records_to_wire(&memory)),
-                    ("cnot_records", records_to_wire(&cnot)),
-                ])
+            } => {
+                number_field(&mut out, "hits", *hits as f64);
+                number_field(&mut out, "misses", *misses as f64);
+                write_records(&mut out, "records", records.iter().map(Option::as_ref));
             }
-            Response::Status { id, status } => obj(vec![
-                ("type", s("status")),
-                ("id", s(id)),
-                ("status", s("ok")),
-                ("draining", Json::Bool(status.draining)),
-                ("workers", unum(status.workers)),
-                ("jobs_completed", unum(status.jobs_completed as usize)),
-                ("points_completed", unum(status.points_completed as usize)),
-                ("cache_hits", unum(status.cache_hits as usize)),
-                ("fresh_points", unum(status.fresh_points as usize)),
-                ("fresh_shots", unum(status.fresh_shots as usize)),
-                ("corrupt_replaced", unum(status.corrupt_replaced as usize)),
-                ("shed_points", unum(status.shed_points as usize)),
-                (
-                    "quarantined",
-                    Json::Arr(
-                        status
-                            .quarantined
-                            .iter()
-                            .map(|q| {
-                                obj(vec![
-                                    ("key", s(&q.key)),
-                                    ("name", s(&q.name)),
-                                    ("message", s(&q.message)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Scrub { id, report } => obj(vec![
-                ("type", s("scrub")),
-                ("id", s(id)),
-                ("status", s("ok")),
-                ("scanned", unum(report.scanned)),
-                ("healthy", unum(report.healthy)),
-                ("quarantined", unum(report.quarantined)),
-                ("evicted", unum(report.evicted)),
-                ("stale_tmps_removed", unum(report.stale_tmps_removed)),
-                ("stale_locks_removed", unum(report.stale_locks_removed)),
-                ("skipped_locked", unum(report.skipped_locked)),
-                ("bytes_after", num(report.bytes_after as f64)),
-            ]),
-            Response::Draining { id } => obj(vec![
-                ("type", s("shutdown")),
-                ("id", s(id)),
-                ("status", s("draining")),
-            ]),
-            Response::Shed { id, message } => obj(vec![
-                ("type", s("shed")),
-                ("id", s(id)),
-                ("status", s("shed")),
-                ("message", s(message)),
-            ]),
-            Response::Error { id, message } => obj(vec![
-                ("type", s("error")),
-                ("id", s(id)),
-                ("status", s("error")),
-                ("message", s(message)),
-            ]),
-        };
-        v.to_line()
+            Response::Calibrate { id: _, calibration } => {
+                number_field(&mut out, "alpha", calibration.fit.alpha);
+                number_field(&mut out, "lambda", calibration.fit.lambda);
+                number_field(&mut out, "c", calibration.fit.c);
+                number_field(&mut out, "residual", calibration.fit.residual);
+                field(&mut out, "lambda_memory");
+                match calibration.lambda_memory {
+                    Some(lambda) => write_number(&mut out, lambda),
+                    None => out.push_str("null"),
+                }
+                number_field(&mut out, "p_phys", calibration.params.p_phys);
+                number_field(&mut out, "p_thres", calibration.params.p_thres);
+                number_field(&mut out, "fresh_points", calibration.fresh_points as f64);
+                number_field(&mut out, "cached_points", calibration.cached_points as f64);
+                number_field(&mut out, "fresh_shots", calibration.fresh_shots as f64);
+                write_records(
+                    &mut out,
+                    "memory_records",
+                    calibration.memory_records.iter().map(Some),
+                );
+                write_records(
+                    &mut out,
+                    "cnot_records",
+                    calibration.cnot_records.iter().map(Some),
+                );
+            }
+            Response::Status { id: _, status } => {
+                field(&mut out, "draining");
+                out.push_str(if status.draining { "true" } else { "false" });
+                number_field(&mut out, "workers", status.workers as f64);
+                for (key, count) in [
+                    ("jobs_completed", status.jobs_completed),
+                    ("points_completed", status.points_completed),
+                    ("cache_hits", status.cache_hits),
+                    ("fresh_points", status.fresh_points),
+                    ("fresh_shots", status.fresh_shots),
+                    ("corrupt_replaced", status.corrupt_replaced),
+                    ("shed_points", status.shed_points),
+                ] {
+                    number_field(&mut out, key, count as f64);
+                }
+                out.push_str(",\"quarantined\":[");
+                for (i, q) in status.quarantined.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"key\":");
+                    write_string(&mut out, &q.key);
+                    string_field(&mut out, "name", &q.name);
+                    string_field(&mut out, "message", &q.message);
+                    out.push('}');
+                }
+                out.push(']');
+            }
+            Response::Scrub { id: _, report } => {
+                for (key, count) in [
+                    ("scanned", report.scanned),
+                    ("healthy", report.healthy),
+                    ("quarantined", report.quarantined),
+                    ("evicted", report.evicted),
+                    ("stale_tmps_removed", report.stale_tmps_removed),
+                    ("stale_locks_removed", report.stale_locks_removed),
+                    ("skipped_locked", report.skipped_locked),
+                ] {
+                    number_field(&mut out, key, count as f64);
+                }
+                number_field(&mut out, "bytes_after", report.bytes_after as f64);
+            }
+            Response::Draining { id: _ } => {}
+            Response::Shed { id: _, message } | Response::Error { id: _, message } => {
+                string_field(&mut out, "message", message);
+            }
+        }
+        out.push('}');
+        out
     }
 
     /// Decodes one JSON line.
@@ -1119,6 +1119,299 @@ mod tests {
                 assert_eq!(poisoned[0].index, 9);
             }
             other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    /// The tree encoder the direct `Response::to_line` replaced: build a
+    /// `Json::Obj`, then render it. Kept as the byte reference.
+    fn tree_line(response: &Response) -> String {
+        let records = |slots: Vec<Option<&ExperimentRecord>>| {
+            Json::Arr(
+                slots
+                    .into_iter()
+                    .map(|slot| slot.map_or(Json::Null, |r| Json::Str(r.to_json())))
+                    .collect(),
+            )
+        };
+        let v = match response {
+            Response::Sweep {
+                id,
+                fresh_points,
+                cached_points,
+                fresh_shots,
+                corrupt_replaced,
+                poisoned,
+                records: slots,
+            } => obj(vec![
+                ("type", s("sweep")),
+                ("id", s(id)),
+                ("status", s("ok")),
+                ("fresh_points", unum(*fresh_points)),
+                ("cached_points", unum(*cached_points)),
+                ("fresh_shots", unum(*fresh_shots)),
+                ("corrupt_replaced", unum(*corrupt_replaced)),
+                (
+                    "poisoned",
+                    Json::Arr(
+                        poisoned
+                            .iter()
+                            .map(|p| {
+                                obj(vec![
+                                    ("index", unum(p.index)),
+                                    ("name", s(&p.name)),
+                                    ("key", s(&p.key)),
+                                    ("message", s(&p.message)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+                (
+                    "records",
+                    records(slots.iter().map(Option::as_ref).collect()),
+                ),
+            ]),
+            Response::Query {
+                id,
+                hits,
+                misses,
+                records: slots,
+            } => obj(vec![
+                ("type", s("query")),
+                ("id", s(id)),
+                ("status", s("ok")),
+                ("hits", unum(*hits)),
+                ("misses", unum(*misses)),
+                (
+                    "records",
+                    records(slots.iter().map(Option::as_ref).collect()),
+                ),
+            ]),
+            Response::Calibrate { id, calibration } => obj(vec![
+                ("type", s("calibrate")),
+                ("id", s(id)),
+                ("status", s("ok")),
+                ("alpha", num(calibration.fit.alpha)),
+                ("lambda", num(calibration.fit.lambda)),
+                ("c", num(calibration.fit.c)),
+                ("residual", num(calibration.fit.residual)),
+                (
+                    "lambda_memory",
+                    calibration.lambda_memory.map_or(Json::Null, num),
+                ),
+                ("p_phys", num(calibration.params.p_phys)),
+                ("p_thres", num(calibration.params.p_thres)),
+                ("fresh_points", unum(calibration.fresh_points)),
+                ("cached_points", unum(calibration.cached_points)),
+                ("fresh_shots", unum(calibration.fresh_shots)),
+                (
+                    "memory_records",
+                    records(calibration.memory_records.iter().map(Some).collect()),
+                ),
+                (
+                    "cnot_records",
+                    records(calibration.cnot_records.iter().map(Some).collect()),
+                ),
+            ]),
+            Response::Status { id, status } => obj(vec![
+                ("type", s("status")),
+                ("id", s(id)),
+                ("status", s("ok")),
+                ("draining", Json::Bool(status.draining)),
+                ("workers", unum(status.workers)),
+                ("jobs_completed", unum(status.jobs_completed as usize)),
+                ("points_completed", unum(status.points_completed as usize)),
+                ("cache_hits", unum(status.cache_hits as usize)),
+                ("fresh_points", unum(status.fresh_points as usize)),
+                ("fresh_shots", unum(status.fresh_shots as usize)),
+                ("corrupt_replaced", unum(status.corrupt_replaced as usize)),
+                ("shed_points", unum(status.shed_points as usize)),
+                (
+                    "quarantined",
+                    Json::Arr(
+                        status
+                            .quarantined
+                            .iter()
+                            .map(|q| {
+                                obj(vec![
+                                    ("key", s(&q.key)),
+                                    ("name", s(&q.name)),
+                                    ("message", s(&q.message)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            Response::Scrub { id, report } => obj(vec![
+                ("type", s("scrub")),
+                ("id", s(id)),
+                ("status", s("ok")),
+                ("scanned", unum(report.scanned)),
+                ("healthy", unum(report.healthy)),
+                ("quarantined", unum(report.quarantined)),
+                ("evicted", unum(report.evicted)),
+                ("stale_tmps_removed", unum(report.stale_tmps_removed)),
+                ("stale_locks_removed", unum(report.stale_locks_removed)),
+                ("skipped_locked", unum(report.skipped_locked)),
+                ("bytes_after", num(report.bytes_after as f64)),
+            ]),
+            Response::Draining { id } => obj(vec![
+                ("type", s("shutdown")),
+                ("id", s(id)),
+                ("status", s("draining")),
+            ]),
+            Response::Shed { id, message } => obj(vec![
+                ("type", s("shed")),
+                ("id", s(id)),
+                ("status", s("shed")),
+                ("message", s(message)),
+            ]),
+            Response::Error { id, message } => obj(vec![
+                ("type", s("error")),
+                ("id", s(id)),
+                ("status", s("error")),
+                ("message", s(message)),
+            ]),
+        };
+        v.to_line()
+    }
+
+    #[test]
+    fn response_lines_match_the_tree_encoder_byte_for_byte() {
+        let mut spec = ExperimentSpec::new(
+            "jobs/tree \"quoted\" \\ tab\t",
+            Scenario::Memory {
+                rounds: Rounds::Fixed(2),
+            },
+            3,
+        );
+        spec.shots = ShotBudget::Fixed(256);
+        let record = engine::run(&spec);
+        let texts = [
+            "",
+            "plain",
+            "quote \" backslash \\ newline \n return \r tab \t",
+            "controls \u{1} \u{1f} and text é ✓",
+        ];
+        let poisoned = |text: &str| PoisonedPoint {
+            index: 7,
+            name: format!("bad {text}"),
+            key: "ab".repeat(16),
+            message: text.into(),
+        };
+        let calibration = |lambda_memory, records: Vec<ExperimentRecord>| Calibration {
+            fit: FitResult {
+                alpha: 0.068_123_456_789,
+                lambda: 2.42,
+                c: 0.1,
+                residual: 1e-17,
+            },
+            lambda_memory,
+            params: ErrorModelParams {
+                c: 0.1,
+                p_phys: 4e-3,
+                p_thres: 9.68e-3,
+                alpha: 0.068_123_456_789,
+            },
+            memory_records: records.clone(),
+            cnot_records: records.into_iter().rev().collect(),
+            fresh_points: 10,
+            cached_points: 0,
+            fresh_shots: 88_000,
+        };
+        let mut responses = Vec::new();
+        for text in texts {
+            let id = || text.to_string();
+            responses.extend([
+                Response::Sweep {
+                    id: id(),
+                    fresh_points: 2,
+                    cached_points: 1,
+                    fresh_shots: 512,
+                    corrupt_replaced: 1,
+                    poisoned: vec![poisoned(text), poisoned("second")],
+                    records: vec![Some(record.clone()), None, Some(record.clone())],
+                },
+                Response::Sweep {
+                    id: id(),
+                    fresh_points: 0,
+                    cached_points: 0,
+                    fresh_shots: 0,
+                    corrupt_replaced: 0,
+                    poisoned: Vec::new(),
+                    records: Vec::new(),
+                },
+                Response::Query {
+                    id: id(),
+                    hits: 1,
+                    misses: 2,
+                    records: vec![None, Some(record.clone()), None],
+                },
+                Response::Calibrate {
+                    id: id(),
+                    calibration: calibration(Some(2.57), vec![record.clone(), record.clone()]),
+                },
+                Response::Calibrate {
+                    id: id(),
+                    calibration: calibration(None, Vec::new()),
+                },
+                Response::Status {
+                    id: id(),
+                    status: ServiceStatus {
+                        draining: text.is_empty(),
+                        workers: 4,
+                        jobs_completed: u64::MAX,
+                        points_completed: 40,
+                        cache_hits: 1 << 53,
+                        fresh_points: 9,
+                        fresh_shots: 4_608,
+                        corrupt_replaced: 1,
+                        shed_points: 2,
+                        quarantined: vec![
+                            QuarantinedPoint {
+                                key: "cd".repeat(16),
+                                name: format!("poison {text}"),
+                                message: text.into(),
+                            },
+                            QuarantinedPoint {
+                                key: String::new(),
+                                name: String::new(),
+                                message: String::new(),
+                            },
+                        ],
+                    },
+                },
+                Response::Status {
+                    id: id(),
+                    status: ServiceStatus::default(),
+                },
+                Response::Scrub {
+                    id: id(),
+                    report: ScrubReport {
+                        scanned: 12,
+                        healthy: 10,
+                        quarantined: 1,
+                        evicted: 1,
+                        stale_tmps_removed: 2,
+                        stale_locks_removed: 1,
+                        skipped_locked: 0,
+                        bytes_after: u64::MAX,
+                    },
+                },
+                Response::Draining { id: id() },
+                Response::Shed {
+                    id: id(),
+                    message: text.into(),
+                },
+                Response::Error {
+                    id: id(),
+                    message: text.into(),
+                },
+            ]);
+        }
+        for response in &responses {
+            assert_eq!(response.to_line(), tree_line(response), "{response:?}");
         }
     }
 

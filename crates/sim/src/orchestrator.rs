@@ -104,30 +104,32 @@ pub fn spec_fingerprint(spec: &ExperimentSpec) -> String {
     fp
 }
 
-/// FNV-1a over `bytes` from the given offset basis, finished with a
-/// SplitMix64-style avalanche so nearby fingerprints spread over the full
-/// key space.
-fn hash64(bytes: &[u8], offset: u64) -> u64 {
-    let mut h = offset;
+/// Two FNV-1a lanes over `bytes` in one pass, one per offset basis, each
+/// finished with a SplitMix64-style avalanche so nearby fingerprints spread
+/// over the full key space.
+fn hash128(bytes: &[u8]) -> [u64; 2] {
+    let mut lanes = [0xCBF2_9CE4_8422_2325_u64, 0x6C62_272E_07BB_0142];
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        for h in &mut lanes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
+    lanes.map(|mut h| {
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
+    })
 }
 
 /// The content-addressed cache key of a spec: a 128-bit hash of its
 /// [`spec_fingerprint`] as 32 hex characters (two independent 64-bit
-/// passes, so accidental collisions are out of reach for any realistic
+/// lanes, so accidental collisions are out of reach for any realistic
 /// sweep census). It changes whenever the spec's wire line does.
 pub fn spec_cache_key(spec: &ExperimentSpec) -> String {
-    let fp = spec_fingerprint(spec);
-    let a = hash64(fp.as_bytes(), 0xCBF2_9CE4_8422_2325);
-    let b = hash64(fp.as_bytes(), 0x6C62_272E_07BB_0142);
+    let [a, b] = hash128(spec_fingerprint(spec).as_bytes());
     format!("{a:016x}{b:016x}")
 }
 
@@ -1349,17 +1351,36 @@ mod tests {
     }
 
     #[test]
-    fn deep_cnot_entry_replays_when_one_gate_overshoots_its_rounds() {
-        // At x = 0.5 one CNOT takes three SE rounds, one more than the spec
-        // asks for; the record's echo must still match its own spec.
-        let spec = small_spec(Scenario::DeepCnot {
-            patches: 2,
-            rounds: Rounds::Fixed(2),
-            cnots_per_round: 0.5,
-        });
-        let record = engine::run(&spec);
+    fn deep_cnot_spec_that_fits_no_cnot_is_poisoned_and_misses() {
+        // At x = 0.5 one CNOT takes three SE rounds. A two-round spec fits
+        // none: its point is poisoned, the message names the rounds
+        // needed, and nothing is cached under its key.
+        let deep = |rounds| {
+            small_spec(Scenario::DeepCnot {
+                patches: 2,
+                rounds: Rounds::Fixed(rounds),
+                cnots_per_round: 0.5,
+            })
+        };
+        let tmp = TempDir::new("deep-no-cnot");
+        let orch = Orchestrator::new()
+            .with_cache_dir(&tmp.0)
+            .unwrap()
+            .with_panic_isolation(true);
+        let report = orch.run_specs(&[deep(2)]).unwrap();
+        assert!(report.records.is_empty());
+        assert_eq!(report.poisoned.len(), 1);
+        let message = &report.poisoned[0].message;
+        assert!(
+            message.contains("at least 3 SE rounds") && message.contains("got 2"),
+            "{message}"
+        );
+        let lookup = orch.cache().unwrap().lookup(&deep(2));
+        assert!(matches!(lookup, CacheLookup::Miss), "{lookup:?}");
+        // Three rounds fit the one CNOT exactly, and its entry replays.
+        let record = engine::run(&deep(3));
         assert_eq!((record.cnots, record.se_rounds), (1, 3));
-        assert!(record_matches_spec(&record, &spec));
+        assert!(record_matches_spec(&record, &deep(3)));
     }
 
     #[test]

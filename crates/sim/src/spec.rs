@@ -87,7 +87,11 @@ pub enum Scenario {
     DeepCnot {
         /// Number of patches (≥ 2).
         patches: usize,
-        /// Total SE rounds (≥ 2), possibly distance-dependent.
+        /// Total SE rounds, possibly distance-dependent: at least the
+        /// `1 + ⌈1 / x⌉` one CNOT needs (2 for x ≥ 1). The circuit emits
+        /// exactly this many when `(rounds − 1) · x` is an integer, and
+        /// otherwise the most its largest fitting CNOT depth fills; the
+        /// engine panics on fewer rounds than one CNOT needs.
         rounds: Rounds,
         /// Transversal CNOTs per SE round (the paper's `x`).
         cnots_per_round: f64,
