@@ -39,26 +39,24 @@ impl Baseline {
         Baseline { entries }
     }
 
-    /// The findings in `findings` not covered by this baseline: for each
-    /// `(rule, file, snippet)` key, occurrences beyond the tolerated count
-    /// (in source order).
-    pub fn new_findings<'a>(&self, findings: &'a [Finding]) -> Vec<&'a Finding> {
-        let mut seen: BTreeMap<(&str, &str, &str), u32> = BTreeMap::new();
-        let mut fresh = Vec::new();
+    /// Splits `findings` into `(fresh, grandfathered)` by occurrence count
+    /// per `(rule, file, snippet)` key: in order, the first `tolerated`
+    /// identical findings are grandfathered and the rest are new.
+    pub fn split(&self, findings: Vec<Finding>) -> (Vec<Finding>, Vec<Finding>) {
+        let mut seen: BTreeMap<(String, String, String), u32> = BTreeMap::new();
+        let (mut fresh, mut grandfathered) = (Vec::new(), Vec::new());
         for f in findings {
-            let key = (f.rule.as_str(), f.file.as_str(), f.snippet.as_str());
+            let key = (f.rule.clone(), f.file.clone(), f.snippet.clone());
+            let tolerated = self.entries.get(&key).copied().unwrap_or(0);
             let n = seen.entry(key).or_insert(0);
             *n += 1;
-            let tolerated = self
-                .entries
-                .get(&(f.rule.clone(), f.file.clone(), f.snippet.clone()))
-                .copied()
-                .unwrap_or(0);
             if *n > tolerated {
                 fresh.push(f);
+            } else {
+                grandfathered.push(f);
             }
         }
-        fresh
+        (fresh, grandfathered)
     }
 
     /// Serializes to the checked-in JSON format (sorted, one entry per

@@ -17,6 +17,7 @@
 //! | `unsafe-safety` | every `unsafe` carries an adjacent `// SAFETY:` comment |
 //! | `forbid-unsafe` | unsafe-free crates declare `#![forbid(unsafe_code)]` |
 //! | `float-eq`      | no `==`/`!=` on floats in fit/analysis code |
+//! | `orphan-pub`    | no `pub fn` whose name appears nowhere else in the workspace's Rust sources |
 //!
 //! Findings are suppressible only via
 //! `// raa-audit: allow(<rule>): <reason>` with a mandatory reason, and a
@@ -48,7 +49,24 @@ pub fn scan_workspace(root: &Path, baseline: &Baseline) -> io::Result<Report> {
     let mut all_findings: Vec<Finding> = Vec::new();
     let mut suppressed: Vec<Finding> = Vec::new();
     let mut files_scanned = 0usize;
-    let registry = rules::registry();
+    // `orphan-pub` needs the names used in every `.rs` file of these
+    // directories before it can check any one file.
+    let mut orphan_pub = rules::OrphanPub::default();
+    for dir in [
+        "crates",
+        "tests",
+        "examples",
+        "e2ebench/src",
+        "e2ebench/tests",
+    ] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            for path in rs_files(&dir)? {
+                orphan_pub.count(&lexer::lex(&std::fs::read_to_string(path)?));
+            }
+        }
+    }
+    let registry = rules::registry(orphan_pub);
 
     for crate_dir in sorted_dirs(&root.join("crates"))? {
         let crate_rel = format!(
@@ -94,21 +112,7 @@ pub fn scan_workspace(root: &Path, baseline: &Baseline) -> io::Result<Report> {
     // Stable report order: file, line, col, rule.
     all_findings
         .sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
-    // Split against the baseline by occurrence count per key: the first
-    // `tolerated` identical findings are grandfathered, the rest are new.
-    let mut seen: std::collections::BTreeMap<(String, String, String), u32> =
-        std::collections::BTreeMap::new();
-    let (mut fresh, mut grandfathered) = (Vec::new(), Vec::new());
-    for f in all_findings {
-        let key = (f.rule.clone(), f.file.clone(), f.snippet.clone());
-        let n = seen.entry(key.clone()).or_insert(0);
-        *n += 1;
-        if *n > baseline.entries.get(&key).copied().unwrap_or(0) {
-            fresh.push(f);
-        } else {
-            grandfathered.push(f);
-        }
-    }
+    let (fresh, grandfathered) = baseline.split(all_findings);
     Ok(Report {
         fresh,
         grandfathered,

@@ -29,7 +29,7 @@
 //! matter where it lives.
 
 use crate::lexer::{lex, TokKind, Token};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One audit finding, pointing at a token span in a workspace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,13 +226,14 @@ pub trait Rule {
     fn check(&self, ctx: &FileContext) -> Vec<Finding>;
 }
 
-/// All registered rules, in report order.
+/// All registered rules, in report order. `orphan_pub` carries the
+/// workspace's word counts, which no single file holds.
 ///
 /// The crate-level `#![forbid(unsafe_code)]` check does not fit the
 /// per-file [`Rule`] shape and lives in [`forbid_unsafe_findings`]; its
 /// findings use the rule id `forbid-unsafe` and flow through the same
 /// suppression/baseline pipeline.
-pub fn registry() -> Vec<Box<dyn Rule>> {
+pub fn registry(orphan_pub: OrphanPub) -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(HashIter),
         Box::new(NondetTime),
@@ -240,6 +241,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(PanicPath),
         Box::new(UnsafeSafety),
         Box::new(FloatEq),
+        Box::new(orphan_pub),
     ]
 }
 
@@ -812,6 +814,74 @@ impl Rule for FloatEq {
                         "float `{}` comparison; compare against a tolerance or restructure \
                          so exactness is guaranteed",
                         t.text
+                    ),
+                ));
+            }
+        }
+        findings
+    }
+}
+
+/// `orphan-pub`: a `pub fn` outside test code whose name appears nowhere
+/// else in the workspace is public API without a caller.
+///
+/// This is a word scan, not name resolution. [`OrphanPub::count`] counts
+/// every identifier and every word of doc-comment text, so doctests and
+/// intra-doc links are uses; a name counted once is only its own
+/// declaration. A name shared with any other item hides a function, so
+/// the rule can miss dead code but never flags a function that is named
+/// somewhere.
+#[derive(Default)]
+pub struct OrphanPub {
+    uses: BTreeMap<String, u32>,
+}
+
+impl OrphanPub {
+    /// Adds one file's identifiers and doc-comment words to the counts.
+    pub fn count(&mut self, tokens: &[Token]) {
+        let mut add = |w: &str| *self.uses.entry(w.to_string()).or_insert(0) += 1;
+        for t in tokens {
+            let doc = ["///", "//!", "/**", "/*!"]
+                .iter()
+                .any(|p| t.text.starts_with(p));
+            match t.kind {
+                TokKind::Ident => add(&t.text),
+                TokKind::LineComment | TokKind::BlockComment if doc => t
+                    .text
+                    .split(|c: char| c != '_' && !c.is_alphanumeric())
+                    .filter(|w| w.starts_with(|c: char| c == '_' || c.is_alphabetic()))
+                    .for_each(&mut add),
+                _ => {}
+            }
+        }
+    }
+}
+
+impl Rule for OrphanPub {
+    fn id(&self) -> &'static str {
+        "orphan-pub"
+    }
+    fn summary(&self) -> &'static str {
+        "no pub fn whose name appears nowhere else in the workspace"
+    }
+    fn applies_to(&self, rel_path: &str) -> bool {
+        rel_path.starts_with("crates/")
+    }
+    fn check(&self, ctx: &FileContext) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        for ci in 0..ctx.code.len() {
+            if ctx.ct_in_test(ci) || !ctx.seq(ci, &["pub", "fn"]) {
+                continue;
+            }
+            let Some(name) = ctx.ct(ci + 2) else { break };
+            if self.uses.get(&name.text).copied().unwrap_or(0) <= 1 {
+                findings.push(ctx.finding(
+                    self.id(),
+                    name,
+                    format!(
+                        "`pub fn {}` is named nowhere else in the workspace (no caller, test \
+                         or doc example); delete it",
+                        name.text
                     ),
                 ));
             }

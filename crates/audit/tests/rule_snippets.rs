@@ -5,8 +5,8 @@
 
 use raa_audit::lexer::lex;
 use raa_audit::rules::{
-    forbid_unsafe_findings, run_rule_on, EnvVar, FloatEq, HashIter, NondetTime, PanicPath, Rule,
-    UnsafeSafety,
+    forbid_unsafe_findings, run_rule_on, EnvVar, FloatEq, HashIter, NondetTime, OrphanPub,
+    PanicPath, Rule, UnsafeSafety,
 };
 
 fn hits(rule: &dyn Rule, path: &str, src: &str) -> usize {
@@ -287,4 +287,39 @@ fn forbid_unsafe_silent_with_attribute_or_real_unsafe() {
         "// #![forbid(unsafe_code)]\npub fn f() {}\n",
     )];
     assert_eq!(forbid_unsafe_findings("crates/foo", &faked).len(), 1);
+}
+
+// --------------------------------------------------------------- orphan-pub
+
+#[test]
+fn orphan_pub_flags_a_caller_less_function_until_a_test_or_doc_names_it() {
+    let lib = r#"
+pub fn lonely() {}
+pub fn called() {}
+pub(crate) fn internal() {}
+#[cfg(test)]
+mod tests { pub fn helper() {} }
+"#;
+    // A plain comment or a string is not a use; a call is.
+    let user = "// lonely\nfn main() { let _ = \"lonely\"; called(); }\n";
+    let mut rule = OrphanPub::default();
+    rule.count(&lex(lib));
+    rule.count(&lex(user));
+    let findings = run_rule_on(&rule, "crates/foo/src/lib.rs", lib);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(
+        (findings[0].rule.as_str(), findings[0].line),
+        ("orphan-pub", 2)
+    );
+    for naming in [
+        "#[test]\nfn t() { foo::lonely(); }\n",
+        "/// ```\n/// foo::lonely();\n/// ```\npub struct S;\n",
+        "//! See [`lonely`](foo::lonely).\n",
+    ] {
+        let mut rule = OrphanPub::default();
+        for src in [lib, user, naming] {
+            rule.count(&lex(src));
+        }
+        assert_eq!(hits(&rule, "crates/foo/src/lib.rs", lib), 0, "{naming}");
+    }
 }

@@ -24,9 +24,6 @@ use raa_factory::CczFactory;
 use raa_gadgets::{CuccaroAdder, LookupTable};
 use std::fmt;
 
-/// Fraction of SELECT work done by rotations (Ref. [77] Fig. 5: ≈70%).
-const SELECT_ROTATION_FRACTION: f64 = 0.7;
-
 /// A tensor-hypercontraction chemistry instance.
 ///
 /// # Example
@@ -170,8 +167,7 @@ pub fn estimate(instance: &ThcInstance, ctx: &ArchContext) -> ChemistryEstimate 
 
     let per_step_ccz = 2.0 * prepare.ccz_count() as f64
         + select_lookup.ccz_count() as f64
-        + 2.0 * rotation_adder.toffoli_count() as f64 / SELECT_ROTATION_FRACTION
-            * SELECT_ROTATION_FRACTION;
+        + 2.0 * rotation_adder.toffoli_count() as f64;
     let per_step_seconds = 2.0 * prepare.duration(ctx)
         + select_lookup.duration(ctx)
         + 2.0 * rotation_adder.duration(ctx);

@@ -46,20 +46,6 @@ pub fn idle_error_per_second(params: &ErrorModelParams, distance: u32, dt: f64, 
     idle_error_per_round(params, distance, dt, t_coh) / dt
 }
 
-/// Smallest odd distance whose idle error per second meets `target`, at
-/// period `dt`.
-pub fn idle_distance_for_target(
-    params: &ErrorModelParams,
-    dt: f64,
-    t_coh: f64,
-    target_per_second: f64,
-    max_distance: u32,
-) -> Option<u32> {
-    (3..=max_distance)
-        .step_by(2)
-        .find(|&d| idle_error_per_second(params, d, dt, t_coh) <= target_per_second)
-}
-
 /// Relative margin of [`optimal_idle_period`]'s window. The computed idle
 /// error per second carries a relative rounding error of at most about
 /// `(5k + 3)` ulp (≈ 6·10⁻¹⁴ for d ≤ [`WINDOW_MAX_DISTANCE`]), so two
@@ -156,41 +142,6 @@ fn full_grid_idle_period(params: &ErrorModelParams, distance: u32, t_coh: f64) -
         dt *= 1.05;
     }
     best.1
-}
-
-/// One point of the Fig. 11(c,d) sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdleSweepPoint {
-    /// SE period in seconds.
-    pub dt: f64,
-    /// Logical error per qubit per second.
-    pub error_per_second: f64,
-    /// Relative space–time volume (d² for the distance meeting the target).
-    pub relative_volume: Option<f64>,
-}
-
-/// Sweeps the SE period, reporting error rates and the volume of the distance
-/// needed to meet `target_per_second` (Fig. 11c,d series).
-pub fn sweep_idle_period(
-    params: &ErrorModelParams,
-    distance: u32,
-    t_coh: f64,
-    target_per_second: f64,
-    periods: &[f64],
-) -> Vec<IdleSweepPoint> {
-    periods
-        .iter()
-        .map(|&dt| {
-            let error = idle_error_per_second(params, distance, dt, t_coh);
-            let volume = idle_distance_for_target(params, dt, t_coh, target_per_second, 199)
-                .map(|d| f64::from(d) * f64::from(d));
-            IdleSweepPoint {
-                dt,
-                error_per_second: error,
-                relative_volume: volume,
-            }
-        })
-        .collect()
 }
 
 /// The closed-form optimum of the smooth model:
@@ -336,13 +287,6 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "200,000 searches; runs in release")]
     fn windowed_period_matches_the_literal_reference_on_200k_inputs() {
         assert_matches_reference(0x1D1E_1D1E, 200_000);
-    }
-
-    #[test]
-    fn sweep_reports_volumes() {
-        let pts = sweep_idle_period(&p(), 27, 10.0, 1e-10, &[1e-4, 1e-3, 1e-2, 1e-1]);
-        assert_eq!(pts.len(), 4);
-        assert!(pts.iter().any(|pt| pt.relative_volume.is_some()));
     }
 
     proptest! {

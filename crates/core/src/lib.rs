@@ -10,7 +10,6 @@
 //!   (Fig. 6a);
 //! * [`idle`] — idle-storage SE-frequency optimization (Fig. 11c,d);
 //! * [`volume`] — qubits × seconds bookkeeping, the optimization objective;
-//! * [`budget`] — splitting a failure budget across algorithm components;
 //! * [`gadget`] — the common cost interface implemented by every subroutine
 //!   generator (factories, adders, look-up tables).
 //!
@@ -31,18 +30,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod fit;
 pub mod gadget;
 pub mod idle;
 pub mod logical;
 pub mod params;
-pub mod rotation;
 #[cfg(test)]
 mod test_rng;
 pub mod volume;
 
-pub use budget::ErrorBudget;
 pub use fit::{fit_cnot_model, CnotErrorPoint, FitResult};
 pub use gadget::{ArchContext, Gadget, GadgetCost};
 pub use params::ErrorModelParams;

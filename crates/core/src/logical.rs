@@ -91,19 +91,6 @@ pub fn distance_for_cnot_target(
         .find(|&d| cnot_error(params, d, x) <= target)
 }
 
-/// Smallest odd code distance whose per-round memory error (Eq. 2) is at most
-/// `target`.
-pub fn distance_for_memory_target(
-    params: &ErrorModelParams,
-    target: f64,
-    max_distance: u32,
-) -> Option<u32> {
-    check_target(target);
-    (3..=max_distance)
-        .step_by(2)
-        .find(|&d| memory_error_per_round(params, d) <= target)
-}
-
 /// Continuous-distance solution of Eq. (4) for a target per-CNOT error:
 /// `d = 2·ln(2C/(x·target)) / ln(Λ/(αx+1)) − 1`. Used inside the volume
 /// formula (Eq. 6); returns `None` when the effective suppression base is

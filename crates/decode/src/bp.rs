@@ -258,11 +258,6 @@ impl BpUnionFindDecoder {
             base: UnionFindDecoder::new(graph),
         }
     }
-
-    /// Access to the BP engine.
-    pub fn belief_propagation(&self) -> &BeliefPropagation {
-        &self.bp
-    }
 }
 
 impl Decoder for BpUnionFindDecoder {

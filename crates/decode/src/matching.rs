@@ -221,17 +221,6 @@ impl MatchingDecoder {
         &self.graph
     }
 
-    /// Whether a defect component of size `n` will be decoded exactly.
-    ///
-    /// Defects are first partitioned into independent components (defects
-    /// `i`, `j` interact only when `d(i, j) < bnd(i) + bnd(j)`; otherwise
-    /// routing both to the boundary is never worse than pairing them), and
-    /// the cap applies per component — so syndromes far larger than the cap
-    /// still decode exactly when their defects are spread out.
-    pub fn is_exact_for(&self, n: usize) -> bool {
-        n <= self.max_exact_defects
-    }
-
     /// Dijkstra from `source`, writing into row `row` of the search tables.
     /// Terminates once every marked target (`search.is_target`) is settled:
     /// the pairing only needs defect→defect and defect→boundary distances,

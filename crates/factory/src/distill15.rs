@@ -10,7 +10,7 @@
 //! can quantify the paper's design choice.
 
 use crate::ccz::T_PER_CCZ;
-use raa_core::{logical, ArchContext};
+use raa_core::ArchContext;
 use std::fmt;
 
 /// Error suppression coefficient of one 15-to-1 round.
@@ -70,11 +70,6 @@ impl Distill15Factory {
         p
     }
 
-    /// Input |T⟩ states consumed per output state: 15 per level.
-    pub fn inputs_per_output(&self) -> f64 {
-        15f64.powi(self.levels as i32)
-    }
-
     /// Patches held by the pipeline: level ℓ needs 15× the units of ℓ+1 to
     /// keep it fed, so space is dominated by the first level.
     pub fn patches(&self) -> f64 {
@@ -101,21 +96,6 @@ impl Distill15Factory {
     /// (eight |T⟩ per |CCZ⟩ from a single pipeline).
     pub fn ccz_interval(&self, ctx: &ArchContext) -> f64 {
         T_PER_CCZ as f64 * self.t_output_interval(ctx) / self.levels.max(1) as f64
-    }
-
-    /// |CCZ⟩ output error through the 8T-to-CCZ stage: `28 p_T²` plus the
-    /// stage's Clifford term.
-    pub fn ccz_output_error(&self, ctx: &ArchContext) -> f64 {
-        28.0 * self.output_error().powi(2)
-            + crate::ccz::CczFactory::clifford_error(ctx)
-            + self.clifford_error(ctx)
-    }
-
-    /// Transversal Clifford error accumulated inside the distillation rounds.
-    pub fn clifford_error(&self, ctx: &ArchContext) -> f64 {
-        // ~30 CNOT-equivalents per 15-to-1 round, per level.
-        30.0 * self.levels as f64
-            * logical::cnot_error(&ctx.error, ctx.distance, ctx.cnots_per_round)
     }
 }
 

@@ -1,6 +1,6 @@
-//! Site-grid geometry: lattice coordinates, rectangular footprints and patch placement.
+//! Site-grid geometry: rectangular footprints and per-patch atom counts.
 //!
-//! All coordinates are in units of the lattice site spacing (Table I: 12 µm).
+//! All lengths are in units of the lattice site spacing (Table I: 12 µm).
 //! A distance-`d` surface-code patch occupies a `d × d` block of sites (data
 //! qubits at unit pitch with syndrome ancillas interleaved at sub-site offsets),
 //! so the physical linear size of a patch is `d` sites — consistent with the
@@ -8,59 +8,6 @@
 //! qubit" is a `d`-site move.
 
 use std::fmt;
-use std::ops::{Add, Sub};
-
-/// A lattice site, in units of the site spacing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Site {
-    /// Column index.
-    pub x: i64,
-    /// Row index.
-    pub y: i64,
-}
-
-impl Site {
-    /// Creates a site at `(x, y)`.
-    pub fn new(x: i64, y: i64) -> Self {
-        Self { x, y }
-    }
-
-    /// Euclidean distance to `other`, in sites.
-    pub fn distance(&self, other: Site) -> f64 {
-        ((self.x - other.x) as f64).hypot((self.y - other.y) as f64)
-    }
-
-    /// Manhattan distance to `other`, in sites.
-    pub fn manhattan(&self, other: Site) -> i64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-}
-
-impl Add for Site {
-    type Output = Site;
-    fn add(self, rhs: Site) -> Site {
-        Site::new(self.x + rhs.x, self.y + rhs.y)
-    }
-}
-
-impl Sub for Site {
-    type Output = Site;
-    fn sub(self, rhs: Site) -> Site {
-        Site::new(self.x - rhs.x, self.y - rhs.y)
-    }
-}
-
-impl From<(i64, i64)> for Site {
-    fn from((x, y): (i64, i64)) -> Self {
-        Site::new(x, y)
-    }
-}
-
-impl fmt::Display for Site {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {})", self.x, self.y)
-    }
-}
 
 /// An axis-aligned rectangular footprint on the site grid.
 ///
@@ -91,26 +38,9 @@ impl Footprint {
         Self::new(d, d)
     }
 
-    /// A horizontal row of `n` distance-`d` patches.
-    pub fn patch_row(distance: u32, n: u64) -> Self {
-        let d = u64::from(distance);
-        Self::new(d * n, d)
-    }
-
     /// Stacks `self` on top of `other` (heights add, width is the maximum).
     pub fn stack_vertical(&self, other: Footprint) -> Footprint {
         Footprint::new(self.width.max(other.width), self.height + other.height)
-    }
-
-    /// Places `self` beside `other` (widths add, height is the maximum).
-    pub fn stack_horizontal(&self, other: Footprint) -> Footprint {
-        Footprint::new(self.width + other.width, self.height.max(other.height))
-    }
-
-    /// The longest straight-line hop inside this footprint, in sites
-    /// (the diagonal), bounding worst-case intra-gadget move times.
-    pub fn diagonal_sites(&self) -> f64 {
-        (self.width as f64).hypot(self.height as f64)
     }
 }
 
@@ -127,26 +57,10 @@ pub fn atoms_per_patch(distance: u32) -> u64 {
     2 * d * d - 1
 }
 
-/// Number of physical atoms for `n` logical qubits at distance `d`.
-pub fn atoms_for_patches(distance: u32, n: u64) -> u64 {
-    atoms_per_patch(distance) * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn site_arithmetic() {
-        let a = Site::new(1, 2);
-        let b = Site::new(4, 6);
-        assert_eq!(a + b, Site::new(5, 8));
-        assert_eq!(b - a, Site::new(3, 4));
-        assert!((a.distance(b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.manhattan(b), 7);
-        assert_eq!(Site::from((3, 4)), Site::new(3, 4));
-    }
 
     #[test]
     fn patch_footprint_and_atoms() {
@@ -154,7 +68,6 @@ mod tests {
         assert_eq!(fp.area(), 27 * 27);
         // d^2 data + d^2 - 1 ancilla
         assert_eq!(atoms_per_patch(27), 2 * 27 * 27 - 1);
-        assert_eq!(atoms_for_patches(3, 10), 170);
     }
 
     #[test]
@@ -163,31 +76,14 @@ mod tests {
         let b = Footprint::new(12, 1);
         let stacked = a.stack_vertical(b);
         assert_eq!(stacked, Footprint::new(12, 4));
-        let side = a.stack_horizontal(b);
-        assert_eq!(side, Footprint::new(24, 3));
-    }
-
-    #[test]
-    fn patch_row_scales_width() {
-        assert_eq!(Footprint::patch_row(27, 12), Footprint::new(324, 27));
     }
 
     #[test]
     fn display_nonempty() {
-        assert!(!Site::new(0, 0).to_string().is_empty());
         assert!(!Footprint::new(1, 1).to_string().is_empty());
     }
 
     proptest! {
-        /// Triangle inequality for site distances.
-        #[test]
-        fn triangle_inequality(ax in -100i64..100, ay in -100i64..100,
-                               bx in -100i64..100, by in -100i64..100,
-                               cx in -100i64..100, cy in -100i64..100) {
-            let (a, b, c) = (Site::new(ax, ay), Site::new(bx, by), Site::new(cx, cy));
-            prop_assert!(a.distance(c) <= a.distance(b) + b.distance(c) + 1e-9);
-        }
-
         /// Stacking preserves total area at equal widths/heights.
         #[test]
         fn vertical_stack_area(w in 1u64..100, h1 in 1u64..100, h2 in 1u64..100) {

@@ -6,9 +6,8 @@
 //!
 //! * [`params::PhysicalParams`] — the platform parameters of Table I (site spacing,
 //!   effective acceleration, gate/measure/decode times, coherence time),
-//! * [`motion`] — the atom-movement time law *t = 2·sqrt(L/a)* (Eq. 1) and
-//!   block-move plans under AOD (acousto-optic deflector) constraints,
-//! * [`geometry`] — the site grid, rectangular footprints and patch placement,
+//! * [`motion`] — the atom-movement time law *t = 2·sqrt(L/a)* (Eq. 1),
+//! * [`geometry`] — rectangular footprints and per-patch atom counts,
 //! * [`timing`] — derived QEC-cycle timing: pipelined syndrome extraction,
 //!   transversal-gate steps and the reaction time of the control system.
 //!
@@ -26,16 +25,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aod;
 pub mod geometry;
 pub mod motion;
 pub mod params;
 pub mod timing;
-pub mod zones;
 
-pub use aod::{validate as validate_aod_move, AodError, AodMove};
-pub use geometry::{Footprint, Site};
-pub use motion::{move_time, MovePlan, MoveSegment};
+pub use geometry::Footprint;
+pub use motion::move_time;
 pub use params::PhysicalParams;
 pub use timing::CycleModel;
-pub use zones::{Zone, ZoneKind, ZoneLayout};

@@ -1,4 +1,4 @@
-//! Atom-movement time model and AOD block-move plans.
+//! The atom-movement time law.
 //!
 //! The time to move an atom a distance `L` while maintaining constant thermal
 //! excitation is (Eq. 1 of the paper)
@@ -13,7 +13,6 @@
 //! measured move data (55 µm in 200 µs), so the law is accurate for that
 //! schedule too (paper footnote \[42\]).
 
-use crate::geometry::Site;
 use crate::params::PhysicalParams;
 
 /// Time in seconds to move an atom a distance of `distance` metres (Eq. 1).
@@ -57,140 +56,6 @@ pub fn move_time_sites(params: &PhysicalParams, sites: f64) -> f64 {
     move_time(params, sites * params.site_spacing)
 }
 
-/// One rigid translation of a block of atoms picked up by the AOD tweezers.
-///
-/// AOD constraints are modelled as rigid translations: every atom in the block
-/// moves by the same displacement, so rows and columns cannot cross. The move
-/// time depends only on the Euclidean displacement length (Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MoveSegment {
-    /// Displacement in lattice sites along x.
-    pub dx: f64,
-    /// Displacement in lattice sites along y.
-    pub dy: f64,
-}
-
-impl MoveSegment {
-    /// Creates a move by `(dx, dy)` lattice sites.
-    pub fn new(dx: f64, dy: f64) -> Self {
-        Self { dx, dy }
-    }
-
-    /// Euclidean length of the displacement in lattice sites.
-    pub fn length_sites(&self) -> f64 {
-        self.dx.hypot(self.dy)
-    }
-
-    /// Duration of this segment under Eq. (1).
-    pub fn duration(&self, params: &PhysicalParams) -> f64 {
-        move_time_sites(params, self.length_sites())
-    }
-}
-
-/// A sequence of rigid block moves executed one after another.
-///
-/// Segments are executed sequentially (a single AOD can only perform one
-/// translation at a time); the plan duration is the sum of segment durations.
-/// Use one plan per parallel AOD channel.
-///
-/// # Example
-///
-/// ```
-/// use raa_physics::{MovePlan, MoveSegment, PhysicalParams};
-///
-/// let p = PhysicalParams::default();
-/// let mut plan = MovePlan::new();
-/// plan.push(MoveSegment::new(1.0, 0.0));
-/// plan.push(MoveSegment::new(0.0, 1.0));
-/// assert!(plan.duration(&p) > 0.0);
-/// assert_eq!(plan.len(), 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MovePlan {
-    segments: Vec<MoveSegment>,
-}
-
-impl MovePlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a segment to the plan.
-    pub fn push(&mut self, segment: MoveSegment) -> &mut Self {
-        self.segments.push(segment);
-        self
-    }
-
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Whether the plan has no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Iterates over the segments in execution order.
-    pub fn iter(&self) -> std::slice::Iter<'_, MoveSegment> {
-        self.segments.iter()
-    }
-
-    /// Total duration of the plan: the sum of Eq. (1) times over segments.
-    pub fn duration(&self, params: &PhysicalParams) -> f64 {
-        self.segments.iter().map(|s| s.duration(params)).sum()
-    }
-
-    /// Total path length in lattice sites.
-    pub fn length_sites(&self) -> f64 {
-        self.segments.iter().map(|s| s.length_sites()).sum()
-    }
-
-    /// Net displacement of the block after all segments, in lattice sites.
-    pub fn net_displacement(&self) -> (f64, f64) {
-        self.segments
-            .iter()
-            .fold((0.0, 0.0), |(x, y), s| (x + s.dx, y + s.dy))
-    }
-
-    /// The plan that interleaves two logical patches for a transversal gate:
-    /// pick up one patch and overlay it onto the other, a move of `d` sites
-    /// (one logical-patch pitch), then return it afterwards.
-    ///
-    /// The paper's §IV.2 notes this takes ≈500 µs at d = 27, matching the
-    /// measurement time so the two pipeline.
-    pub fn patch_overlay(distance_sites: u32) -> Self {
-        let mut plan = Self::new();
-        plan.push(MoveSegment::new(f64::from(distance_sites), 0.0));
-        plan
-    }
-}
-
-impl FromIterator<MoveSegment> for MovePlan {
-    fn from_iter<I: IntoIterator<Item = MoveSegment>>(iter: I) -> Self {
-        Self {
-            segments: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<MoveSegment> for MovePlan {
-    fn extend<I: IntoIterator<Item = MoveSegment>>(&mut self, iter: I) {
-        self.segments.extend(iter);
-    }
-}
-
-/// Plans a rigid move between two sites, as a single diagonal segment.
-pub fn plan_between(from: Site, to: Site) -> MovePlan {
-    let mut plan = MovePlan::new();
-    let (dx, dy) = (to.x - from.x, to.y - from.y);
-    if dx != 0 || dy != 0 {
-        plan.push(MoveSegment::new(dx as f64, dy as f64));
-    }
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,25 +82,6 @@ mod tests {
     #[test]
     fn zero_distance_is_instant() {
         assert_eq!(move_time(&p(), 0.0), 0.0);
-    }
-
-    #[test]
-    fn plan_duration_is_sum_of_segments() {
-        let mut plan = MovePlan::new();
-        plan.push(MoveSegment::new(3.0, 4.0));
-        plan.push(MoveSegment::new(0.0, 2.0));
-        let d = plan.duration(&p());
-        let expect = move_time_sites(&p(), 5.0) + move_time_sites(&p(), 2.0);
-        assert!((d - expect).abs() < 1e-12);
-        assert_eq!(plan.net_displacement(), (3.0, 6.0));
-    }
-
-    #[test]
-    fn plan_between_sites() {
-        let plan = plan_between(Site::new(0, 0), Site::new(3, 4));
-        assert_eq!(plan.len(), 1);
-        assert!((plan.length_sites() - 5.0).abs() < 1e-12);
-        assert!(plan_between(Site::new(1, 1), Site::new(1, 1)).is_empty());
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl CycleModel {
         move_time_sites(&self.params, f64::from(self.distance))
     }
 
-    /// Time to move a code patch across `pitches` logical-qubit pitches.
-    pub fn patch_move_time_over(&self, pitches: f64) -> f64 {
-        move_time_sites(&self.params, pitches * f64::from(self.distance))
-    }
-
     /// Duration of one full QEC cycle: the gate segment followed by the
     /// measurement segment, where ancilla readout is pipelined with the patch
     /// move for the next transversal gate (§IV.2). The measurement segment is

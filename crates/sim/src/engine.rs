@@ -216,20 +216,12 @@ pub struct RunTiming {
 /// [`raa_decode::WindowError`]), or if the decode thread pool cannot be
 /// built (see [`try_run`] for the fallible form).
 pub fn run(spec: &ExperimentSpec) -> ExperimentRecord {
-    run_timed(spec).0
+    try_run(spec).unwrap_or_else(|e| panic!("{e}")).0
 }
 
-/// Like [`run`], but also reports the setup/decode wall-clock split.
-///
-/// # Panics
-///
-/// As [`run`]; see [`try_run_timed`] for the fallible form.
-pub fn run_timed(spec: &ExperimentSpec) -> (ExperimentRecord, RunTiming) {
-    try_run_timed(spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`run`]: infrastructure failures (the decode thread
-/// pool failing to build) surface as [`McError`] instead of a panic.
+/// Fallible form of [`run`], which also reports the setup/decode
+/// wall-clock split: infrastructure failures (the decode thread pool
+/// failing to build) surface as [`McError`] instead of a panic.
 /// Spec-shape violations (windowed/streaming constraints) still panic —
 /// they are caller bugs, not runtime conditions.
 ///
@@ -237,17 +229,7 @@ pub fn run_timed(spec: &ExperimentSpec) -> (ExperimentRecord, RunTiming) {
 ///
 /// Returns [`McError::PoolBuild`] when the spec's [`raa_decode::McConfig`]
 /// requests a dedicated thread pool and building it fails.
-pub fn try_run(spec: &ExperimentSpec) -> Result<ExperimentRecord, McError> {
-    Ok(try_run_timed(spec)?.0)
-}
-
-/// Fallible form of [`run_timed`]; see [`try_run`] for the error contract.
-///
-/// # Errors
-///
-/// Returns [`McError::PoolBuild`] when the spec's [`raa_decode::McConfig`]
-/// requests a dedicated thread pool and building it fails.
-pub fn try_run_timed(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), McError> {
+pub fn try_run(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), McError> {
     // Every field is named, so a new spec field fails to compile here (and
     // in the wire writer that decides the cache key) until it is handled.
     let ExperimentSpec {
@@ -421,7 +403,7 @@ mod tests {
     #[test]
     fn try_run_matches_run() {
         let spec = memory_spec();
-        let (record, timing) = try_run_timed(&spec).expect("ambient pool cannot fail");
+        let (record, timing) = try_run(&spec).expect("ambient pool cannot fail");
         assert_eq!(record.to_json(), run(&spec).to_json());
         assert!(timing.decode_seconds >= 0.0);
         assert!(timing.setup_seconds >= 0.0);

@@ -73,7 +73,7 @@ pub mod service;
 pub mod spec;
 
 pub use calibrate::{calibrate, fit_calibration, Calibration, CalibrationConfig, CalibrationError};
-pub use engine::{build_circuit, derive_seed, run, run_sweep, run_timed, RunTiming};
+pub use engine::{build_circuit, derive_seed, run, run_sweep, try_run, RunTiming};
 pub use error::{OrchestratorError, PoisonedPoint};
 pub use lock::{Backoff, FileLock, LockError, LockOptions};
 pub use orchestrator::{

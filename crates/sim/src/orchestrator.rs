@@ -794,7 +794,7 @@ impl Orchestrator {
         let record = match result {
             // A typed engine error (decode pool build) is infrastructure,
             // not a property of the point: fail the job, don't poison.
-            Ok(run) => run?,
+            Ok(run) => run?.0,
             Err(payload) => {
                 return Ok(PointOutcome::Poisoned(PoisonedPoint {
                     index,

@@ -86,11 +86,6 @@ impl OpKind {
     pub fn is_measurement(self) -> bool {
         matches!(self, OpKind::M | OpKind::MX | OpKind::MR)
     }
-
-    /// Whether this operation discards prior state on its targets.
-    pub fn is_reset(self) -> bool {
-        matches!(self, OpKind::R | OpKind::RX | OpKind::MR)
-    }
 }
 
 /// One operation: a kind, a flat target list and an optional probability argument.

@@ -182,16 +182,6 @@ impl PauliString {
         let support: BTreeSet<u32> = self.xs.union(&self.zs).copied().collect();
         support.into_iter().map(move |q| (q, self.get(q)))
     }
-
-    /// The qubits with an X component (including Y).
-    pub fn x_support(&self) -> impl Iterator<Item = u32> + '_ {
-        self.xs.iter().copied()
-    }
-
-    /// The qubits with a Z component (including Y).
-    pub fn z_support(&self) -> impl Iterator<Item = u32> + '_ {
-        self.zs.iter().copied()
-    }
 }
 
 impl fmt::Display for PauliString {

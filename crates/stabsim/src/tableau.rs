@@ -303,14 +303,6 @@ impl TableauSim {
         }
     }
 
-    /// Measures qubit `q` in the X basis.
-    pub fn measure_x<R: Rng>(&mut self, q: usize, rng: &mut R) -> MeasureResult {
-        self.h(q);
-        let m = self.measure(q, rng);
-        self.h(q);
-        m
-    }
-
     /// Resets qubit `q` to |0⟩.
     pub fn reset(&mut self, q: usize) {
         let m = self.measure_desired(q, false);

@@ -518,22 +518,6 @@ impl PatchCircuitBuilder {
         self.circuit.z_error(&[q], p);
     }
 
-    /// The logical reference flow of `patch` in the given basis: the set of
-    /// earlier measurement indices whose parity the logical operator
-    /// currently equals, or `None` when undetermined.
-    pub fn logical_flow(&self, patch: usize, basis: Basis) -> Option<&[usize]> {
-        match basis {
-            Basis::Z => self.logical_z[patch].as_deref(),
-            Basis::X => self.logical_x[patch].as_deref(),
-        }
-    }
-
-    /// Adds a custom detector over absolute measurement indices (for
-    /// experiment-level parity checks such as GHZ stabilizers).
-    pub fn custom_detector(&mut self, meas: &[usize]) {
-        self.circuit.detector_at(meas);
-    }
-
     /// Adds absolute measurement indices to observable `id`.
     pub fn custom_observable(&mut self, id: usize, meas: &[usize]) {
         self.circuit.observable_include_at(id, meas);

@@ -17,7 +17,7 @@
 //! ```
 
 use raa::sim::{
-    run_timed, DecoderChoice, McConfig, Rounds, SamplerChoice, Scenario, ShotBudget, SweepGrid,
+    try_run, DecoderChoice, McConfig, Rounds, SamplerChoice, Scenario, ShotBudget, SweepGrid,
 };
 
 fn main() {
@@ -100,7 +100,7 @@ fn main() {
         // All four specs share a seed, so the decoders are compared on
         // identical syndrome samples; shots/s counts the decode phase only
         // (setup — DEM extraction, graph building — is excluded).
-        let (record, timing) = run_timed(spec);
+        let (record, timing) = try_run(spec).expect("the decode thread pool builds");
         if first {
             println!(
                 "surface-code memory d = {d}, {} rounds, p = {p}: {} detectors, {} DEM errors \

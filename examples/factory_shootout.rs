@@ -13,7 +13,7 @@
 //! ```
 
 use raa::sim::{
-    run_timed, DecoderChoice, ExperimentSpec, FactoryProtocol, GadgetKind, McConfig, NoiseModel,
+    try_run, DecoderChoice, ExperimentSpec, FactoryProtocol, GadgetKind, McConfig, NoiseModel,
     Rounds, Scenario, ShotBudget,
 };
 
@@ -96,7 +96,7 @@ fn main() {
         spec.shots = ShotBudget::Fixed(shots);
         spec.seed = 99;
         spec.mc = McConfig::default().with_threads(threads);
-        let (record, timing) = run_timed(&spec);
+        let (record, timing) = try_run(&spec).expect("the decode thread pool builds");
         println!(
             "{:<22} d = {}  patches = {:>2}  cnots = {:>3}  detectors = {:>4}  \
              p_L = {:.5} +- {:.5}   ({:.0} shots/s)",

@@ -66,8 +66,13 @@ fn magic_state_chain() {
         "CCZ total = {:.2e}",
         est.ccz_total
     );
+    let target = raa::shor::architecture::CCZ_BUDGET / est.ccz_total;
+    assert!(
+        (target / 1.6e-11 - 1.0).abs() < 0.1,
+        "per-CCZ target = {target:.3e} (paper: 1.6e-11)"
+    );
     let ctx = TransversalArchitecture::paper().context();
-    let factory = CczFactory::for_target(&ctx, 1.6e-11).unwrap();
+    let factory = CczFactory::for_target(&ctx, target).unwrap();
     let p_t = factory.t_input_error();
     assert!(
         (5e-7..9.5e-7).contains(&p_t),
