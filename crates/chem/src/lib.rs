@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use raa_core::{ArchContext, SpaceTime};
+use raa_core::{budget, ArchContext, SpaceTime};
 use raa_factory::CczFactory;
 use raa_gadgets::{CuccaroAdder, LookupTable};
 use std::fmt;
@@ -176,7 +176,7 @@ pub fn estimate(instance: &ThcInstance, ctx: &ArchContext) -> ChemistryEstimate 
         + 2.0 * rotation_adder.logical_error(ctx);
 
     let ccz_total = steps * per_step_ccz;
-    let ccz_target = 0.05 / ccz_total;
+    let ccz_target = budget::per_ccz_target(ccz_total);
     let factory = CczFactory::for_target(ctx, ccz_target)
         .expect("chemistry CCZ target unreachable at this distance");
     let demand = per_step_ccz / per_step_seconds;

@@ -1,145 +1,18 @@
-//! Logical-error budgeting across an algorithm's components.
+//! The §III.6 magic-state share of the failure budget.
 //!
-//! The paper allocates its total failure budget across sources: e.g. the
-//! 2048-bit factoring run gives the ~3×10⁹ CCZ states a 5% collective budget,
-//! which sets the per-CCZ target at 1.6×10⁻¹¹ and hence the per-|T⟩
-//! cultivation target at 7.7×10⁻⁷ via the 28 p² factory law (§III.6).
+//! The paper gives the |CCZ⟩ states a 5% collective budget: over the
+//! 2048-bit factoring run's ~3×10⁹ CCZ states that sets the per-CCZ target
+//! at 1.6×10⁻¹¹, and hence the per-|T⟩ cultivation target at 7.7×10⁻⁷ via
+//! the 28 p² factory law. The factoring and chemistry estimates both size
+//! their factories from [`per_ccz_target`].
 
-use std::collections::BTreeMap;
-use std::fmt;
+/// Fraction of the failure budget reserved for |CCZ⟩ states (§III.6: "the
+/// CCZ error budget should not exceed 5%").
+pub const CCZ_BUDGET: f64 = 0.05;
 
-/// A named share of a total error budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetShare {
-    /// Fraction of the total budget.
-    pub fraction: f64,
-    /// Number of identical operations sharing this slice.
-    pub operations: f64,
-}
-
-impl BudgetShare {
-    /// The per-operation error target implied by `total × fraction / ops`.
-    pub fn per_operation_target(&self, total: f64) -> f64 {
-        total * self.fraction / self.operations.max(1.0)
-    }
-}
-
-/// An error budget split across named components.
-///
-/// # Example
-///
-/// ```
-/// use raa_core::budget::ErrorBudget;
-///
-/// // The paper's factoring allocation: 5% of failures to CCZ states.
-/// let mut budget = ErrorBudget::new(1.0);
-/// budget.allocate("ccz", 0.05, 3.1e9);
-/// let per_ccz = budget.per_operation_target("ccz").unwrap();
-/// assert!((per_ccz / 1.6e-11 - 1.0).abs() < 0.05);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErrorBudget {
-    total: f64,
-    shares: BTreeMap<String, BudgetShare>,
-}
-
-impl ErrorBudget {
-    /// Creates a budget with total acceptable failure probability `total`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total` is not in (0, 1].
-    pub fn new(total: f64) -> Self {
-        assert!(
-            total > 0.0 && total <= 1.0,
-            "total budget must be in (0, 1], got {total}"
-        );
-        Self {
-            total,
-            shares: BTreeMap::new(),
-        }
-    }
-
-    /// The total failure budget.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Allocates `fraction` of the budget to `name`, split over `operations`
-    /// identical operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fraction is not in (0, 1] or allocations would exceed 1.
-    pub fn allocate(&mut self, name: &str, fraction: f64, operations: f64) -> &mut Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1], got {fraction}"
-        );
-        let committed: f64 = self
-            .shares
-            .iter()
-            .filter(|(k, _)| k.as_str() != name)
-            .map(|(_, s)| s.fraction)
-            .sum();
-        assert!(
-            committed + fraction <= 1.0 + 1e-9,
-            "allocations exceed the budget: {committed} + {fraction} > 1"
-        );
-        self.shares.insert(
-            name.to_string(),
-            BudgetShare {
-                fraction,
-                operations,
-            },
-        );
-        self
-    }
-
-    /// The per-operation target for component `name`, if allocated.
-    pub fn per_operation_target(&self, name: &str) -> Option<f64> {
-        self.shares
-            .get(name)
-            .map(|s| s.per_operation_target(self.total))
-    }
-
-    /// The absolute error allowance of component `name`.
-    pub fn component_total(&self, name: &str) -> Option<f64> {
-        self.shares.get(name).map(|s| s.fraction * self.total)
-    }
-
-    /// Fraction of the budget not yet allocated.
-    pub fn unallocated_fraction(&self) -> f64 {
-        (1.0 - self.shares.values().map(|s| s.fraction).sum::<f64>()).max(0.0)
-    }
-
-    /// Checks an achieved error vector against the budget: true when every
-    /// component's total achieved error is within its allocation.
-    pub fn is_satisfied_by<'a, I>(&self, achieved: I) -> bool
-    where
-        I: IntoIterator<Item = (&'a str, f64)>,
-    {
-        achieved.into_iter().all(|(name, err)| {
-            self.component_total(name)
-                .is_some_and(|allowed| err <= allowed * (1.0 + 1e-9))
-        })
-    }
-}
-
-impl fmt::Display for ErrorBudget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "budget {:.3}: ", self.total)?;
-        for (name, share) in &self.shares {
-            write!(
-                f,
-                "[{} {:.1}% / {:.2e} ops] ",
-                name,
-                share.fraction * 100.0,
-                share.operations
-            )?;
-        }
-        Ok(())
-    }
+/// The per-CCZ error target when `ccz_total` states share [`CCZ_BUDGET`].
+pub fn per_ccz_target(ccz_total: f64) -> f64 {
+    CCZ_BUDGET / ccz_total
 }
 
 #[cfg(test)]
@@ -149,50 +22,7 @@ mod tests {
     #[test]
     fn paper_ccz_budget() {
         // 5% of the run budget over 3.1e9 CCZ states → 1.6e-11 per CCZ.
-        let mut b = ErrorBudget::new(1.0);
-        b.allocate("ccz", 0.05, 3.1e9);
-        let t = b.per_operation_target("ccz").unwrap();
+        let t = per_ccz_target(3.1e9);
         assert!((t / 1.6e-11 - 1.0).abs() < 0.05, "t = {t}");
-    }
-
-    #[test]
-    fn allocation_bookkeeping() {
-        let mut b = ErrorBudget::new(0.5);
-        b.allocate("a", 0.4, 100.0).allocate("b", 0.4, 10.0);
-        assert!((b.unallocated_fraction() - 0.2).abs() < 1e-12);
-        assert!((b.component_total("a").unwrap() - 0.2).abs() < 1e-12);
-        assert!((b.per_operation_target("b").unwrap() - 0.02).abs() < 1e-12);
-        assert_eq!(b.per_operation_target("missing"), None);
-    }
-
-    #[test]
-    fn satisfaction_check() {
-        let mut b = ErrorBudget::new(1.0);
-        b.allocate("x", 0.5, 1.0);
-        assert!(b.is_satisfied_by([("x", 0.4)]));
-        assert!(!b.is_satisfied_by([("x", 0.6)]));
-        assert!(!b.is_satisfied_by([("unknown", 0.0)]));
-    }
-
-    #[test]
-    fn reallocation_replaces() {
-        let mut b = ErrorBudget::new(1.0);
-        b.allocate("x", 0.9, 1.0);
-        b.allocate("x", 0.5, 1.0); // replace, not accumulate
-        b.allocate("y", 0.5, 1.0);
-        assert!(b.unallocated_fraction() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn over_allocation_panics() {
-        let mut b = ErrorBudget::new(1.0);
-        b.allocate("a", 0.7, 1.0).allocate("b", 0.7, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "(0, 1]")]
-    fn rejects_bad_total() {
-        let _ = ErrorBudget::new(0.0);
     }
 }

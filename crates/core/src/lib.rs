@@ -4,6 +4,7 @@
 //! ISCA 2025).
 //!
 //! * [`params`] — the calibrated model constants (`C`, `Λ`, `α`, §III.4);
+//! * [`budget`] — the 5% |CCZ⟩ share of the failure budget (§III.6);
 //! * [`logical`] — Eqs. (2)–(6): memory suppression, per-CNOT error with the
 //!   decoding factor `α`, effective threshold, volume-per-CNOT optimization;
 //! * [`fit`] — extracting `(α, Λ)` from transversal-circuit simulations
@@ -30,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod budget;
 pub mod fit;
 pub mod gadget;
 pub mod idle;

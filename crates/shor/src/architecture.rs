@@ -11,15 +11,12 @@
 //! CCZ states, transversal gates, idling and the runway approximation.
 
 use crate::ekera_hastad::{operation_counts, AlgorithmParams, FactoringInstance};
-use raa_core::{idle, ArchContext, ErrorModelParams, SpaceTime};
+pub use raa_core::budget::CCZ_BUDGET;
+use raa_core::{budget, idle, ArchContext, ErrorModelParams, SpaceTime};
 use raa_factory::CczFactory;
 use raa_gadgets::LookupAddition;
 use raa_physics::PhysicalParams;
 use std::fmt;
-
-/// Fraction of the failure budget reserved for |CCZ⟩ states (§III.6: "the
-/// CCZ error budget should not exceed 5%").
-pub const CCZ_BUDGET: f64 = 0.05;
 
 /// Default total failure budget per run (CCZ 5% + gates/idle/runways 3%).
 pub const DEFAULT_TOTAL_BUDGET: f64 = 0.08;
@@ -144,7 +141,7 @@ impl TransversalArchitecture {
         // --- Magic-state supply ---------------------------------------------
         let ccz_per_gadget = gadget.ccz_count() as f64;
         let ccz_total = counts.lookup_additions as f64 * ccz_per_gadget;
-        let ccz_target = CCZ_BUDGET / ccz_total;
+        let ccz_target = budget::per_ccz_target(ccz_total);
         let factory = CczFactory::for_target(&ctx, ccz_target)?;
         let factory_rate = factory.production_rate(&ctx);
         let peak_demand = gadget.peak_ccz_rate(&ctx);
