@@ -14,7 +14,7 @@
 use raa_decode::mc::{logical_error_rate_sampled, logical_error_rate_streamed, DecodeStats};
 use raa_decode::{DecodingGraph, McConfig, UniformLayers, UnionFindDecoder, WindowedDecoder};
 use raa_sim::{
-    build_circuit, run_sweep, DecoderChoice, ExperimentSpec, Rounds, Scenario, ShotBudget,
+    build_circuit, run, run_sweep, DecoderChoice, ExperimentSpec, Rounds, Scenario, ShotBudget,
     SweepGrid,
 };
 use raa_stabsim::{DetectorErrorModel, StreamingDemSampler, StreamingScratch};
@@ -152,6 +152,47 @@ fn deep_sweep_streams_through_engine() {
     for threads in [2usize, 8] {
         let multi = run_sweep(&grid(threads));
         assert_eq!(base[0].to_json(), multi[0].to_json(), "threads = {threads}");
+    }
+}
+
+#[test]
+fn deep_cnot_anchor_streamed_pinned_across_thread_counts() {
+    // A streamed two-patch deep CNOT through the engine: 80 rounds at
+    // d = 3 give 40 window positions of a 2 + 5 window, and the random
+    // CNOT directions make every window's neighbourhood of the graph
+    // different from the others'.
+    let spec = |threads: usize| {
+        let mut spec = ExperimentSpec::new(
+            "deep/cnot",
+            Scenario::DeepCnot {
+                patches: 2,
+                rounds: Rounds::Fixed(80),
+                cnots_per_round: 1.0,
+            },
+            3,
+        );
+        spec.noise = raa_sim::NoiseModel::uniform(1e-3);
+        spec.shots = ShotBudget::Fixed(2_000);
+        spec.decoder = DecoderChoice::Windowed {
+            commit: 2,
+            buffer: 5,
+        };
+        spec.streaming = true;
+        spec.seed = 0xDC07;
+        spec.mc = McConfig::default().with_threads(threads);
+        spec
+    };
+    let base = run(&spec(1));
+    assert_eq!(base.se_rounds, 80);
+    assert_eq!(base.cnots, 79);
+    assert_eq!(base.shots, 2_000);
+    assert_eq!(
+        base.failures, 801,
+        "pinned d=3 deep-CNOT failure count drifted"
+    );
+    for threads in [2usize, 8] {
+        let multi = run(&spec(threads));
+        assert_eq!(base.to_json(), multi.to_json(), "threads = {threads}");
     }
 }
 
