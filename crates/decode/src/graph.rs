@@ -269,25 +269,6 @@ impl CompiledGraph {
         Self::assemble(graph, vec![1; graph.num_edges()], true)
     }
 
-    /// Compiles `graph` with caller-supplied quantized weights.
-    ///
-    /// This is the window-template entry point: a template subgraph must
-    /// carry exactly the quanta its edges were assigned when the *full*
-    /// circuit graph was compiled (quantization divides by the global
-    /// maximum weight, which a subgraph cannot recompute locally), so the
-    /// windowed decoder copies them over edge by edge. `weights[i]` is the
-    /// quantum count for `graph.edges()[i]` and must be ≥ 1; `uniform`
-    /// mirrors the source graph's [`CompiledGraph::is_uniform`] flag.
-    pub(crate) fn compile_with_weights(
-        graph: &DecodingGraph,
-        weights: Vec<u32>,
-        uniform: bool,
-    ) -> Self {
-        debug_assert_eq!(weights.len(), graph.num_edges());
-        debug_assert!(weights.iter().all(|&w| w >= 1));
-        Self::assemble(graph, weights, uniform)
-    }
-
     fn assemble(graph: &DecodingGraph, weights: Vec<u32>, uniform: bool) -> Self {
         let nd = graph.num_detectors();
         let boundary = nd as u32;

@@ -535,8 +535,9 @@ impl StreamWorker {
     /// Samples and decodes one batch of shots **window-major**: each layer
     /// is sampled once into the [`LayerRing`], and as soon as a window's
     /// look-ahead is complete the *whole shot block* steps through that
-    /// window back to back — so the window's compiled template stays hot
-    /// across all shots — before the next layer is sampled.
+    /// window back to back — so the graph and decode-scratch slots of the
+    /// window's layers stay in cache across all shots — before the next
+    /// layer is sampled.
     ///
     /// Draws the per-layer RNG streams exactly as the [`Sampler`] impl of
     /// [`StreamingDemSampler`] does, and runs the same window steps the

@@ -62,17 +62,15 @@
 //!   there, because an active cluster never holds the boundary.
 //!
 //! All of these are exact: the decision stream (solidified set and order,
-//! merge order, frontier and peel order, correction and reach) is
-//! bit-identical to the literal one-quantum-per-round formulation, which the
-//! tests keep as an independent reference. Debug builds also check every
-//! parity verdict against the endpoints' roots.
+//! merge order, frontier and peel order, correction) is bit-identical to
+//! the literal one-quantum-per-round formulation, which the tests keep as
+//! an independent reference. Debug builds also check every parity verdict
+//! against the endpoints' roots.
 //!
-//! Every syndrome takes the same path — seed, grow, peel — and leaves two
-//! records in its scratch: the correction edges ([`UfScratch::correction`])
-//! and the decode's *reach*, every edge that ever entered a frontier list.
-//! The windowed decoder reads both: the correction to split at the commit
-//! boundary, the reach to prove a window-template decode never touched a
-//! clipped neighborhood.
+//! Every syndrome takes the same path — seed, grow, peel — and leaves one
+//! record in its scratch besides the outcome: the correction edges
+//! ([`UfScratch::correction`]), which the windowed decoder splits at its
+//! commit boundary.
 
 use crate::graph::{CompiledGraph, DecodingGraph, GraphError};
 use crate::Decoder;
@@ -207,9 +205,6 @@ pub struct UfScratch {
     correction: Vec<u32>,
     /// Defect-extraction buffer for the batched decode path.
     defects_buf: Vec<u32>,
-    /// Bitset of the edges that ever entered a frontier list this epoch —
-    /// the decode's reach (see [`UfScratch::reach_intersects`]).
-    edge_mask: Vec<u64>,
 }
 
 impl UfScratch {
@@ -241,16 +236,6 @@ impl UfScratch {
         self.adj_next.clear();
         self.adj_edge.clear();
         self.correction.clear();
-        self.edge_mask.clear();
-        self.edge_mask.resize(num_edges.div_ceil(64).max(1), 0);
-    }
-
-    /// Records edges entering a frontier list (the decode's reach).
-    #[inline]
-    fn mark_edges(&mut self, edges: &[u32]) {
-        for &ei in edges {
-            self.edge_mask[(ei >> 6) as usize] |= 1 << (ei & 63);
-        }
     }
 
     /// Reinitializes node `x`'s slot and frontier list if they are stale.
@@ -278,19 +263,6 @@ impl UfScratch {
         &self.correction
     }
 
-    /// Whether the last decode's reach (every edge that entered a frontier
-    /// list) intersects `mask`, a bitset over edge indices. Only meaningful
-    /// after a non-empty decode (an empty syndrome returns before touching
-    /// the scratch); the windowed decoder uses this to prove a
-    /// window-template decode never touched an edge whose neighborhood the
-    /// template clips.
-    pub(crate) fn reach_intersects(&self, mask: &[u64]) -> bool {
-        self.edge_mask
-            .iter()
-            .zip(mask.iter())
-            .any(|(&a, &b)| a & b != 0)
-    }
-
     fn find(&mut self, x: u32) -> u32 {
         // Nodes on a parent chain were all touched when they were unioned,
         // so only the entry point needs the staleness check.
@@ -305,13 +277,12 @@ impl UfScratch {
     }
 
     /// Adds `node`'s incident edges to the frontier of its cluster `root`
-    /// (and to the reach) the first time the node joins a cluster.
+    /// the first time the node joins a cluster.
     fn seed(&mut self, g: &CompiledGraph, node: u32, root: u32) {
         if self.nodes[node as usize].flags & SEEDED == 0 {
             self.nodes[node as usize].flags |= SEEDED;
             self.nodes[root as usize].flags |= UNPRUNED;
             self.frontier[root as usize].extend_from_slice(g.incident(node));
-            self.mark_edges(g.incident(node));
         }
     }
 
@@ -455,7 +426,7 @@ impl UnionFindDecoder {
     pub fn new(graph: DecodingGraph) -> Self {
         let compiled = CompiledGraph::compile(&graph)
             .unwrap_or_else(|_| CompiledGraph::compile_uniform(&graph));
-        Self::from_parts(graph, compiled)
+        Self { graph, compiled }
     }
 
     /// Builds a decoder owning `graph`, rejecting graphs whose edge weights
@@ -470,15 +441,7 @@ impl UnionFindDecoder {
     /// weights for these graphs.
     pub fn try_new(graph: DecodingGraph) -> Result<Self, GraphError> {
         let compiled = CompiledGraph::compile(&graph)?;
-        Ok(Self::from_parts(graph, compiled))
-    }
-
-    /// Assembles a decoder from an already-compiled graph. Crate-internal:
-    /// the windowed decoder uses this to build per-window-template decoders
-    /// whose [`CompiledGraph`] carries weights quantized against the *full*
-    /// circuit graph (see [`CompiledGraph::compile_with_weights`]).
-    pub(crate) fn from_parts(graph: DecodingGraph, compiled: CompiledGraph) -> Self {
-        Self { graph, compiled }
+        Ok(Self { graph, compiled })
     }
 
     /// The underlying graph.
@@ -502,8 +465,7 @@ impl UnionFindDecoder {
     /// odd cluster can grow, then peel. All working state lives in
     /// `scratch`; steady state performs no heap allocation. Besides the
     /// outcome, the scratch holds the correction edges
-    /// ([`UfScratch::correction`]) and, for a non-empty syndrome, the
-    /// decode's reach.
+    /// ([`UfScratch::correction`]).
     pub fn decode_into(&self, defects: &[u32], scratch: &mut UfScratch) -> UnionFindOutcome {
         if defects.is_empty() {
             scratch.correction.clear();
@@ -1103,7 +1065,6 @@ mod tests {
         boundary: Vec<bool>,
         seeded: Vec<bool>,
         frontier: Vec<Vec<u32>>,
-        reach: Vec<u64>,
     }
 
     impl Literal<'_> {
@@ -1120,10 +1081,7 @@ mod tests {
             if !self.seeded[node as usize] {
                 self.seeded[node as usize] = true;
                 let root = self.find(node) as usize;
-                for &ei in self.g.incident(node) {
-                    self.frontier[root].push(ei);
-                    self.reach[(ei >> 6) as usize] |= 1 << (ei & 63);
-                }
+                self.frontier[root].extend_from_slice(self.g.incident(node));
             }
         }
 
@@ -1153,9 +1111,8 @@ mod tests {
             self.frontier[big] = long;
         }
 
-        /// Returns the outcome, the correction edges in peel order and the
-        /// reach bitset (every edge that entered a frontier list).
-        fn decode(g: &CompiledGraph, defects: &[u32]) -> (UnionFindOutcome, Vec<u32>, Vec<u64>) {
+        /// Returns the outcome and the correction edges in peel order.
+        fn decode(g: &CompiledGraph, defects: &[u32]) -> (UnionFindOutcome, Vec<u32>) {
             let nd = g.num_detectors();
             let boundary_node = nd as u32;
             let mut lit = Literal {
@@ -1166,7 +1123,6 @@ mod tests {
                 boundary: (0..=nd).map(|n| n == nd).collect(),
                 seeded: vec![false; nd + 1],
                 frontier: vec![Vec::new(); nd + 1],
-                reach: vec![0; g.num_edges().div_ceil(64).max(1)],
             };
             let mut growth = vec![0u32; g.num_edges()];
             let mut solid = vec![false; g.num_edges()];
@@ -1289,7 +1245,7 @@ mod tests {
                 observables,
                 converged,
             };
-            (outcome, correction, lit.reach)
+            (outcome, correction)
         }
     }
 
@@ -1298,8 +1254,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, RngExt, SeedableRng};
 
-        // Every decision of the decoder — outcome, convergence, correction
-        // edges in peel order, and reach — must equal the literal
+        // Every decision of the decoder — outcome, convergence and correction
+        // edges in peel order — must equal the literal
         // one-quantum-per-round formulation's, on hand-built, circuit-built
         // and random graphs. One scratch serves every graph, so lazy
         // resizing and epoch reuse across shapes are exercised too.
@@ -1367,16 +1323,13 @@ mod tests {
             }
             for syndrome in syndromes {
                 let out = decoder.decode_into(&syndrome, &mut scratch);
-                let (want, correction, reach) = Literal::decode(g, &syndrome);
+                let (want, correction) = Literal::decode(g, &syndrome);
                 assert_eq!(out, want, "syndrome {syndrome:?}");
                 assert_eq!(
                     scratch.correction(),
                     &correction[..],
                     "syndrome {syndrome:?}"
                 );
-                if !syndrome.is_empty() {
-                    assert_eq!(scratch.edge_mask, reach, "syndrome {syndrome:?}");
-                }
             }
         }
         assert_eq!((min_w, max_w), (1, 32), "weights must span 1..=32 quanta");

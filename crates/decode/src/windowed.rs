@@ -26,43 +26,17 @@
 //! * edges entirely inside the buffer are discarded; their defects are
 //!   re-decoded by the next window with one more window of look-ahead.
 //!
-//! # Window templates
+//! # Window steps
 //!
-//! The space–time graph of a memory circuit is (mostly) time-translation
-//! invariant, so the cluster growth of one window step never needs the
-//! whole-circuit graph — only a slab of layers around the window. At
-//! construction the decoder compiles one **window template** per
-//! structurally distinct window position: a standalone
-//! [`crate::graph::CompiledGraph`] over the layers
-//! `[start − margin, start + commit + buffer + margin)` where
-//! `margin = commit + buffer + max_edge_layer_span`. Bulk windows of a
-//! uniform circuit all collapse onto a single template; head and tail
-//! windows, whose slabs are clipped by the circuit's ends, get their own
-//! boundary variants. The compilation contract:
-//!
-//! * **Compiled once** (at [`WindowedDecoder::new`]): the template's CSR
-//!   adjacency, its quantized growth weights — copied edge-for-edge from
-//!   the full circuit's compiled graph, so growth order is identical — and
-//!   the *unsafe* edge set: template edges incident to a rim node whose
-//!   neighborhood the slab clips.
-//! * **Rebased per window step**: one integer — the slab's first detector
-//!   id, subtracted from each defect before the template decode and added
-//!   back to each projected defect after it. Correction edges are
-//!   template-local and map through precomputed per-edge commit ops. No
-//!   per-step graph work happens.
-//!
-//! Every window step runs a full union–find decode on its template; the
-//! template saves the per-step graph work and keeps that decode on a slab
-//! small enough to stay cache-resident across a shot block.
-//!
-//! Exactness is checked, not assumed: every union–find decode records its
-//! *reach* (every edge that entered a frontier list) and a window step
-//! falls back to the whole-circuit decoder whenever the reach touches an
-//! unsafe edge. Growth is frontier-driven, so a decode whose reach stays on
-//! complete neighborhoods evolves in lockstep with the same decode on the
-//! full graph — the fallback therefore never changes a result, it only
-//! restores the pre-template cost for the rare cluster that outgrows its
-//! slab.
+//! Every window step runs the inner union–find decode on the whole
+//! circuit's compiled graph and commits the correction edge by edge. The
+//! decode's scratch is epoch-tagged and its growth frontier-driven, so a
+//! step costs what its clusters reach, not what the circuit holds. The
+//! builders emit detectors round by round, so one window's detectors, and
+//! the graph and scratch slots its clusters touch, form a narrow band of
+//! ids. [`crate::mc`]'s streamed pipeline runs a whole shot block through
+//! one window position before it moves on (window-major order), so that
+//! band stays in cache across the block.
 //!
 //! # Streaming
 //!
@@ -83,19 +57,10 @@
 //! same window steps again, in window-major order across a whole shot
 //! block.
 
-use crate::graph::{CompiledGraph, DecodingGraph, Edge};
+use crate::graph::{DecodingGraph, Edge};
 use crate::unionfind::{UfScratch, UnionFindDecoder};
 use crate::Decoder;
-use raa_stabsim::dem::{DemError, DetectorErrorModel};
-use std::collections::HashMap;
 use std::fmt;
-
-/// Cap on distinct compiled window templates per decoder. A uniform
-/// circuit needs ~`2 × (margin / commit)` boundary variants plus one bulk
-/// template; a circuit whose windows keep producing new structures is not
-/// time-translation invariant and stops benefiting, so further windows
-/// simply fall back to the whole-circuit decoder.
-const MAX_TEMPLATES: usize = 32;
 
 /// Reusable working state for [`WindowedDecoder`] (shared across shots;
 /// the per-shot streaming state is [`WindowState`]).
@@ -105,8 +70,6 @@ pub struct WindowScratch {
     pub uf: UfScratch,
     /// Defects of the window currently being decoded.
     in_window: Vec<u32>,
-    /// `in_window` rebased to template-local detector ids.
-    rebased: Vec<u32>,
     /// Per-shot state used by the batch entry point.
     state: WindowState,
 }
@@ -258,65 +221,6 @@ impl LayerAssignment for UniformLayers {
     }
 }
 
-/// One compiled window template: a standalone decoder over a slab of
-/// layers, shared by every window position with the same local structure.
-#[derive(Debug, Clone)]
-struct WindowTemplate {
-    /// Union–find decoder over the slab's subgraph.
-    decoder: UnionFindDecoder,
-    /// Bitset over template edges: incident to a rim node whose
-    /// neighborhood the slab clips. A decode whose reach touches this set
-    /// may diverge from the whole-circuit decode and must be redone on it.
-    unsafe_mask: Vec<u64>,
-    /// Fast path for bulk templates deep inside the circuit: no rim at all.
-    has_unsafe: bool,
-    /// Per template edge: its effect when it appears in a correction — the
-    /// observable mask to accumulate and the slab-relative node to project
-    /// forward (`u32::MAX` = none). Buffer-only edges are `{0, MAX}`,
-    /// i.e. no-ops. Precomputable because the commit boundary sits at a
-    /// fixed layer offset inside the slab (part of [`TemplateKey`]).
-    commit_ops: Vec<CommitOp>,
-}
-
-/// Effect of one template edge on a window step's committed state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CommitOp {
-    /// Observables accumulated when this edge is in the correction (zero
-    /// for buffer-only edges, whose correction is provisional).
-    observables: u64,
-    /// Slab-relative id of the buffer-side endpoint a crossing edge
-    /// projects forward, or `u32::MAX` for none.
-    toggle: u32,
-}
-
-/// Binds one window position to its [`WindowTemplate`].
-#[derive(Debug, Clone, Copy)]
-struct TemplateInstance {
-    /// Index into `WindowedDecoder::templates`.
-    template: u32,
-    /// First full-circuit detector id of the slab; subtracted from defects
-    /// before the template decode and added back to projections.
-    node_base: u32,
-}
-
-/// Structural identity of a window slab, used to dedup templates across
-/// window positions. Two windows with equal keys and equal commit ops
-/// decode identically up to the constant node offset of
-/// [`TemplateInstance`].
-#[derive(PartialEq, Eq, Hash)]
-struct TemplateKey {
-    num_nodes: u32,
-    /// Layer offset of the window start inside the slab: head windows
-    /// truncate the slab below, shifting the commit boundary relative to
-    /// it, so they must not share a template with bulk windows even when
-    /// the edge structure happens to match.
-    window_offset: u32,
-    /// Per template edge: rebased endpoints (`u32::MAX` = boundary),
-    /// quantized growth weight, observable mask.
-    edges: Vec<(u32, u32, u32, u64)>,
-    unsafe_mask: Vec<u64>,
-}
-
 /// A sliding-window wrapper around the union–find decoder.
 ///
 /// # Example: incremental (streaming) decoding
@@ -359,13 +263,6 @@ pub struct WindowedDecoder<L: LayerAssignment> {
     /// Additional look-ahead layers decoded but not committed.
     buffer: usize,
     num_layers: usize,
-    /// Compiled window templates (see the [module docs](self)); empty when
-    /// the window is global or the layering is not index-monotone.
-    templates: Vec<WindowTemplate>,
-    /// Per window position (`start / commit`): its template binding, or
-    /// `None` to decode that window on the whole-circuit graph.
-    instances: Vec<Option<TemplateInstance>>,
-    use_templates: bool,
 }
 
 impl<L: LayerAssignment> WindowedDecoder<L> {
@@ -433,244 +330,13 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
             .map(|d| layers.layer_of(d))
             .max()
             .map_or(0, |m| m + 1);
-        let inner = UnionFindDecoder::new(graph);
-        let (templates, instances) =
-            Self::build_templates(&inner, &layers, commit, buffer, num_layers);
         Self {
-            inner,
+            inner: UnionFindDecoder::new(graph),
             layers,
             commit,
             buffer,
             num_layers,
-            templates,
-            instances,
-            use_templates: true,
         }
-    }
-
-    /// En/disables the compiled window templates (on by default). Decoding
-    /// outcomes are identical either way — templates change throughput
-    /// only; the off position exists for A/B testing and as a reference
-    /// for the equivalence tests.
-    #[must_use]
-    pub fn with_templates(mut self, enabled: bool) -> Self {
-        self.use_templates = enabled;
-        self
-    }
-
-    /// Compiles the window templates: one per structurally distinct window
-    /// slab (see the [module docs](self)). Returns no templates when the
-    /// window is global (nothing to slide) or when the layering is not
-    /// monotone in detector index (slabs would not be contiguous id
-    /// ranges).
-    fn build_templates(
-        inner: &UnionFindDecoder,
-        layers: &L,
-        commit: usize,
-        buffer: usize,
-        num_layers: usize,
-    ) -> (Vec<WindowTemplate>, Vec<Option<TemplateInstance>>) {
-        let mut templates = Vec::new();
-        let mut instances = Vec::new();
-        let cb = commit + buffer;
-        if num_layers <= cb {
-            return (templates, instances);
-        }
-        let graph = inner.graph();
-        let compiled = inner.compiled();
-        let nd = graph.num_detectors();
-        // Contiguous slabs need layer(d) monotone in d.
-        let mut layer_of_d = Vec::with_capacity(nd);
-        let mut prev = 0usize;
-        for d in 0..nd as u32 {
-            let l = layers.layer_of(d);
-            if l < prev || l >= num_layers {
-                return (templates, instances);
-            }
-            prev = l;
-            layer_of_d.push(l);
-        }
-        // layer_start[l] = first detector id in layer >= l.
-        let mut layer_start = vec![0usize; num_layers + 1];
-        let mut cursor = 0usize;
-        for (l, s) in layer_start.iter_mut().enumerate() {
-            while cursor < nd && layer_of_d[cursor] < l {
-                cursor += 1;
-            }
-            *s = cursor;
-        }
-        // Per-edge node bounds and the largest layer span of any edge: the
-        // slab margin must cover a whole extra window plus that span, so
-        // every node a window's clusters can reach without touching the
-        // rim has its complete neighborhood inside the slab.
-        let edges = graph.edges();
-        let mut span = 0usize;
-        let mut bounds = Vec::with_capacity(edges.len());
-        for e in edges {
-            let (lo, hi) = match e.v {
-                Some(v) => (e.u.min(v), e.u.max(v)),
-                None => (e.u, e.u),
-            };
-            span = span.max(layer_of_d[hi as usize] - layer_of_d[lo as usize]);
-            bounds.push((lo, hi));
-        }
-        let margin = cb + span;
-        let mut keys: HashMap<TemplateKey, u32> = HashMap::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for wi in 0..num_layers.div_ceil(commit) {
-            let s = wi * commit;
-            let tlo = s.saturating_sub(margin);
-            let thi = (s + cb + margin).min(num_layers);
-            let node_lo = layer_start[tlo] as u32;
-            let node_hi = layer_start[thi] as u32;
-            let nt = (node_hi - node_lo) as usize;
-            if nt == 0 {
-                instances.push(None);
-                continue;
-            }
-            ids.clear();
-            ids.extend(bounds.iter().enumerate().filter_map(|(ei, &(lo, hi))| {
-                (lo >= node_lo && hi < node_hi).then_some(ei as u32)
-            }));
-            // A slab node is complete when the slab holds its whole
-            // incident list; edges touching an incomplete (rim) node form
-            // the unsafe set.
-            let mut incident_count = vec![0u32; nt];
-            for &ei in &ids {
-                let e = &edges[ei as usize];
-                incident_count[(e.u - node_lo) as usize] += 1;
-                if let Some(v) = e.v {
-                    incident_count[(v - node_lo) as usize] += 1;
-                }
-            }
-            let complete: Vec<bool> = incident_count
-                .iter()
-                .enumerate()
-                .map(|(n, &c)| c as usize == graph.incident(node_lo + n as u32).len())
-                .collect();
-            let words = ids.len().div_ceil(64).max(1);
-            let mut unsafe_mask = vec![0u64; words];
-            for (ti, &ei) in ids.iter().enumerate() {
-                let e = &edges[ei as usize];
-                let mut clipped = !complete[(e.u - node_lo) as usize];
-                if let Some(v) = e.v {
-                    clipped |= !complete[(v - node_lo) as usize];
-                }
-                if clipped {
-                    unsafe_mask[ti >> 6] |= 1 << (ti & 63);
-                }
-            }
-            // Per-edge commit effect for THIS window position: observables
-            // to accumulate and the projection endpoint, relative to the
-            // slab. Structurally equal windows must also agree on these
-            // (their commit boundary could still cut the slab differently
-            // under an exotic layering), so they double as a dedup check.
-            let commit_end = s + commit;
-            let ops: Vec<CommitOp> = ids
-                .iter()
-                .map(|&ei| {
-                    let e = &edges[ei as usize];
-                    let lu = layer_of_d[e.u as usize];
-                    let lv = e.v.map_or(lu, |v| layer_of_d[v as usize]);
-                    if lu.min(lv) >= commit_end {
-                        return CommitOp {
-                            observables: 0,
-                            toggle: u32::MAX,
-                        };
-                    }
-                    let toggle = if lu >= commit_end {
-                        e.u - node_lo
-                    } else {
-                        match e.v {
-                            Some(v) if lv >= commit_end => v - node_lo,
-                            _ => u32::MAX,
-                        }
-                    };
-                    CommitOp {
-                        observables: e.observables,
-                        toggle,
-                    }
-                })
-                .collect();
-            let key = TemplateKey {
-                num_nodes: nt as u32,
-                window_offset: (s - tlo) as u32,
-                edges: ids
-                    .iter()
-                    .map(|&ei| {
-                        let e = &edges[ei as usize];
-                        (
-                            e.u - node_lo,
-                            e.v.map_or(u32::MAX, |v| v - node_lo),
-                            compiled.weight(ei),
-                            e.observables,
-                        )
-                    })
-                    .collect(),
-                unsafe_mask: unsafe_mask.clone(),
-            };
-            if let Some(&t) = keys.get(&key) {
-                // Structural repeat: bind it to the existing template when
-                // the commit boundary cuts the slab the same way (always
-                // true for round-by-round DEMs; anything else decodes on
-                // the whole-circuit graph).
-                let ops_ok = templates[t as usize].commit_ops == ops;
-                instances.push(ops_ok.then_some(TemplateInstance {
-                    template: t,
-                    node_base: node_lo,
-                }));
-                continue;
-            }
-            if templates.len() >= MAX_TEMPLATES {
-                instances.push(None);
-                continue;
-            }
-            // New structure: compile a template decoder for the slab. The
-            // synthetic DEM replays the slab's mechanisms with rebased
-            // detector ids, so the template's edge order, adjacency order
-            // and float weights reproduce the full graph's exactly; the
-            // growth quanta are copied outright (quantization normalizes
-            // by the *global* max weight, which a slab cannot recompute).
-            let errors = ids
-                .iter()
-                .map(|&ei| {
-                    let e = &edges[ei as usize];
-                    DemError {
-                        probability: e.probability,
-                        detectors: match e.v {
-                            Some(v) => vec![e.u - node_lo, v - node_lo],
-                            None => vec![e.u - node_lo],
-                        },
-                        observables: e.observables,
-                    }
-                })
-                .collect();
-            let dem = DetectorErrorModel {
-                num_detectors: nt,
-                num_observables: graph.num_observables(),
-                errors,
-            };
-            let tgraph = DecodingGraph::from_dem(&dem)
-                .expect("template mechanisms are graphlike by construction");
-            let weights = ids.iter().map(|&ei| compiled.weight(ei)).collect();
-            let tcompiled =
-                CompiledGraph::compile_with_weights(&tgraph, weights, compiled.is_uniform());
-            let decoder = UnionFindDecoder::from_parts(tgraph, tcompiled);
-            let has_unsafe = unsafe_mask.iter().any(|&w| w != 0);
-            let t = templates.len() as u32;
-            keys.insert(key, t);
-            templates.push(WindowTemplate {
-                decoder,
-                unsafe_mask,
-                has_unsafe,
-                commit_ops: ops,
-            });
-            instances.push(Some(TemplateInstance {
-                template: t,
-                node_base: node_lo,
-            }));
-        }
-        (templates, instances)
     }
 
     /// Number of time layers seen in the graph.
@@ -868,7 +534,7 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
                 }
             }
         }
-        if !scratch.in_window.is_empty() && !self.template_step(state, scratch, start) {
+        if !scratch.in_window.is_empty() {
             self.inner.decode_into(&scratch.in_window, &mut scratch.uf);
             let edges = self.inner.graph().edges();
             for &ei in scratch.uf.correction() {
@@ -882,50 +548,6 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
             .remaining
             .retain(|&d| layers.layer_of(d) >= commit_end);
         state.start = commit_end;
-    }
-
-    /// Decodes the current window on its compiled template, if this window
-    /// position has one and the decode stays clear of the slab rim.
-    /// Returns whether the step was fully handled (correction committed).
-    fn template_step(
-        &self,
-        state: &mut WindowState,
-        scratch: &mut WindowScratch,
-        start: usize,
-    ) -> bool {
-        if !self.use_templates {
-            return false;
-        }
-        debug_assert_eq!(start % self.commit, 0);
-        let Some(inst) = self.instances.get(start / self.commit).copied().flatten() else {
-            return false;
-        };
-        let tpl = &self.templates[inst.template as usize];
-        let nt = tpl.decoder.graph().num_detectors() as u32;
-        scratch.rebased.clear();
-        for &d in &scratch.in_window {
-            debug_assert!(d >= inst.node_base, "window defect below its slab");
-            let reb = d - inst.node_base;
-            debug_assert!(reb < nt, "window defect above its slab");
-            scratch.rebased.push(reb);
-        }
-        tpl.decoder.decode_into(&scratch.rebased, &mut scratch.uf);
-        if tpl.has_unsafe && scratch.uf.reach_intersects(&tpl.unsafe_mask) {
-            // The clusters reached a clipped neighborhood: only the
-            // whole-circuit decode is authoritative out there.
-            return false;
-        }
-        // Apply the correction through the template's precompiled commit
-        // ops; `toggle` cancels a node projected twice (two crossing edges
-        // sharing a buffer endpoint), so the order does not matter.
-        for &tei in scratch.uf.correction() {
-            let op = tpl.commit_ops[tei as usize];
-            state.observables ^= op.observables;
-            if op.toggle != u32::MAX {
-                toggle(&mut state.remaining, inst.node_base + op.toggle);
-            }
-        }
-        true
     }
 
     /// Commits one correction edge: accumulate its observables unless it
@@ -1110,61 +732,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn templates_change_throughput_not_outcomes() {
-        // The compiled window templates and the whole-circuit window path
-        // must agree shot for shot — including head and tail windows.
-        let p = 0.06;
-        let c = repetition(5, 14, p);
-        let dem = DetectorErrorModel::from_circuit(&c);
-        let sampler = raa_stabsim::DemSampler::new(&dem);
-        let mut syndromes = raa_stabsim::SyndromeBatch::default();
-        let mut masks = Vec::new();
-        sampler.sample_syndromes_into(
-            500,
-            &mut StdRng::seed_from_u64(17),
-            &mut syndromes,
-            &mut masks,
-        );
-        for (commit, buffer) in [(1usize, 1usize), (1, 2), (2, 3), (3, 2)] {
-            let with = build(&c, commit, buffer, 4);
-            assert!(
-                !with.templates.is_empty(),
-                "uniform circuit must compile templates (commit {commit}, buffer {buffer})"
-            );
-            let without = build(&c, commit, buffer, 4).with_templates(false);
-            let mut s_with = WindowScratch::default();
-            let mut s_without = WindowScratch::default();
-            let mut defects = Vec::new();
-            for s in 0..syndromes.num_shots() {
-                syndromes.fired_into(s, &mut defects);
-                assert_eq!(
-                    with.decode_windowed_into(&defects, &mut s_with),
-                    without.decode_windowed_into(&defects, &mut s_without),
-                    "shot {s}, commit {commit}, buffer {buffer}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn window_positions_share_the_bulk_template() {
-        // Time-translation invariance: the interior windows of a deep
-        // uniform circuit must all bind to one template; only head/tail
-        // boundary variants may add more.
-        let c = repetition(5, 40, 0.01);
-        let w = build(&c, 2, 3, 4);
-        assert!(!w.templates.is_empty());
-        let bound = w.instances.iter().filter(|i| i.is_some()).count();
-        assert_eq!(bound, w.instances.len(), "every window should bind");
-        assert!(
-            w.templates.len() < w.instances.len() / 2,
-            "{} templates for {} windows: dedup failed",
-            w.templates.len(),
-            w.instances.len()
-        );
     }
 
     #[test]

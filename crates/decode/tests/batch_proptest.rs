@@ -7,9 +7,10 @@
 //! semantic change.
 //!
 //! On random *layered* DEMs, the streamed window-major Monte-Carlo entry
-//! point must reproduce the whole-batch entry point bit for bit through
-//! the compiled window-template path, for any commit/buffer geometry and
-//! any thread count, with templates on or off.
+//! point must reproduce the whole-batch entry point bit for bit, for any
+//! commit/buffer geometry and any thread count, and a windowed decode of
+//! a defect pair straddling a commit boundary must match one whole-circuit
+//! union–find pass.
 
 use proptest::prelude::*;
 use raa_decode::mc::{self, McConfig};
@@ -90,7 +91,7 @@ proptest! {
 /// Builds a random *layered* graphlike DEM: `layers` blocks of `dpl`
 /// detectors, every mechanism confined to one layer or crossing to the
 /// next (edge layer span ≤ 1), so `UniformLayers` applies and the windowed
-/// decoder compiles window templates for it.
+/// decoder slides over it.
 fn build_layered_dem(dpl: usize, layers: usize, raw: &[(f64, u16, u8, u64)]) -> DetectorErrorModel {
     let nd = dpl * layers;
     let errors = raw
@@ -123,9 +124,9 @@ fn build_layered_dem(dpl: usize, layers: usize, raw: &[(f64, u16, u8, u64)]) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Streamed (window-major, template-compiled) vs whole-batch decoding
-    /// on random layered DEMs: identical `DecodeStats` across entry
-    /// points, 1/2/8 decode threads, and templates on/off.
+    /// Streamed (window-major) vs whole-batch decoding on random layered
+    /// DEMs: identical `DecodeStats` across entry points and 1/2/8 decode
+    /// threads.
     #[test]
     fn streamed_matches_batch_on_random_layered_dems(
         dpl in 2usize..=4,
@@ -152,12 +153,6 @@ proptest! {
             .expect("single-threaded runs use the ambient pool");
         prop_assert_eq!(streamed, batch, "streamed vs batch entry point");
 
-        let plain = decoder.clone().with_templates(false);
-        let untemplated =
-            mc::logical_error_rate_streamed(&sampler, &plain, shots, seed, &cfg1)
-                .expect("single-threaded runs use the ambient pool");
-        prop_assert_eq!(streamed, untemplated, "templates must not change outcomes");
-
         for threads in [2usize, 8] {
             let cfg = McConfig::default().with_threads(threads);
             let multi = mc::logical_error_rate_streamed(&sampler, &decoder, shots, seed, &cfg)
@@ -167,11 +162,10 @@ proptest! {
     }
 }
 
-/// Head, bulk and tail window templates against whole-circuit decoding:
-/// every vertically adjacent defect pair — including the pairs that
-/// straddle each window commit boundary — must decode to the same
-/// observable mask through the windowed (template) path as through one
-/// global union–find pass, with templates on or off.
+/// Head, bulk and tail windows against whole-circuit decoding: every
+/// vertically adjacent defect pair — including the pairs that straddle
+/// each window commit boundary — must decode to the same observable mask
+/// through the windowed path as through one global union–find pass.
 #[test]
 fn window_straddling_pairs_agree_with_full_graph_decode() {
     let dpl = 3usize;
@@ -221,21 +215,14 @@ fn window_straddling_pairs_agree_with_full_graph_decode() {
     };
     for (commit, buffer) in [(1usize, 1usize), (1, 2), (2, 3), (3, 2)] {
         let windowed = WindowedDecoder::new(graph.clone(), layering, commit, buffer);
-        let plain = windowed.clone().with_templates(false);
         for l in 0..layers - 1 {
             for c in 0..dpl {
                 let d0 = (l * dpl + c) as u32;
                 let d1 = d0 + dpl as u32;
-                let expect = global.predict(&[d0, d1]);
                 assert_eq!(
                     windowed.predict(&[d0, d1]),
-                    expect,
-                    "templated window (c={commit}, b={buffer}) diverged on pair ({d0}, {d1})"
-                );
-                assert_eq!(
-                    plain.predict(&[d0, d1]),
-                    expect,
-                    "plain window (c={commit}, b={buffer}) diverged on pair ({d0}, {d1})"
+                    global.predict(&[d0, d1]),
+                    "window (c={commit}, b={buffer}) diverged on pair ({d0}, {d1})"
                 );
             }
         }

@@ -27,17 +27,6 @@ impl Footprint {
         Self { width, height }
     }
 
-    /// Total area in sites.
-    pub fn area(&self) -> u64 {
-        self.width * self.height
-    }
-
-    /// Footprint of a single distance-`d` surface-code patch (`d × d` sites).
-    pub fn patch(distance: u32) -> Self {
-        let d = u64::from(distance);
-        Self::new(d, d)
-    }
-
     /// Stacks `self` on top of `other` (heights add, width is the maximum).
     pub fn stack_vertical(&self, other: Footprint) -> Footprint {
         Footprint::new(self.width.max(other.width), self.height + other.height)
@@ -64,8 +53,6 @@ mod tests {
 
     #[test]
     fn patch_footprint_and_atoms() {
-        let fp = Footprint::patch(27);
-        assert_eq!(fp.area(), 27 * 27);
         // d^2 data + d^2 - 1 ancilla
         assert_eq!(atoms_per_patch(27), 2 * 27 * 27 - 1);
     }
@@ -84,11 +71,11 @@ mod tests {
     }
 
     proptest! {
-        /// Stacking preserves total area at equal widths/heights.
+        /// Stacking equal widths keeps the width and adds the heights.
         #[test]
         fn vertical_stack_area(w in 1u64..100, h1 in 1u64..100, h2 in 1u64..100) {
             let s = Footprint::new(w, h1).stack_vertical(Footprint::new(w, h2));
-            prop_assert_eq!(s.area(), w * (h1 + h2));
+            prop_assert_eq!((s.width, s.height), (w, h1 + h2));
         }
 
         /// Atom counts are strictly increasing in distance.
