@@ -62,10 +62,10 @@
 //!   there, because an active cluster never holds the boundary.
 //!
 //! All of these are exact: the decision stream (solidified set and order,
-//! merge order, frontier and peel order, correction) is bit-identical to
-//! the literal one-quantum-per-round formulation, which the tests keep as
-//! an independent reference. Debug builds also check every parity verdict
-//! against the endpoints' roots.
+//! merge order, frontier and peel order, and the correction) is
+//! bit-identical to the literal one-quantum-per-round formulation, which the
+//! tests keep as an independent reference. Debug builds also check every
+//! parity verdict against the endpoints' roots.
 //!
 //! Every syndrome takes the same path — seed, grow, peel — and leaves one
 //! record in its scratch besides the outcome: the correction edges
@@ -1254,8 +1254,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, RngExt, SeedableRng};
 
-        // Every decision of the decoder — outcome, convergence and correction
-        // edges in peel order — must equal the literal
+        // Every decision of the decoder — outcome, convergence and
+        // correction edges in peel order — must equal the literal
         // one-quantum-per-round formulation's, on hand-built, circuit-built
         // and random graphs. One scratch serves every graph, so lazy
         // resizing and epoch reuse across shapes are exercised too.

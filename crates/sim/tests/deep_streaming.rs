@@ -1,11 +1,11 @@
 //! Deep-circuit streaming anchors: the regime the paper's windowed
-//! decoding (§II.4) exists for — memory sweeps at rounds ≥ 20·d — run
-//! through the time-sliced streaming pipeline with resident syndrome
-//! memory bounded by the decoding window, bit-identical across thread
-//! counts and against the whole-batch reference entry point, with exact
-//! failure counts pinned. A separate convergence suite pins
-//! windowed/streaming accuracy against whole-circuit decoding as the
-//! buffer grows.
+//! decoding (§II.4) exists for — memory sweeps at rounds ≥ 20·d and a deep
+//! two-patch CNOT circuit — run through the time-sliced streaming
+//! pipeline with resident syndrome memory bounded by the decoding window,
+//! bit-identical across thread counts and against the whole-batch
+//! reference entry point, with exact failure counts pinned. A separate
+//! convergence suite pins windowed/streaming accuracy against
+//! whole-circuit decoding as the buffer grows.
 //!
 //! Pinned counts depend on the vendored StdRng stream (`vendor/rand`) and
 //! the per-layer stream derivation of the streaming pipeline — re-pin if
