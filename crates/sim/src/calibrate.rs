@@ -3,9 +3,10 @@
 //! The paper's headline resource estimates plug the Eq. (4) logical-error
 //! model — fitted against circuit-level simulations — into the architecture
 //! optimizer. [`calibrate`] runs that chain's simulation half end to end:
-//! a memory sweep (the `x → 0` anchor for the suppression base Λ) and a
-//! transversal-CNOT sweep (the (α, Λ) joint fit) are executed through the
-//! cached, resumable [`Orchestrator`], the records are fitted via
+//! the points of a memory sweep (the `x → 0` anchor for the suppression
+//! base Λ) and of a transversal-CNOT sweep (the (α, Λ) joint fit) run as
+//! one point queue through the cached, resumable [`Orchestrator`] (one job
+//! in the `raa-sweepd` service), the records are fitted via
 //! [`crate::analysis`], and the result is converted into
 //! [`ErrorModelParams`] anchored at the **sweep's own physical error rate**
 //! (`p_thres = Λ·p_phys`, Eq. 2) — not the paper's assumed 1% threshold.
@@ -33,7 +34,7 @@ use crate::analysis;
 use crate::error::OrchestratorError;
 use crate::orchestrator::Orchestrator;
 use crate::record::ExperimentRecord;
-use crate::spec::{Rounds, Scenario, ShotBudget, SweepGrid};
+use crate::spec::{ExperimentSpec, Rounds, Scenario, ShotBudget, SweepGrid};
 use raa_core::fit::FitResult;
 use raa_core::ErrorModelParams;
 use std::fmt;
@@ -70,6 +71,8 @@ pub struct CalibrationConfig {
     /// Content-addressed record cache directory; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
     /// Concurrent grid points (see [`Orchestrator::with_point_threads`]).
+    /// Both grids share one point queue, so a worker that finishes early
+    /// takes the next point of either grid.
     pub point_threads: usize,
 }
 
@@ -124,6 +127,17 @@ impl CalibrationConfig {
         .with_seed(self.cnot_seed)
     }
 
+    /// Both grids as one point list — the memory grid's points, then the
+    /// CNOT grid's, each in grid order — and the memory grid's point count,
+    /// where the list's records split. [`calibrate`] and the `raa-sweepd`
+    /// service run this list as one unit of work.
+    pub fn specs(&self) -> (Vec<ExperimentSpec>, usize) {
+        let mut specs = self.memory_grid().specs();
+        let memory_points = specs.len();
+        specs.extend(self.cnot_grid().specs());
+        (specs, memory_points)
+    }
+
     /// The orchestrator this config runs on.
     pub fn orchestrator(&self) -> io::Result<Orchestrator> {
         let orch = Orchestrator::new().with_point_threads(self.point_threads);
@@ -137,8 +151,8 @@ impl CalibrationConfig {
 /// Why a calibration run could not produce model parameters.
 #[derive(Debug)]
 pub enum CalibrationError {
-    /// One of the two sweeps failed (cache I/O, a poisoned point, …) —
-    /// see [`OrchestratorError`] for the failure classes.
+    /// A calibration point failed (cache I/O, a poisoned point, …) — see
+    /// [`OrchestratorError`] for the failure classes.
     Sweep(OrchestratorError),
     /// The transversal-CNOT records could not support the (α, Λ) fit
     /// (too few usable points — everything saturated, zero failures, or a
@@ -232,34 +246,35 @@ impl Calibration {
     }
 }
 
-/// Runs the full calibration: memory + transversal-CNOT sweeps through the
-/// cached orchestrator, fits (α, Λ), and anchors [`ErrorModelParams`] at
-/// the sweep's actual `p_phys`.
+/// Runs the full calibration: the memory and transversal-CNOT points as one
+/// point queue ([`CalibrationConfig::specs`]) through the cached
+/// orchestrator, fits (α, Λ), and anchors [`ErrorModelParams`] at the
+/// sweep's actual `p_phys`. No point waits for the other grid to finish.
 ///
 /// # Errors
 ///
-/// [`CalibrationError::Sweep`] when either sweep fails (cache I/O past the
+/// [`CalibrationError::Sweep`] when a point fails (cache I/O past the
 /// retry budget, a poisoned point, a worker-pool misconfiguration);
 /// [`CalibrationError::UnfittableCnotSweep`] /
 /// [`CalibrationError::NoSuppression`] when the records cannot support the
 /// fit (see [`crate::analysis::fit_eq4`]).
 pub fn calibrate(cfg: &CalibrationConfig) -> Result<Calibration, CalibrationError> {
-    let orch = cfg.orchestrator()?;
-    let memory = orch.run(&cfg.memory_grid())?;
-    let cnot = orch.run(&cfg.cnot_grid())?;
+    let (specs, memory_points) = cfg.specs();
+    let mut sweep = cfg.orchestrator()?.run_specs(&specs)?;
+    let cnot_records = sweep.records.split_off(memory_points);
     fit_calibration(
         cfg,
-        memory.records,
-        cnot.records,
-        memory.fresh_points + cnot.fresh_points,
-        memory.cached_points + cnot.cached_points,
-        memory.fresh_shots + cnot.fresh_shots,
+        sweep.records,
+        cnot_records,
+        sweep.fresh_points,
+        sweep.cached_points,
+        sweep.fresh_shots,
     )
 }
 
 /// The fitting half of [`calibrate`], decoupled from how the records were
-/// produced: the `raa-sweepd` service runs the two sweeps through its own
-/// shared worker pool and hands the records here, so the daemon and the
+/// produced: the `raa-sweepd` service runs both grids' points as one job on
+/// its shared worker pool and hands the records here, so the daemon and the
 /// in-process path share one fit (and one set of error conditions).
 ///
 /// # Errors

@@ -358,10 +358,11 @@ pub fn try_run(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), M
 
 /// Runs every point of a sweep grid in its deterministic expansion order.
 ///
-/// Each point's decoding is already sharded across threads by the
-/// [`raa_decode::mc`] pipeline, so points run serially (bounding peak
-/// memory to one circuit + one decoder at a time) without leaving cores
-/// idle.
+/// Points run serially, bounding peak memory to one circuit + one decoder
+/// at a time. Only a point's Monte-Carlo decode is sharded across threads
+/// (by the [`raa_decode::mc`] pipeline); its build → DEM → decompose →
+/// compile set-up runs on one thread, so other cores idle through it.
+/// [`crate::Orchestrator`] runs points concurrently instead.
 pub fn run_sweep(grid: &SweepGrid) -> Vec<ExperimentRecord> {
     grid.specs().iter().map(run).collect()
 }

@@ -361,9 +361,15 @@ fn config_to_json(cfg: &CalibrationConfig) -> Json {
 /// Decodes a wire calibration config. `cache_dir` and `point_threads` are
 /// not wire fields: the server's own cache and worker pool are used.
 fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
+    let distances = v.u32_items("distances")?;
+    if distances.is_empty() {
+        // An empty axis would panic the grid expansion on the daemon's
+        // connection thread instead of answering with an error.
+        return Err("field \"distances\": expected at least one distance".into());
+    }
     Ok(CalibrationConfig {
         p_phys: v.f64_field("p_phys")?,
-        distances: v.u32_items("distances")?,
+        distances,
         cnots_per_round: v.f64_items("cnots_per_round")?,
         memory_shots: v.count_field("memory_shots")?,
         cnot_shots: v.count_field("cnot_shots")?,
@@ -453,7 +459,7 @@ pub enum Request {
         specs: Vec<ExperimentSpec>,
     },
     /// Run the full calibration chain (two sweeps + the (α, Λ) fit) on the
-    /// server's cache and worker pool.
+    /// server's cache and worker pool, both sweeps' points as one job.
     Calibrate {
         /// Client-chosen job id, echoed in the response.
         id: String,
@@ -1533,6 +1539,11 @@ mod tests {
             let err = Request::from_line(&line.replace(from, to)).unwrap_err();
             assert!(err.contains("0..=4294967295"), "{err:?}");
         }
+        // An empty distance axis is refused by name, not left to panic the
+        // grid expansion.
+        let empty = calibrate.replace("\"distances\":[3,5]", "\"distances\":[]");
+        let err = Request::from_line(&empty).unwrap_err();
+        assert!(err.contains("\"distances\""), "{err:?}");
         // A number that overflows to infinity is a typed error naming its
         // offset, not a spec with p2 = inf for the circuit builder to panic
         // on.

@@ -72,7 +72,9 @@ pub struct ServiceConfig {
     /// Worker threads in the shared point pool; `0` uses all cores.
     pub workers: usize,
     /// Per-job wall-clock budget: a job not finished by then fails with a
-    /// clean error and its queued points are shed.
+    /// clean error and its queued points are shed. A calibration is one
+    /// job — its two grids share one point queue — so this bounds the
+    /// whole calibration.
     pub job_timeout: Duration,
     /// Knobs of cache scrub passes (wire `scrub` requests and the
     /// periodic pass alike).
@@ -637,81 +639,61 @@ impl SweepService {
     }
 
     fn handle_calibrate(&self, id: String, config: CalibrationConfig) -> Response {
-        // The error side is boxed: a `Response` is wire-sized, not
-        // error-sized, and would bloat the happy path's `Result`.
-        type GridOutcome = Result<(Vec<ExperimentRecord>, usize, usize, usize), Box<Response>>;
-        let run_grid = |specs: Vec<ExperimentSpec>| -> GridOutcome {
-            let job = self.submit(specs).ok_or_else(|| {
-                Box::new(Response::Shed {
-                    id: id.clone(),
-                    message: "daemon draining: job not accepted".into(),
-                })
-            })?;
-            let results = job.wait(self.inner.job_timeout).ok_or_else(|| {
-                Box::new(Response::Error {
-                    id: id.clone(),
-                    message: format!(
-                        "calibration exceeded its {:?} timeout",
-                        self.inner.job_timeout
-                    ),
-                })
-            })?;
-            let mut records = Vec::with_capacity(results.len());
-            let (mut fresh, mut cached, mut shots) = (0, 0, 0);
-            for (index, result) in results.into_iter().enumerate() {
-                match result {
-                    PointResult::Record {
-                        record, fresh: f, ..
-                    } => {
-                        if f {
-                            fresh += 1;
-                            shots += record.shots;
-                        } else {
-                            cached += 1;
-                        }
-                        records.push(record);
+        let (specs, memory_points) = config.specs();
+        let Some(job) = self.submit(specs) else {
+            return Response::Shed {
+                id,
+                message: "daemon draining: job not accepted".into(),
+            };
+        };
+        let Some(results) = job.wait(self.inner.job_timeout) else {
+            return Response::Error {
+                id,
+                message: format!(
+                    "calibration exceeded its {:?} timeout",
+                    self.inner.job_timeout
+                ),
+            };
+        };
+        let mut records = Vec::with_capacity(results.len());
+        let (mut fresh_points, mut cached_points, mut fresh_shots) = (0, 0, 0);
+        for (index, result) in results.into_iter().enumerate() {
+            let message = match result {
+                PointResult::Record { record, fresh, .. } => {
+                    if fresh {
+                        fresh_points += 1;
+                        fresh_shots += record.shots;
+                    } else {
+                        cached_points += 1;
                     }
-                    // A calibration cannot tolerate holes: the fit needs
-                    // every grid point.
-                    PointResult::Poisoned { name, message, .. } => {
-                        return Err(Box::new(Response::Error {
-                            id: id.clone(),
-                            message: format!("calibration point {name:?} poisoned: {message}"),
-                        }))
-                    }
-                    PointResult::Failed { message } => {
-                        return Err(Box::new(Response::Error {
-                            id: id.clone(),
-                            message: format!("calibration point #{index} failed: {message}"),
-                        }))
-                    }
-                    PointResult::Shed => {
-                        return Err(Box::new(Response::Shed {
-                            id: id.clone(),
-                            message: "daemon drained mid-calibration".into(),
-                        }))
+                    records.push(record);
+                    continue;
+                }
+                // A calibration cannot tolerate holes: the fit needs every
+                // grid point.
+                PointResult::Poisoned { name, message, .. } => {
+                    format!("calibration point {name:?} poisoned: {message}")
+                }
+                PointResult::Failed { message } => {
+                    format!("calibration point #{index} failed: {message}")
+                }
+                PointResult::Shed => {
+                    return Response::Shed {
+                        id,
+                        message: "daemon drained mid-calibration".into(),
                     }
                 }
-            }
-            Ok((records, fresh, cached, shots))
-        };
-        let (memory_records, m_fresh, m_cached, m_shots) =
-            match run_grid(config.memory_grid().specs()) {
-                Ok(out) => out,
-                Err(response) => return *response,
             };
-        let (cnot_records, c_fresh, c_cached, c_shots) = match run_grid(config.cnot_grid().specs())
-        {
-            Ok(out) => out,
-            Err(response) => return *response,
-        };
+            return Response::Error { id, message };
+        }
+        let cnot_records = records.split_off(memory_points);
         match fit_calibration(
             &config,
-            memory_records,
+            records,
             cnot_records,
-            m_fresh + c_fresh,
-            m_cached + c_cached,
-            m_shots + c_shots,
+            fresh_points,
+            cached_points,
+            fresh_shots,
         ) {
             Ok(calibration) => Response::Calibrate { id, calibration },
             Err(e) => Response::Error {

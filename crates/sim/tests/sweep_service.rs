@@ -1,7 +1,7 @@
 //! End-to-end coverage of the `raa-sweepd` service core and its TCP
 //! JSON-lines front end: job round trips, warm-cache queries, poisoned-
-//! point quarantine across jobs, drain/shed semantics, and malformed-
-//! request containment.
+//! point quarantine across jobs, drain/shed semantics, calibration
+//! accounting and timeouts, and malformed-request containment.
 
 use raa_sim::jobs::{Request, Response};
 use raa_sim::service::{serve, PointResult};
@@ -214,6 +214,23 @@ fn malformed_request_gets_error_and_connection_survives() {
         other => panic!("expected error response, got {other:?}"),
     }
 
+    // A well-formed calibrate request with no distances is refused by name
+    // instead of panicking the connection's reader thread.
+    let empty = Request::Calibrate {
+        id: "empty".into(),
+        config: raa_sim::CalibrationConfig::default(),
+    }
+    .to_line()
+    .replace("\"distances\":[3,5]", "\"distances\":[]");
+    assert!(empty.contains("\"distances\":[]"), "{empty}");
+    stream.write_all(format!("{empty}\n").as_bytes()).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    match Response::from_line(&line).unwrap() {
+        Response::Error { message, .. } => assert!(message.contains("distances"), "{message}"),
+        other => panic!("expected error response, got {other:?}"),
+    }
+
     // Same connection still works for a real request.
     let request = Request::Status { id: "after".into() };
     stream
@@ -347,10 +364,23 @@ fn calibrate_job_over_tcp_matches_local_calibration() {
         ..raa_sim::CalibrationConfig::default()
     };
     let local = raa_sim::calibrate(&config).unwrap();
+    assert_eq!(
+        (local.fresh_points, local.cached_points, local.fresh_shots),
+        (10, 0, 2 * 1_500 + 8 * 1_000)
+    );
 
     let mut client = ServiceClient::connect(addr).unwrap();
     match client.calibrate(&config).unwrap() {
         Response::Calibrate { calibration, .. } => {
+            assert_eq!(
+                (
+                    calibration.fresh_points,
+                    calibration.cached_points,
+                    calibration.fresh_shots
+                ),
+                (local.fresh_points, local.cached_points, local.fresh_shots),
+                "cold daemon accounting matches the local run"
+            );
             assert_eq!(calibration.fit, local.fit, "identical fit through the wire");
             assert_eq!(calibration.params.p_thres, local.params.p_thres);
             assert_eq!(calibration.lambda_memory, local.lambda_memory);
@@ -370,6 +400,8 @@ fn calibrate_job_over_tcp_matches_local_calibration() {
     match client.calibrate(&config).unwrap() {
         Response::Calibrate { calibration, .. } => {
             assert_eq!(calibration.fresh_shots, 0, "warm calibration free");
+            assert_eq!(calibration.fresh_points, 0);
+            assert_eq!(calibration.cached_points, 10);
             assert_eq!(calibration.fit, local.fit);
         }
         other => panic!("expected calibrate response, got {other:?}"),
@@ -377,6 +409,34 @@ fn calibrate_job_over_tcp_matches_local_calibration() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn calibration_past_its_timeout_errors_and_service_shuts_down() {
+    let service = SweepService::start(ServiceConfig {
+        workers: 1,
+        job_timeout: Duration::from_millis(1),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    match service.handle(Request::Calibrate {
+        id: "slow".into(),
+        config: raa_sim::CalibrationConfig::default(),
+    }) {
+        Response::Error { id, message } => {
+            assert_eq!(id, "slow");
+            assert!(message.contains("timeout"), "{message}");
+        }
+        other => panic!("expected error response, got {other:?}"),
+    }
+    // The in-flight point finishes and the rest are shed: every one of the
+    // calibration's 10 points is accounted for, as one job.
+    service.shutdown();
+    let status = service.status();
+    assert!(status.draining);
+    assert!(status.shed_points > 0, "{status:?}");
+    assert_eq!(status.fresh_points + status.shed_points, 10, "{status:?}");
+    assert_eq!((status.points_completed, status.jobs_completed), (10, 1));
 }
 
 /// The new algorithm scenarios flow through the daemon's job codec and
