@@ -2,7 +2,7 @@
 //! small memory circuit, pinned row by row.
 //!
 //! Each row is one decoder × sampling path × shot budget. Every row runs
-//! at 1, 2 and 8 threads and must give the same numbers at each, and the
+//! at 1, 2, 3 and 8 threads and must give the same numbers at each, and the
 //! same numbers as the pinned table: a refactor of the batch runner that
 //! moves a per-batch seed, the batch size, the batch-order merge or the
 //! early-stop prefix fails here. The matrix covers what no engine anchor
@@ -57,8 +57,10 @@ fn repetition_memory(d: usize, rounds: usize, p: f64) -> Circuit {
 
 /// Every budget shape of the matrix: a full run of 11 whole batches plus
 /// a partial one, an early stop that lands mid-run, a failure target of
-/// 0 (one batch), an empty budget and a single partial batch.
-const BUDGETS: [(&str, ShotBudget); 5] = [
+/// 0 (one batch), an empty budget, a single partial batch, two whole
+/// batches plus a partial one, and an early stop inside the first of three
+/// batches.
+const BUDGETS: [(&str, ShotBudget); 7] = [
     ("fixed3000", ShotBudget::Fixed(3_000)),
     (
         "until40",
@@ -76,6 +78,14 @@ const BUDGETS: [(&str, ShotBudget); 5] = [
     ),
     ("fixed0", ShotBudget::Fixed(0)),
     ("fixed100", ShotBudget::Fixed(100)),
+    ("fixed600", ShotBudget::Fixed(600)),
+    (
+        "until3",
+        ShotBudget::UntilFailures {
+            max_shots: 768,
+            target_failures: 3,
+        },
+    ),
 ];
 
 fn sampled<S: Sampler, D: Decoder + Sync>(
@@ -180,12 +190,26 @@ const PINNED: &[(&str, usize, usize)] = &[
     ("window/dem/fixed100", 100, 0),
     ("window/stream_batch/fixed100", 100, 0),
     ("window/streamed/fixed100", 100, 0),
+    ("uf/circuit/fixed600", 600, 14),
+    ("uf/dem/fixed600", 600, 19),
+    ("uf/stream_batch/fixed600", 600, 7),
+    ("window/circuit/fixed600", 600, 13),
+    ("window/dem/fixed600", 600, 19),
+    ("window/stream_batch/fixed600", 600, 9),
+    ("window/streamed/fixed600", 600, 9),
+    ("uf/circuit/until3", 256, 5),
+    ("uf/dem/until3", 256, 9),
+    ("uf/stream_batch/until3", 256, 4),
+    ("window/circuit/until3", 256, 4),
+    ("window/dem/until3", 256, 9),
+    ("window/stream_batch/until3", 256, 5),
+    ("window/streamed/until3", 256, 5),
 ];
 
 #[test]
 fn monte_carlo_matrix_is_pinned_at_every_thread_count() {
     let base = matrix(1);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 3, 8] {
         assert_eq!(matrix(threads), base, "threads = {threads}");
     }
     let got: Vec<(&str, usize, usize)> = base
