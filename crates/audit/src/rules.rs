@@ -632,6 +632,8 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/sim/src/orchestrator.rs",
     "crates/sim/src/lock.rs",
     "crates/sim/src/jobs.rs",
+    // The daemon expands and fits a calibration request through `calibrate`.
+    "crates/sim/src/calibrate.rs",
     // The daemon parses wire lines through `json` and cache entries through
     // `record` on every lookup and scrub.
     "crates/sim/src/json.rs",

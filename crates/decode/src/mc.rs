@@ -11,10 +11,16 @@
 //! The runner shards the budget into batches of 256 shots. Batch `i`
 //! samples from its own RNG stream, seeded by [`mix_seed`]`(seed, i)`;
 //! batches are decoded in parallel with one worker state per thread, and
-//! per-batch statistics are merged in batch order. So for a given seed,
-//! sampler and budget the returned [`DecodeStats`] are **bit-identical
-//! regardless of thread count** — and the thread count is all that
-//! [`McConfig`] holds.
+//! per-batch statistics are merged in batch order. The batch stays the
+//! unit of seeding and of the early-stop prefix, but a round with fewer
+//! batches than threads splits each batch into contiguous shot ranges, one
+//! per part, so a small estimate still uses every thread: each part
+//! re-draws its whole batch from the batch's stream and decodes only its
+//! range, and the parts' statistics are summed per batch before the merge.
+//! No shot's outcome depends on the part or thread that decodes it, so for
+//! a given seed, sampler and budget the returned [`DecodeStats`] are
+//! **bit-identical regardless of thread count** — and the thread count is
+//! all that [`McConfig`] holds.
 //!
 //! Inside a batch the pipeline is allocation-free in steady state: shots
 //! are drawn through a [`Sampler`] straight into the per-worker shot-major
@@ -23,7 +29,8 @@
 //! [`CircuitSampler`] simulates into a detector-major
 //! [`DetectorSamples`] scratch and transposes), and the whole batch is
 //! decoded through [`Decoder::predict_batch_into`] with a per-worker
-//! scratch.
+//! scratch (a part of a split batch decodes its range shot by shot through
+//! [`Decoder::predict_into`]).
 //!
 //! Two samplers are provided: [`CircuitSampler`] re-simulates the circuit
 //! through the Pauli-frame simulator (cost ∝ circuit ops × qubits per
@@ -45,11 +52,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Shots per batch: the unit of seeding, of parallel work and of the
-/// early-stop prefix. Small enough that modest shot counts parallelize,
-/// large enough to amortize per-batch sampling setup. Every result depends
+/// Shots per batch: the unit of seeding and of the early-stop prefix, and
+/// of parallel work while a round has at least as many batches as threads.
+/// Large enough to amortize per-batch sampling setup. Every result depends
 /// on it, so it is fixed.
 const BATCH: usize = 256;
 
@@ -312,6 +320,7 @@ struct Worker<S: Sampler, D: Decoder> {
     syndromes: SyndromeBatch,
     obs_masks: Vec<u64>,
     predicted: Vec<u64>,
+    defects: Vec<u32>,
 }
 
 impl<S: Sampler, D: Decoder> Worker<S, D> {
@@ -322,31 +331,47 @@ impl<S: Sampler, D: Decoder> Worker<S, D> {
             syndromes: SyndromeBatch::default(),
             obs_masks: Vec::new(),
             predicted: Vec::new(),
+            defects: Vec::new(),
         }
     }
 
-    /// Samples one batch of shots, then decodes it.
+    /// Samples one batch of `len` shots, then decodes the shots in `shots`:
+    /// a whole batch in one [`Decoder::predict_batch_into`] call, a part of
+    /// one shot by shot.
     fn decode_batch(
         &mut self,
         sampler: &S,
         decoder: &D,
-        shots: usize,
+        len: usize,
+        shots: Range<usize>,
         rng: &mut StdRng,
     ) -> DecodeStats {
         sampler.sample_into(
-            shots,
+            len,
             rng,
             &mut self.sampler_scratch,
             &mut self.syndromes,
             &mut self.obs_masks,
         );
-        decoder.predict_batch_into(&self.syndromes, &mut self.predicted, &mut self.scratch);
-        let failures = self.predicted[..shots]
+        if shots.len() == len {
+            decoder.predict_batch_into(&self.syndromes, &mut self.predicted, &mut self.scratch);
+        } else {
+            self.predicted.clear();
+            for s in shots.clone() {
+                self.syndromes.fired_into(s, &mut self.defects);
+                let predicted = decoder.predict_into(&self.defects, &mut self.scratch);
+                self.predicted.push(predicted);
+            }
+        }
+        let failures = self.predicted[..shots.len()]
             .iter()
-            .zip(&self.obs_masks[..shots])
+            .zip(&self.obs_masks[shots.clone()])
             .filter(|(predicted, actual)| predicted != actual)
             .count();
-        DecodeStats { shots, failures }
+        DecodeStats {
+            shots: shots.len(),
+            failures,
+        }
     }
 }
 
@@ -431,15 +456,23 @@ pub fn logical_error_rate_sampled<S: Sampler, D: Decoder + Sync>(
         seed,
         cfg,
         Worker::<S, D>::new,
-        |worker, len, rng| worker.decode_batch(sampler, decoder, len, rng),
+        |worker, len, shots, rng| worker.decode_batch(sampler, decoder, len, shots, rng),
     )
 }
 
 /// The one batch runner behind both estimators: shards `budget` into
-/// [`BATCH`]-shot batches, runs `decode_batch(worker, batch_len,
+/// [`BATCH`]-shot batches, runs `decode_batch(worker, batch_len, shots,
 /// batch_rng)` per batch (one reusable worker per thread via
 /// `new_worker`), and merges the per-batch statistics in batch order up to
 /// the deterministic early-stop prefix of [`ShotBudget::UntilFailures`].
+///
+/// The batch is the unit of seeding and of that prefix. A round with fewer
+/// batches than the pool has threads splits each batch into
+/// `threads / batches` parts of contiguous shot ranges (a 100-shot batch
+/// on 3 threads decodes as 33, 33 and 34 shots). Each part re-draws its
+/// whole batch from the batch's seed and decodes only its `shots` range,
+/// and a batch's statistics are the sum of its parts', so a batch joins
+/// the prefix only when all its parts ran.
 ///
 /// A fixed budget is an early stop whose target is never reached: one
 /// parallel round over every batch.
@@ -448,7 +481,7 @@ fn run_batches<W: Send>(
     seed: u64,
     cfg: &McConfig,
     new_worker: impl Fn() -> W + Send + Sync,
-    decode_batch: impl Fn(&mut W, usize, &mut StdRng) -> DecodeStats + Send + Sync,
+    decode_batch: impl Fn(&mut W, usize, Range<usize>, &mut StdRng) -> DecodeStats + Send + Sync,
 ) -> Result<DecodeStats, McError> {
     let (max_shots, target_failures) = match budget {
         ShotBudget::Fixed(shots) => (shots, usize::MAX),
@@ -463,18 +496,22 @@ fn run_batches<W: Send>(
     let mut stats = DecodeStats::default();
     let mut next = 0usize;
     while next < num_batches {
-        // One parallel round over the remaining batches. Workers skip (yield
-        // `None` for) batches claimed after the round's failure budget is
-        // spent; since batch indices are claimed in increasing order, the
-        // completed batches of a round form a contiguous prefix up to the
-        // first `None`.
+        // One parallel round over the remaining batches, each split into
+        // `parts` shot ranges when there are fewer batches than threads.
+        // Workers skip (yield `None` for) parts claimed after the round's
+        // failure budget is spent, and a batch with a skipped part yields
+        // `None`; since items are claimed in increasing order, the completed
+        // batches of a round form a contiguous prefix up to the first `None`.
         let needed = target_failures.saturating_sub(stats.failures);
         let round_failures = AtomicUsize::new(0);
         let start = next;
         let results: Vec<Option<DecodeStats>> = run_on_pool(cfg.threads, || {
-            (start..num_batches)
+            let batches = num_batches - start;
+            let parts = (rayon::current_num_threads() / batches).max(1);
+            let part_stats: Vec<Option<DecodeStats>> = (0..batches * parts)
                 .into_par_iter()
-                .map_init(&new_worker, |worker, b| {
+                .map_init(&new_worker, |worker, item| {
+                    let (b, part) = (start + item / parts, item % parts);
                     // The round's first batch always runs, guaranteeing
                     // progress even if the scheduler claims it last (and
                     // covering the target_failures == 0 degenerate case,
@@ -482,10 +519,22 @@ fn run_batches<W: Send>(
                     if b != start && round_failures.load(Ordering::Relaxed) >= needed {
                         return None;
                     }
+                    let len = batch_len(b);
+                    let shots = part * len / parts..(part + 1) * len / parts;
                     let mut rng = StdRng::seed_from_u64(mix_seed(seed, b as u64));
-                    let batch_stats = decode_batch(worker, batch_len(b), &mut rng);
-                    round_failures.fetch_add(batch_stats.failures, Ordering::Relaxed);
-                    Some(batch_stats)
+                    let part_stats = decode_batch(worker, len, shots, &mut rng);
+                    round_failures.fetch_add(part_stats.failures, Ordering::Relaxed);
+                    Some(part_stats)
+                })
+                .collect();
+            part_stats
+                .chunks(parts)
+                .map(|batch| {
+                    let mut sum = DecodeStats::default();
+                    for part in batch {
+                        sum.merge((*part)?);
+                    }
+                    Some(sum)
                 })
                 .collect()
         })?;
@@ -506,7 +555,7 @@ fn run_batches<W: Send>(
 
 /// Per-worker state of the **streaming** pipeline: the sampler's rolling
 /// window, a [`LayerRing`] of the open window's finalized bitplanes, one
-/// [`WindowState`] per in-flight shot, and the shared windowed decode
+/// [`WindowState`] per decoded shot, and the shared windowed decode
 /// scratch — everything reused batch to batch. Peak resident syndrome
 /// memory is `batch × window` bits, independent of circuit depth.
 struct StreamWorker {
@@ -532,12 +581,12 @@ impl StreamWorker {
         }
     }
 
-    /// Samples and decodes one batch of shots **window-major**: each layer
-    /// is sampled once into the [`LayerRing`], and as soon as a window's
-    /// look-ahead is complete the *whole shot block* steps through that
-    /// window back to back — so the graph and decode-scratch slots of the
-    /// window's layers stay in cache across all shots — before the next
-    /// layer is sampled.
+    /// Samples one batch of `len` shots and decodes the shots in `shots`
+    /// **window-major**: each layer is sampled once into the
+    /// [`LayerRing`], and as soon as a window's look-ahead is complete the
+    /// *whole shot block* steps through that window back to back — so the
+    /// graph and decode-scratch slots of the window's layers stay in cache
+    /// across all shots — before the next layer is sampled.
     ///
     /// Draws the per-layer RNG streams exactly as the [`Sampler`] impl of
     /// [`StreamingDemSampler`] does, and runs the same window steps the
@@ -548,17 +597,18 @@ impl StreamWorker {
         &mut self,
         sampler: &StreamingDemSampler,
         decoder: &WindowedDecoder<L>,
-        shots: usize,
+        len: usize,
+        shots: Range<usize>,
         rng: &mut StdRng,
     ) -> DecodeStats {
         let base = rng.random::<u64>();
-        sampler.start_batch(shots, &mut self.scratch);
+        sampler.start_batch(len, &mut self.scratch);
         self.obs_masks.clear();
-        self.obs_masks.resize(shots, 0);
-        if self.states.len() < shots {
-            self.states.resize_with(shots, WindowState::default);
+        self.obs_masks.resize(len, 0);
+        if self.states.len() < shots.len() {
+            self.states.resize_with(shots.len(), WindowState::default);
         }
-        for state in &mut self.states[..shots] {
+        for state in &mut self.states[..shots.len()] {
             decoder.stream_reset(state);
         }
         let dpl = sampler.detectors_per_layer();
@@ -570,17 +620,17 @@ impl StreamWorker {
                 let mut layer_rng = StdRng::seed_from_u64(mix_seed(base, layer as u64));
                 sampler.sample_next_layer(&mut layer_rng, &mut self.scratch, &mut self.obs_masks);
                 let base_det = (layer * dpl) as u32;
-                for s in 0..shots {
+                for (state, s) in self.states.iter_mut().zip(shots.clone()) {
                     self.scratch.layer().fired_into(s, &mut self.defects);
                     for d in &mut self.defects {
                         *d += base_det;
                     }
-                    decoder.stream_push(&mut self.states[s], &self.defects);
+                    decoder.stream_push(state, &self.defects);
                 }
             }
             let mut stats = DecodeStats::default();
-            for s in 0..shots {
-                let predicted = decoder.stream_finish(&mut self.states[s], &mut self.win);
+            for (state, s) in self.states.iter_mut().zip(shots) {
+                let predicted = decoder.stream_finish(state, &mut self.win);
                 stats.shots += 1;
                 if predicted != self.obs_masks[s] {
                     stats.failures += 1;
@@ -596,40 +646,40 @@ impl StreamWorker {
             sampler.sample_next_layer(&mut layer_rng, &mut self.scratch, &mut self.obs_masks);
             self.ring.store(layer, self.scratch.layer());
             while next_start < num_layers && next_start + window <= layer + 1 {
-                self.step_all_shots(decoder, shots, next_start, num_layers);
+                self.step_all_shots(decoder, shots.clone(), next_start, num_layers);
                 next_start += decoder.commit();
             }
         }
         // Tail windows: clipped look-ahead, all still resident in the ring.
         while next_start < num_layers {
-            self.step_all_shots(decoder, shots, next_start, num_layers);
+            self.step_all_shots(decoder, shots.clone(), next_start, num_layers);
             next_start += decoder.commit();
         }
         let mut stats = DecodeStats::default();
-        for s in 0..shots {
+        for (state, s) in self.states.iter().zip(shots) {
             stats.shots += 1;
-            if self.states[s].committed_observables() != self.obs_masks[s] {
+            if state.committed_observables() != self.obs_masks[s] {
                 stats.failures += 1;
             }
         }
         stats
     }
 
-    /// Steps every shot of the block through the window starting at layer
+    /// Steps every shot in `shots` through the window starting at layer
     /// `start`, extracting each shot's window defects from the ring.
     fn step_all_shots<L: LayerAssignment>(
         &mut self,
         decoder: &WindowedDecoder<L>,
-        shots: usize,
+        shots: Range<usize>,
         start: usize,
         num_layers: usize,
     ) {
         let hi = (start + decoder.commit() + decoder.buffer()).min(num_layers);
-        for s in 0..shots {
+        for (state, s) in self.states.iter_mut().zip(shots) {
             self.defects.clear();
             self.ring
                 .extract_into(s, start, hi, &mut self.layer_defects, &mut self.defects);
-            decoder.stream_step_fired(&mut self.states[s], &self.defects, &mut self.win);
+            decoder.stream_step_fired(state, &self.defects, &mut self.win);
         }
     }
 }
@@ -719,7 +769,7 @@ pub fn logical_error_rate_streamed<L: LayerAssignment + Sync>(
         seed,
         cfg,
         StreamWorker::new,
-        |worker, len, rng| worker.decode_batch(sampler, decoder, len, rng),
+        |worker, len, shots, rng| worker.decode_batch(sampler, decoder, len, shots, rng),
     )
 }
 
@@ -900,6 +950,67 @@ pub(crate) mod tests {
         }
         assert!(base.failures >= 25);
         assert!(base.shots < 200_000);
+    }
+
+    /// A [`Sampler`] that counts its `sample_into` calls.
+    struct CountingSampler<'a, S> {
+        inner: &'a S,
+        calls: AtomicUsize,
+    }
+
+    impl<S: Sampler> Sampler for CountingSampler<'_, S> {
+        type Scratch = S::Scratch;
+
+        fn sample_into(
+            &self,
+            shots: usize,
+            rng: &mut StdRng,
+            scratch: &mut S::Scratch,
+            syndromes: &mut SyndromeBatch,
+            obs_masks: &mut Vec<u64>,
+        ) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .sample_into(shots, rng, scratch, syndromes, obs_masks);
+        }
+    }
+
+    #[test]
+    fn a_round_with_fewer_batches_than_threads_splits_each_batch() {
+        let c = repetition(5, 4, 0.08);
+        let d = uf(&c);
+        let sampler = DemSampler::new(&DetectorErrorModel::from_circuit(&c));
+        // The stats of a `threads`-thread run and its number of draws.
+        let draws = |shots: usize, threads: usize| {
+            let counting = CountingSampler {
+                inner: &sampler,
+                calls: AtomicUsize::new(0),
+            };
+            let stats = stats(&counting, &d, shots, 0x5B17, threads);
+            (stats, counting.calls.into_inner())
+        };
+        // One batch: one draw per part, and the 1-thread stats.
+        let (one_batch, calls) = draws(200, 1);
+        assert_eq!(calls, 1);
+        assert!(one_batch.failures > 0, "p = 8% should produce failures");
+        for threads in [2usize, 3] {
+            assert_eq!(
+                draws(200, threads),
+                (one_batch, threads),
+                "threads = {threads}"
+            );
+        }
+        // At least one batch per thread: every batch is drawn once.
+        for threads in [2usize, 3] {
+            for shots in [threads * BATCH, threads * BATCH + 100] {
+                let (base, _) = draws(shots, 1);
+                assert_eq!(
+                    draws(shots, threads),
+                    (base, shots.div_ceil(BATCH)),
+                    "threads = {threads}, shots = {shots}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -131,11 +131,26 @@ impl CalibrationConfig {
     /// CNOT grid's, each in grid order — and the memory grid's point count,
     /// where the list's records split. [`calibrate`] and the `raa-sweepd`
     /// service run this list as one unit of work.
-    pub fn specs(&self) -> (Vec<ExperimentSpec>, usize) {
+    ///
+    /// # Errors
+    ///
+    /// [`CalibrationError::NoDistances`] when the config has no code
+    /// distance, so neither grid has a point.
+    pub fn specs(&self) -> Result<(Vec<ExperimentSpec>, usize), CalibrationError> {
+        self.check()?;
         let mut specs = self.memory_grid().specs();
         let memory_points = specs.len();
         specs.extend(self.cnot_grid().specs());
-        (specs, memory_points)
+        Ok((specs, memory_points))
+    }
+
+    /// Checks that the config describes a non-empty grid: the one rule
+    /// shared by [`CalibrationConfig::specs`] and the wire codec.
+    pub(crate) fn check(&self) -> Result<(), CalibrationError> {
+        if self.distances.is_empty() {
+            return Err(CalibrationError::NoDistances);
+        }
+        Ok(())
     }
 
     /// The orchestrator this config runs on.
@@ -151,6 +166,8 @@ impl CalibrationConfig {
 /// Why a calibration run could not produce model parameters.
 #[derive(Debug)]
 pub enum CalibrationError {
+    /// The config lists no code distance, so neither grid has a point.
+    NoDistances,
     /// A calibration point failed (cache I/O, a poisoned point, …) — see
     /// [`OrchestratorError`] for the failure classes.
     Sweep(OrchestratorError),
@@ -170,6 +187,9 @@ pub enum CalibrationError {
 impl fmt::Display for CalibrationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CalibrationError::NoDistances => {
+                write!(f, "field \"distances\": expected at least one distance")
+            }
             CalibrationError::Sweep(e) => write!(f, "calibration sweep failed: {e}"),
             CalibrationError::UnfittableCnotSweep => write!(
                 f,
@@ -253,13 +273,14 @@ impl Calibration {
 ///
 /// # Errors
 ///
+/// [`CalibrationError::NoDistances`] when the config has no code distance;
 /// [`CalibrationError::Sweep`] when a point fails (cache I/O past the
 /// retry budget, a poisoned point, a worker-pool misconfiguration);
 /// [`CalibrationError::UnfittableCnotSweep`] /
 /// [`CalibrationError::NoSuppression`] when the records cannot support the
 /// fit (see [`crate::analysis::fit_eq4`]).
 pub fn calibrate(cfg: &CalibrationConfig) -> Result<Calibration, CalibrationError> {
-    let (specs, memory_points) = cfg.specs();
+    let (specs, memory_points) = cfg.specs()?;
     let mut sweep = cfg.orchestrator()?.run_specs(&specs)?;
     let cnot_records = sweep.records.split_off(memory_points);
     fit_calibration(
@@ -381,6 +402,22 @@ mod tests {
         match calibrate(&cfg) {
             Err(CalibrationError::UnfittableCnotSweep) => {}
             other => panic!("expected UnfittableCnotSweep, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn no_distances_is_a_typed_error_not_a_panic() {
+        let cfg = CalibrationConfig {
+            distances: vec![],
+            ..tiny_config(None)
+        };
+        let result = std::panic::catch_unwind(|| calibrate(&cfg)).expect("calibrate never panics");
+        match result {
+            Err(e @ CalibrationError::NoDistances) => assert_eq!(
+                e.to_string(),
+                "field \"distances\": expected at least one distance"
+            ),
+            other => panic!("expected NoDistances, got {other:?}"),
         }
     }
 }

@@ -361,15 +361,9 @@ fn config_to_json(cfg: &CalibrationConfig) -> Json {
 /// Decodes a wire calibration config. `cache_dir` and `point_threads` are
 /// not wire fields: the server's own cache and worker pool are used.
 fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
-    let distances = v.u32_items("distances")?;
-    if distances.is_empty() {
-        // An empty axis would panic the grid expansion on the daemon's
-        // connection thread instead of answering with an error.
-        return Err("field \"distances\": expected at least one distance".into());
-    }
-    Ok(CalibrationConfig {
+    let config = CalibrationConfig {
         p_phys: v.f64_field("p_phys")?,
-        distances,
+        distances: v.u32_items("distances")?,
         cnots_per_round: v.f64_items("cnots_per_round")?,
         memory_shots: v.count_field("memory_shots")?,
         cnot_shots: v.count_field("cnot_shots")?,
@@ -380,7 +374,9 @@ fn config_from_json(v: &Json) -> Result<CalibrationConfig, String> {
         cnot_seed: v.u64_str_field("cnot_seed")?,
         cache_dir: None,
         point_threads: 0,
-    })
+    };
+    config.check().map_err(|e| e.to_string())?;
+    Ok(config)
 }
 
 // ---------------------------------------------------------------------------

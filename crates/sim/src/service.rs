@@ -639,7 +639,15 @@ impl SweepService {
     }
 
     fn handle_calibrate(&self, id: String, config: CalibrationConfig) -> Response {
-        let (specs, memory_points) = config.specs();
+        let (specs, memory_points) = match config.specs() {
+            Ok(list) => list,
+            Err(e) => {
+                return Response::Error {
+                    id,
+                    message: e.to_string(),
+                }
+            }
+        };
         let Some(job) = self.submit(specs) else {
             return Response::Shed {
                 id,

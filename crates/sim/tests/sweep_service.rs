@@ -439,6 +439,38 @@ fn calibration_past_its_timeout_errors_and_service_shuts_down() {
     assert_eq!((status.points_completed, status.jobs_completed), (10, 1));
 }
 
+#[test]
+fn in_process_calibration_without_distances_gets_error_not_panic() {
+    let service = SweepService::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let request = Request::Calibrate {
+        id: "empty".into(),
+        config: raa_sim::CalibrationConfig {
+            distances: vec![],
+            ..raa_sim::CalibrationConfig::default()
+        },
+    };
+    let response =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.handle(request)))
+            .expect("handle never panics");
+    match response {
+        Response::Error { id, message } => {
+            assert_eq!(id, "empty");
+            assert_eq!(
+                message,
+                "field \"distances\": expected at least one distance"
+            );
+        }
+        other => panic!("expected error response, got {other:?}"),
+    }
+    // No job was submitted, and the service still answers.
+    assert_eq!(service.status().jobs_completed, 0);
+    service.shutdown();
+}
+
 /// The new algorithm scenarios flow through the daemon's job codec and
 /// land in the same content-addressed cache the local orchestrator uses:
 /// sweeping one `MagicFactory` point over the wire must produce a record
