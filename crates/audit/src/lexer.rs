@@ -92,6 +92,7 @@ fn is_ident_continue(c: char) -> bool {
 /// Lexes `src` into a token stream. Unterminated literals or comments are
 /// closed at end of file rather than reported — the audit runs on sources
 /// the compiler already accepted, so recovery is not worth modelling.
+// raa-audit: allow(orphan-pub): lexer_golden.rs and rule_snippets.rs test the lexer and the rules on snippets.
 pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor {
         chars: src.chars().collect(),

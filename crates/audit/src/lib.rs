@@ -17,7 +17,7 @@
 //! | `unsafe-safety` | every `unsafe` carries an adjacent `// SAFETY:` comment |
 //! | `forbid-unsafe` | unsafe-free crates declare `#![forbid(unsafe_code)]` |
 //! | `float-eq`      | no `==`/`!=` on floats in fit/analysis code |
-//! | `orphan-pub`    | no `pub fn` whose name appears nowhere else in the workspace's Rust sources |
+//! | `orphan-pub`    | no `pub fn` that no other crate's non-test code (library, binary, example, bench, e2ebench) names |
 //!
 //! Findings are suppressible only via
 //! `// raa-audit: allow(<rule>): <reason>` with a mandatory reason, and a
@@ -49,8 +49,9 @@ pub fn scan_workspace(root: &Path, baseline: &Baseline) -> io::Result<Report> {
     let mut all_findings: Vec<Finding> = Vec::new();
     let mut suppressed: Vec<Finding> = Vec::new();
     let mut files_scanned = 0usize;
-    // `orphan-pub` needs the names used in every `.rs` file of these
-    // directories before it can check any one file.
+    // `orphan-pub` needs the names each crate's non-test code uses, across
+    // every `.rs` file of these directories, before it can check any one
+    // file.
     let mut orphan_pub = rules::OrphanPub::default();
     for dir in [
         "crates",
@@ -62,7 +63,12 @@ pub fn scan_workspace(root: &Path, baseline: &Baseline) -> io::Result<Report> {
         let dir = root.join(dir);
         if dir.is_dir() {
             for path in rs_files(&dir)? {
-                orphan_pub.count(&lexer::lex(&std::fs::read_to_string(path)?));
+                let rel = path
+                    .strip_prefix(root)
+                    .expect("walked under root")
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                orphan_pub.count(&rel, &lexer::lex(&std::fs::read_to_string(&path)?));
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! # Extension point
 //!
-//! A rule is an implementation of [`Rule`] registered in [`registry`].
+//! A rule is an implementation of [`Rule`] registered in `registry`.
 //! Rules see one file at a time as a [`FileContext`]: the full token
 //! stream (comments included), a comment-free index (`code`), a per-token
 //! "inside `#[cfg(test)]`" mask, and the raw source lines for snippet
@@ -14,9 +14,9 @@
 //! 2. Implement [`Rule::applies_to`] over the *workspace-relative* path
 //!    (forward slashes, e.g. `crates/sim/src/service.rs`). Scoping by
 //!    path, not by content, keeps the contract reviewable in one place.
-//! 3. Emit findings via [`FileContext::finding`] so spans and snippets
+//! 3. Emit findings via `FileContext::finding` so spans and snippets
 //!    (the baseline fingerprint) stay consistent across rules.
-//! 4. Register the rule in [`registry`] and document it in the README's
+//! 4. Register the rule in `registry` and document it in the README's
 //!    "Static analysis" table.
 //!
 //! Rules must be deterministic: findings are emitted in token order and
@@ -85,7 +85,7 @@ impl<'a> FileContext<'a> {
     }
 
     /// The trimmed source line at 1-based `line`.
-    pub fn snippet(&self, line: u32) -> String {
+    pub(crate) fn snippet(&self, line: u32) -> String {
         self.lines
             .get(line as usize - 1)
             .map(|l| l.trim().to_string())
@@ -93,7 +93,7 @@ impl<'a> FileContext<'a> {
     }
 
     /// Builds a finding anchored at `tok`.
-    pub fn finding(&self, rule: &str, tok: &Token, message: String) -> Finding {
+    pub(crate) fn finding(&self, rule: &str, tok: &Token, message: String) -> Finding {
         Finding {
             rule: rule.to_string(),
             file: self.rel_path.to_string(),
@@ -227,13 +227,13 @@ pub trait Rule {
 }
 
 /// All registered rules, in report order. `orphan_pub` carries the
-/// workspace's word counts, which no single file holds.
+/// workspace's per-crate identifier counts, which no single file holds.
 ///
 /// The crate-level `#![forbid(unsafe_code)]` check does not fit the
 /// per-file [`Rule`] shape and lives in [`forbid_unsafe_findings`]; its
 /// findings use the rule id `forbid-unsafe` and flow through the same
 /// suppression/baseline pipeline.
-pub fn registry(orphan_pub: OrphanPub) -> Vec<Box<dyn Rule>> {
+pub(crate) fn registry(orphan_pub: OrphanPub) -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(HashIter),
         Box::new(NondetTime),
@@ -824,39 +824,69 @@ impl Rule for FloatEq {
     }
 }
 
-/// `orphan-pub`: a `pub fn` outside test code whose name appears nowhere
-/// else in the workspace is public API without a caller.
+/// `orphan-pub`: a `pub fn` outside test code that no other crate's
+/// non-test code names is public API without a cross-crate caller; make it
+/// `pub(crate)` (rustc's `dead_code` lint then reports it if nothing in its
+/// crate calls it either).
 ///
-/// This is a word scan, not name resolution. [`OrphanPub::count`] counts
-/// every identifier and every word of doc-comment text, so doctests and
-/// intra-doc links are uses; a name counted once is only its own
-/// declaration. A name shared with any other item hides a function, so
-/// the rule can miss dead code but never flags a function that is named
-/// somewhere.
+/// [`OrphanPub::count`] collects, per crate, the identifiers of non-test
+/// code: libraries, binaries, examples, benches and every file under
+/// `e2ebench/`. Integration tests (`tests/` directories), `#[cfg(test)]`
+/// items, comments, doc examples and strings are not uses. This is a word
+/// scan, not name resolution: a name shared with any identifier of another
+/// crate hides a function, so the rule can miss an orphan but never flags
+/// a function that another crate's non-test code names.
 #[derive(Default)]
 pub struct OrphanPub {
-    uses: BTreeMap<String, u32>,
+    /// Identifier → the crates whose non-test code names it.
+    uses: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl OrphanPub {
-    /// Adds one file's identifiers and doc-comment words to the counts.
-    pub fn count(&mut self, tokens: &[Token]) {
-        let mut add = |w: &str| *self.uses.entry(w.to_string()).or_insert(0) += 1;
-        for t in tokens {
-            let doc = ["///", "//!", "/**", "/*!"]
-                .iter()
-                .any(|p| t.text.starts_with(p));
-            match t.kind {
-                TokKind::Ident => add(&t.text),
-                TokKind::LineComment | TokKind::BlockComment if doc => t
-                    .text
-                    .split(|c: char| c != '_' && !c.is_alphanumeric())
-                    .filter(|w| w.starts_with(|c: char| c == '_' || c.is_alphabetic()))
-                    .for_each(&mut add),
-                _ => {}
+    /// Adds the non-test identifiers of the file at the workspace-relative
+    /// `rel_path` to the counts; an integration-test file adds none.
+    pub fn count(&mut self, rel_path: &str, tokens: &[Token]) {
+        let Some(krate) = crate_of(rel_path) else {
+            return;
+        };
+        let code: Vec<usize> = tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+            .map(|(i, _)| i)
+            .collect();
+        let in_test = test_mask(tokens, &code);
+        for &i in &code {
+            if tokens[i].kind == TokKind::Ident && !in_test[i] {
+                self.uses
+                    .entry(tokens[i].text.clone())
+                    .or_default()
+                    .insert(krate.clone());
             }
         }
     }
+}
+
+/// The crate a workspace file compiles into, or `None` for an integration
+/// test. A library's `src/` is one crate; each binary, example and bench
+/// file stands for its own; everything under `e2ebench/` is one crate.
+fn crate_of(rel_path: &str) -> Option<String> {
+    if rel_path.starts_with("e2ebench/") {
+        return Some("e2ebench".to_string());
+    }
+    if rel_path.starts_with("tests/") || rel_path.contains("/tests/") {
+        return None;
+    }
+    if let Some((name, file)) = rel_path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+    {
+        let binary = file.starts_with("src/bin/") || file == "src/main.rs";
+        if file.starts_with("src/") && !binary {
+            return Some(format!("crates/{name}/src"));
+        }
+    }
+    Some(rel_path.to_string())
 }
 
 impl Rule for OrphanPub {
@@ -864,25 +894,33 @@ impl Rule for OrphanPub {
         "orphan-pub"
     }
     fn summary(&self) -> &'static str {
-        "no pub fn whose name appears nowhere else in the workspace"
+        "no pub fn that no other crate's non-test code names"
     }
     fn applies_to(&self, rel_path: &str) -> bool {
         rel_path.starts_with("crates/")
     }
     fn check(&self, ctx: &FileContext) -> Vec<Finding> {
+        let Some(own) = crate_of(ctx.rel_path) else {
+            return Vec::new();
+        };
         let mut findings = Vec::new();
         for ci in 0..ctx.code.len() {
             if ctx.ct_in_test(ci) || !ctx.seq(ci, &["pub", "fn"]) {
                 continue;
             }
             let Some(name) = ctx.ct(ci + 2) else { break };
-            if self.uses.get(&name.text).copied().unwrap_or(0) <= 1 {
+            let named_elsewhere = self
+                .uses
+                .get(&name.text)
+                .is_some_and(|crates| crates.iter().any(|c| *c != own));
+            if !named_elsewhere {
                 findings.push(ctx.finding(
                     self.id(),
                     name,
                     format!(
-                        "`pub fn {}` is named nowhere else in the workspace (no caller, test \
-                         or doc example); delete it",
+                        "`pub fn {}` is named by no other crate's non-test code (library, \
+                         binary, example, bench or e2ebench); make it pub(crate), or keep it \
+                         pub under a suppression that names the test needing it",
                         name.text
                     ),
                 ));
@@ -899,6 +937,7 @@ impl Rule for OrphanPub {
 ///
 /// `files` are `(rel_path, source, tokens)` for every scanned file of one
 /// crate, sorted by path.
+// raa-audit: allow(orphan-pub): rule_snippets.rs runs single rules on snippets with it.
 pub fn forbid_unsafe_findings(
     crate_rel_dir: &str,
     files: &[(String, String, Vec<Token>)],
@@ -946,6 +985,7 @@ pub fn forbid_unsafe_findings(
 }
 
 /// Convenience for tests: lex + build a context + run one rule.
+// raa-audit: allow(orphan-pub): rule_snippets.rs runs single rules on snippets with it.
 pub fn run_rule_on(rule: &dyn Rule, rel_path: &str, source: &str) -> Vec<Finding> {
     let tokens = lex(source);
     let ctx = FileContext::new(rel_path, &tokens, source);

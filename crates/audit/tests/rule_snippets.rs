@@ -5,9 +5,10 @@
 
 use raa_audit::lexer::lex;
 use raa_audit::rules::{
-    forbid_unsafe_findings, run_rule_on, EnvVar, FloatEq, HashIter, NondetTime, OrphanPub,
-    PanicPath, Rule, UnsafeSafety,
+    forbid_unsafe_findings, run_rule_on, EnvVar, FileContext, Finding, FloatEq, HashIter,
+    NondetTime, OrphanPub, PanicPath, Rule, UnsafeSafety,
 };
+use raa_audit::suppress;
 
 fn hits(rule: &dyn Rule, path: &str, src: &str) -> usize {
     assert!(
@@ -292,34 +293,71 @@ fn forbid_unsafe_silent_with_attribute_or_real_unsafe() {
 // --------------------------------------------------------------- orphan-pub
 
 #[test]
-fn orphan_pub_flags_a_caller_less_function_until_a_test_or_doc_names_it() {
+fn orphan_pub_counts_only_other_crates_non_test_code() {
     let lib = r#"
-pub fn lonely() {}
-pub fn called() {}
+pub fn own_crate_only() {}
+pub fn tests_only() {}
+pub fn doc_only() {}
+pub fn by_library() {}
+pub fn by_binary() {}
+pub fn by_example() {}
+pub fn by_e2ebench() {}
 pub(crate) fn internal() {}
+// raa-audit: allow(orphan-pub): a reference implementation the tests compare against.
+pub fn suppressed() {}
+fn caller() { own_crate_only(); }
 #[cfg(test)]
-mod tests { pub fn helper() {} }
+mod tests { pub fn helper() { super::tests_only(); } }
 "#;
-    // A plain comment or a string is not a use; a call is.
-    let user = "// lonely\nfn main() { let _ = \"lonely\"; called(); }\n";
     let mut rule = OrphanPub::default();
-    rule.count(&lex(lib));
-    rule.count(&lex(user));
-    let findings = run_rule_on(&rule, "crates/foo/src/lib.rs", lib);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(
-        (findings[0].rule.as_str(), findings[0].line),
-        ("orphan-pub", 2)
-    );
-    for naming in [
-        "#[test]\nfn t() { foo::lonely(); }\n",
-        "/// ```\n/// foo::lonely();\n/// ```\npub struct S;\n",
-        "//! See [`lonely`](foo::lonely).\n",
+    for (path, src) in [
+        ("crates/foo/src/lib.rs", lib),
+        (
+            "crates/foo/src/more.rs",
+            "fn g() { crate::own_crate_only(); }\n",
+        ),
+        (
+            "crates/foo/tests/it.rs",
+            "#[test]\nfn t() { foo::tests_only(); }\n",
+        ),
+        (
+            "tests/root.rs",
+            "#[test]\nfn t() { raa::foo::tests_only(); }\n",
+        ),
+        (
+            "crates/bar/src/lib.rs",
+            "/// ```\n/// foo::doc_only();\n/// ```\npub fn b() { foo::by_library(); }\n\
+             #[cfg(test)]\nmod tests { fn t() { foo::tests_only(); } }\n",
+        ),
+        (
+            "crates/bar/src/bin/tool.rs",
+            "fn main() { foo::by_binary(); }\n",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() { raa::foo::by_example(); }\n",
+        ),
+        (
+            "e2ebench/src/main.rs",
+            "fn main() { raa::foo::by_e2ebench(); }\n",
+        ),
     ] {
-        let mut rule = OrphanPub::default();
-        for src in [lib, user, naming] {
-            rule.count(&lex(src));
-        }
-        assert_eq!(hits(&rule, "crates/foo/src/lib.rs", lib), 0, "{naming}");
+        rule.count(path, &lex(src));
     }
+    let tokens = lex(lib);
+    let ctx = FileContext::new("crates/foo/src/lib.rs", &tokens, lib);
+    let (sups, bad) = suppress::collect(&ctx);
+    assert!(bad.is_empty(), "{bad:?}");
+    let (kept, suppressed) = suppress::apply(rule.check(&ctx), &sups);
+    let snippets = |fs: &[Finding]| fs.iter().map(|f| f.snippet.clone()).collect::<Vec<_>>();
+    assert_eq!(
+        snippets(&kept),
+        [
+            "pub fn own_crate_only() {}",
+            "pub fn tests_only() {}",
+            "pub fn doc_only() {}",
+        ]
+    );
+    assert!(kept.iter().all(|f| f.rule == "orphan-pub"));
+    assert_eq!(snippets(&suppressed), ["pub fn suppressed() {}"]);
 }

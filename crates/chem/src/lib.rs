@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use raa_core::{budget, ArchContext, SpaceTime};
+use raa_core::{budget, ArchContext};
 use raa_factory::CczFactory;
 use raa_gadgets::{CuccaroAdder, LookupTable};
 use std::fmt;
@@ -37,16 +37,16 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThcInstance {
     /// Hamiltonian 1-norm λ in Hartree.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// THC rank (number of auxiliary factors M).
-    pub thc_rank: u32,
+    pub(crate) thc_rank: u32,
     /// Spin orbitals N.
-    pub spin_orbitals: u32,
+    pub(crate) spin_orbitals: u32,
     /// Target phase-estimation accuracy ε in Hartree (chemical accuracy:
     /// 1.6 mHa).
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// Coefficient register precision in bits.
-    pub coeff_bits: u32,
+    pub(crate) coeff_bits: u32,
 }
 
 impl ThcInstance {
@@ -77,14 +77,6 @@ impl ThcInstance {
     pub fn qubitization_steps(&self) -> f64 {
         (std::f64::consts::PI * self.lambda / (2.0 * self.epsilon)).ceil()
     }
-
-    /// Address bits of the PREPARE coefficient table: the THC auxiliary
-    /// register indexes `M(M+1)/2 + N/2` coefficients.
-    pub fn prepare_address_bits(&self) -> u32 {
-        let entries = u64::from(self.thc_rank) * u64::from(self.thc_rank + 1) / 2
-            + u64::from(self.spin_orbitals / 2);
-        (64 - entries.leading_zeros()).max(1)
-    }
 }
 
 impl fmt::Display for ThcInstance {
@@ -101,26 +93,21 @@ impl fmt::Display for ThcInstance {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChemistryEstimate {
     /// Peak physical qubits.
-    pub qubits: f64,
+    pub(crate) qubits: f64,
     /// Wall-clock seconds.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Total |CCZ⟩ states consumed.
-    pub ccz_total: f64,
+    pub(crate) ccz_total: f64,
     /// Total failure probability.
-    pub total_error: f64,
+    pub(crate) total_error: f64,
     /// Magic-state factories instantiated.
-    pub factories: u64,
+    pub(crate) factories: u64,
 }
 
 impl ChemistryEstimate {
     /// Runtime in days.
-    pub fn days(&self) -> f64 {
+    pub(crate) fn days(&self) -> f64 {
         self.seconds / 86_400.0
-    }
-
-    /// The space–time cost.
-    pub fn space_time(&self) -> SpaceTime {
-        SpaceTime::new(self.qubits, self.seconds)
     }
 }
 
@@ -139,7 +126,7 @@ impl fmt::Display for ChemistryEstimate {
 
 /// Builds a SELECT-SWAP-batched QROM over `entries` rows of `m` bits: a
 /// batch of `k = √(entries/m)` rows is loaded per scanned address and routed
-/// by a swap network (the advanced-QROM construction Ref. [77] relies on),
+/// by a swap network (the advanced-QROM construction Ref. \[77\] relies on),
 /// shrinking the scan depth by `k` at the cost of a `k`-fold wider output.
 fn select_swap_lookup(entries: u64, m: u32) -> LookupTable {
     let batch = ((entries as f64 / f64::from(m.max(1))).sqrt().floor() as u64).max(1);
@@ -231,20 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn prepare_table_size_covers_rank() {
-        let inst = ThcInstance::femoco_like();
-        let w = inst.prepare_address_bits();
-        let entries = 350u64 * 351 / 2 + 54;
-        assert!(1u64 << w >= entries, "w = {w}");
-        assert!(1u64 << (w - 1) < entries, "w = {w} too large");
-    }
-
-    #[test]
     fn small_molecule_cheaper_than_femoco() {
         let ctx = ArchContext::paper();
         let small = estimate(&ThcInstance::small_molecule(), &ctx);
         let big = estimate(&ThcInstance::femoco_like(), &ctx);
-        assert!(small.space_time().volume() < big.space_time().volume());
+        assert!(small.qubits * small.seconds < big.qubits * big.seconds);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct CnotErrorPoint {
 impl CnotErrorPoint {
     /// Whether the point can enter a fit: finite positive `x`, and an error
     /// rate strictly inside `(0, 1)`.
-    pub fn is_fittable(&self) -> bool {
+    pub(crate) fn is_fittable(&self) -> bool {
         self.x.is_finite()
             && self.x > 0.0
             && self.error_per_cnot.is_finite()
@@ -72,21 +72,6 @@ impl FitResult {
             c: self.c,
             p_phys,
             p_thres: self.lambda * p_phys,
-            alpha: self.alpha,
-        }
-    }
-
-    /// Converts the fit into model parameters at the paper's assumed
-    /// `p_thres = 1%` (so `p_phys = p_thres/Λ`) — the historical behaviour,
-    /// appropriate only when the fit came from data at the paper's operating
-    /// point. For simulation-calibrated parameters use
-    /// [`FitResult::to_params`] with the sweep's actual physical error rate.
-    pub fn to_params_paper(&self) -> ErrorModelParams {
-        let p_thres = 1e-2;
-        ErrorModelParams {
-            c: self.c,
-            p_phys: p_thres / self.lambda,
-            p_thres,
             alpha: self.alpha,
         }
     }
@@ -413,20 +398,6 @@ mod tests {
         let hw = params.with_p_phys(1e-3);
         assert_eq!(hw.p_thres, params.p_thres);
         assert!((hw.lambda() - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn to_params_paper_keeps_one_percent_threshold() {
-        let fit = FitResult {
-            alpha: 0.25,
-            lambda: 20.0,
-            c: 0.1,
-            residual: 0.0,
-        };
-        let params = fit.to_params_paper();
-        assert_eq!(params.p_thres, 1e-2);
-        assert!((params.lambda() - 20.0).abs() < 1e-9);
-        assert_eq!(params.alpha, 0.25);
     }
 
     #[test]

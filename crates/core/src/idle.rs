@@ -1,7 +1,7 @@
 //! Idle-storage syndrome-extraction frequency optimization (Fig. 11c,d).
 //!
 //! A stored qubit decoheres at rate `1/T_coh` between SE rounds; each SE
-//! round itself injects gate noise at roughly [`SE_LOCATIONS_PER_QUBIT`] ≈ 10
+//! round itself injects gate noise at roughly `SE_LOCATIONS_PER_QUBIT` ≈ 10
 //! physical fault locations per data qubit (four two-qubit gates touching the
 //! qubit plus preparation/measurement shares). In the Eq. (3) language, the
 //! idle contribution `Δt/T_coh` adds to the per-round gate contribution
@@ -22,7 +22,7 @@ use crate::params::ErrorModelParams;
 
 /// Effective physical fault locations per data qubit per SE round (four
 /// two-qubit gates ≈ 8 shared locations plus reset/readout shares).
-pub const SE_LOCATIONS_PER_QUBIT: f64 = 10.0;
+pub(crate) const SE_LOCATIONS_PER_QUBIT: f64 = 10.0;
 
 /// Logical error per qubit per SE round when idling with period `dt` seconds
 /// at coherence time `t_coh`.
@@ -30,7 +30,12 @@ pub const SE_LOCATIONS_PER_QUBIT: f64 = 10.0;
 /// # Panics
 ///
 /// Panics if `dt` or `t_coh` is not strictly positive.
-pub fn idle_error_per_round(params: &ErrorModelParams, distance: u32, dt: f64, t_coh: f64) -> f64 {
+pub(crate) fn idle_error_per_round(
+    params: &ErrorModelParams,
+    distance: u32,
+    dt: f64,
+    t_coh: f64,
+) -> f64 {
     assert!(dt.is_finite() && dt > 0.0, "SE period must be positive");
     assert!(
         t_coh.is_finite() && t_coh > 0.0,
@@ -62,7 +67,7 @@ const WINDOW_MAX_DISTANCE: u32 = 199;
 /// `[1 µs, t_coh]` (1 ms if the grid is empty).
 ///
 /// The model error per second is strictly decreasing below the analytic
-/// optimum [`analytic_optimal_idle_period`] and strictly increasing above
+/// optimum `analytic_optimal_idle_period` and strictly increasing above
 /// it (for `k = (d + 1)/2 > 1`), so only a window around it is evaluated:
 /// the grid is walked by multiplication alone to two points before the
 /// first one at or above the optimum, and scanned from there until a value
@@ -147,7 +152,11 @@ fn full_grid_idle_period(params: &ErrorModelParams, distance: u32, t_coh: f64) -
 /// The closed-form optimum of the smooth model:
 /// `Δt* = n_loc·p_phys·T_coh/(k−1)` with `k = (d+1)/2`; the analytic
 /// counterpart of [`optimal_idle_period`].
-pub fn analytic_optimal_idle_period(params: &ErrorModelParams, distance: u32, t_coh: f64) -> f64 {
+pub(crate) fn analytic_optimal_idle_period(
+    params: &ErrorModelParams,
+    distance: u32,
+    t_coh: f64,
+) -> f64 {
     let k = f64::from(distance + 1) / 2.0;
     SE_LOCATIONS_PER_QUBIT * params.p_phys * t_coh / (k - 1.0)
 }

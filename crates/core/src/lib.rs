@@ -41,7 +41,6 @@ pub mod params;
 mod test_rng;
 pub mod volume;
 
-pub use fit::{fit_cnot_model, CnotErrorPoint, FitResult};
 pub use gadget::{ArchContext, Gadget, GadgetCost};
 pub use params::ErrorModelParams;
 pub use volume::SpaceTime;

@@ -22,19 +22,10 @@
 
 use crate::params::ErrorModelParams;
 
-/// Logical error rate per qubit per SE round for an idle memory (Eq. 2).
-///
-/// # Example
-///
-/// ```
-/// use raa_core::{logical, ErrorModelParams};
-///
-/// let p = ErrorModelParams::paper();
-/// // d = 27 at Λ = 10: 0.1 · 10^-14 = 1e-15 per round per qubit.
-/// let rate = logical::memory_error_per_round(&p, 27);
-/// assert!((rate / 1e-15 - 1.0).abs() < 1e-9);
-/// ```
-pub fn memory_error_per_round(params: &ErrorModelParams, distance: u32) -> f64 {
+/// Logical error rate per qubit per SE round for an idle memory (Eq. 2):
+/// the `x → 0` reference the Eq. (3)/(4) and idle-period tests compare to.
+#[cfg(test)]
+pub(crate) fn memory_error_per_round(params: &ErrorModelParams, distance: u32) -> f64 {
     check_distance(distance);
     params.c * params.lambda().powf(-f64::from(distance + 1) / 2.0)
 }
@@ -78,8 +69,10 @@ pub fn effective_threshold(params: &ErrorModelParams, x: f64) -> f64 {
 }
 
 /// Smallest odd code distance whose per-CNOT logical error (Eq. 4) is at most
-/// `target`, or `None` if even `d = max_distance` cannot reach it.
-pub fn distance_for_cnot_target(
+/// `target`, or `None` if even `d = max_distance` cannot reach it: the
+/// discrete reference for [`continuous_distance_for_cnot_target`].
+#[cfg(test)]
+fn distance_for_cnot_target(
     params: &ErrorModelParams,
     x: f64,
     target: f64,
@@ -95,7 +88,7 @@ pub fn distance_for_cnot_target(
 /// `d = 2·ln(2C/(x·target)) / ln(Λ/(αx+1)) − 1`. Used inside the volume
 /// formula (Eq. 6); returns `None` when the effective suppression base is
 /// not below 1 (above effective threshold) or the target is already met at d→0.
-pub fn continuous_distance_for_cnot_target(
+pub(crate) fn continuous_distance_for_cnot_target(
     params: &ErrorModelParams,
     x: f64,
     target: f64,

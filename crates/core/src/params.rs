@@ -40,6 +40,7 @@ impl ErrorModelParams {
     }
 
     /// The suppression base `Λ = p_thres / p_phys` (Eq. 2); 10 by default.
+    // raa-audit: allow(orphan-pub): shor's architecture.rs unit tests and the integration tests read the suppression factor through it.
     pub fn lambda(&self) -> f64 {
         self.p_thres / self.p_phys
     }
@@ -71,11 +72,6 @@ impl ErrorModelParams {
         self.p_phys = p_phys;
         self
     }
-
-    /// Validates internal consistency (Λ > 1 so errors are suppressed).
-    pub fn is_below_threshold(&self) -> bool {
-        self.lambda() > 1.0
-    }
 }
 
 impl fmt::Display for ErrorModelParams {
@@ -102,7 +98,6 @@ mod tests {
         assert_eq!(p.c, 0.1);
         assert!((p.lambda() - 10.0).abs() < 1e-12);
         assert!((p.alpha - 1.0 / 6.0).abs() < 1e-12);
-        assert!(p.is_below_threshold());
     }
 
     #[test]

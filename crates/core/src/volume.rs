@@ -14,14 +14,14 @@ use std::ops::Add;
 /// use raa_core::volume::SpaceTime;
 ///
 /// let st = SpaceTime::new(19e6, 5.6 * 86_400.0); // the paper's headline
-/// assert!((st.volume_qubit_days() - 19e6 * 5.6).abs() < 1e3);
+/// assert!((st.volume_mqubit_days() - 19.0 * 5.6).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpaceTime {
     /// Physical qubits occupied.
     pub qubits: f64,
     /// Wall-clock duration in seconds.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
 }
 
 impl SpaceTime {
@@ -48,7 +48,7 @@ impl SpaceTime {
     }
 
     /// Volume in qubit·days.
-    pub fn volume_qubit_days(&self) -> f64 {
+    pub(crate) fn volume_qubit_days(&self) -> f64 {
         self.volume() / 86_400.0
     }
 
@@ -62,26 +62,16 @@ impl SpaceTime {
         self.seconds / 86_400.0
     }
 
-    /// Duration in hours.
-    pub fn hours(&self) -> f64 {
-        self.seconds / 3_600.0
-    }
-
     /// Sequential composition: same qubits held longer, or more qubits —
     /// returns the pointwise maximum footprint over the summed duration.
-    pub fn then(&self, other: SpaceTime) -> SpaceTime {
+    pub(crate) fn then(&self, other: SpaceTime) -> SpaceTime {
         SpaceTime::new(self.qubits.max(other.qubits), self.seconds + other.seconds)
-    }
-
-    /// Parallel composition: footprints add, duration is the maximum.
-    pub fn alongside(&self, other: SpaceTime) -> SpaceTime {
-        SpaceTime::new(self.qubits + other.qubits, self.seconds.max(other.seconds))
     }
 }
 
 impl Add for SpaceTime {
     type Output = SpaceTime;
-    /// Adds volumes by sequential composition ([`SpaceTime::then`]).
+    /// Adds volumes by sequential composition (`SpaceTime::then`).
     fn add(self, rhs: SpaceTime) -> SpaceTime {
         self.then(rhs)
     }
@@ -109,7 +99,6 @@ mod tests {
         assert!((st.volume_qubit_days() - 2e6).abs() < 1e-6);
         assert!((st.volume_mqubit_days() - 2.0).abs() < 1e-12);
         assert!((st.days() - 1.0).abs() < 1e-12);
-        assert!((st.hours() - 24.0).abs() < 1e-12);
     }
 
     #[test]
@@ -119,9 +108,6 @@ mod tests {
         let seq = a.then(b);
         assert_eq!(seq.qubits, 100.0);
         assert_eq!(seq.seconds, 30.0);
-        let par = a.alongside(b);
-        assert_eq!(par.qubits, 150.0);
-        assert_eq!(par.seconds, 20.0);
         assert_eq!((a + b).seconds, 30.0);
     }
 

@@ -22,12 +22,15 @@ use crate::unionfind::{UfScratch, UnionFindDecoder};
 use crate::Decoder;
 use raa_stabsim::dem::DetectorErrorModel;
 
+/// Min-sum iterations per syndrome.
+const ITERATIONS: usize = 20;
+
 /// Min-sum belief propagation over a DEM's Tanner graph.
 ///
 /// Checks are detectors (parity of incident error bits must match the
 /// syndrome); variables are error mechanisms with priors from the DEM.
 #[derive(Debug, Clone)]
-pub struct BeliefPropagation {
+pub(crate) struct BeliefPropagation {
     /// Per-error prior log-likelihood ratios `ln((1-p)/p)`.
     priors: Vec<f64>,
     /// CSR offsets into `error_dets`: error `e` owns slots
@@ -41,13 +44,12 @@ pub struct BeliefPropagation {
     /// Flattened per-detector message-slot indices into the flat message
     /// arrays (shared with `error_dets`).
     det_slots: Vec<u32>,
-    iterations: usize,
     num_detectors: usize,
 }
 
 /// Reusable working state for [`BeliefPropagation`].
 #[derive(Debug, Clone, Default)]
-pub struct BpScratch {
+pub(crate) struct BpScratch {
     syndrome: Vec<bool>,
     /// Variable→check messages, one per (error, detector) slot.
     var_to_chk: Vec<f64>,
@@ -61,7 +63,7 @@ pub struct BpScratch {
 
 impl BeliefPropagation {
     /// Builds the BP engine from a DEM (hyperedges allowed).
-    pub fn new(dem: &DetectorErrorModel) -> Self {
+    pub(crate) fn new(dem: &DetectorErrorModel) -> Self {
         let mut priors = Vec::with_capacity(dem.len());
         let mut error_off = Vec::with_capacity(dem.len() + 1);
         let mut error_dets = Vec::new();
@@ -95,39 +97,24 @@ impl BeliefPropagation {
             error_dets,
             det_off,
             det_slots,
-            iterations: 20,
             num_detectors: dem.num_detectors,
         }
     }
 
-    /// Sets the number of BP iterations (default 20).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations` is zero.
-    pub fn with_iterations(mut self, iterations: usize) -> Self {
-        assert!(iterations >= 1, "need at least one BP iteration");
-        self.iterations = iterations;
-        self
-    }
-
     /// Number of error mechanisms (variables).
-    pub fn num_errors(&self) -> usize {
+    pub(crate) fn num_errors(&self) -> usize {
         self.priors.len()
     }
 
-    /// Runs min-sum BP for the given syndrome, returning per-error posterior
-    /// log-likelihood ratios (positive = probably did not fire).
-    pub fn posteriors(&self, defects: &[u32]) -> Vec<f64> {
-        let mut scratch = BpScratch::default();
-        self.posteriors_into(defects, &mut scratch);
-        scratch.posteriors
-    }
-
-    /// Like [`BeliefPropagation::posteriors`], but reuses `scratch` and
-    /// leaves the result in `scratch.posteriors` (also returned as a slice).
-    /// Steady state performs no heap allocation.
-    pub fn posteriors_into<'s>(&self, defects: &[u32], scratch: &'s mut BpScratch) -> &'s [f64] {
+    /// Runs min-sum BP for the given syndrome, leaving the per-error
+    /// posterior log-likelihood ratios (positive = probably did not fire) in
+    /// `scratch.posteriors` (also returned as a slice). Steady state
+    /// performs no heap allocation.
+    pub(crate) fn posteriors_into<'s>(
+        &self,
+        defects: &[u32],
+        scratch: &'s mut BpScratch,
+    ) -> &'s [f64] {
         let slots = self.error_dets.len();
         let ne = self.num_errors();
         scratch.syndrome.clear();
@@ -144,7 +131,7 @@ impl BeliefPropagation {
             scratch.var_to_chk[lo..hi].fill(self.priors[e]);
         }
 
-        for _ in 0..self.iterations {
+        for _ in 0..ITERATIONS {
             // Check update: for detector d, the message to error e is the
             // sign-product / min-magnitude of the other incoming messages,
             // with the syndrome bit flipping the sign.
@@ -193,13 +180,9 @@ impl BeliefPropagation {
 
     /// Hard-decision decode: errors with negative posterior LLR are taken as
     /// fired; returns the XOR of their observable masks and whether the
-    /// decision reproduces the syndrome exactly (BP converged).
-    pub fn hard_decision(&self, dem: &DetectorErrorModel, defects: &[u32]) -> (u64, bool) {
-        self.hard_decision_into(dem, defects, &mut BpScratch::default())
-    }
-
-    /// Like [`BeliefPropagation::hard_decision`], but reuses `scratch`.
-    pub fn hard_decision_into(
+    /// decision reproduces the syndrome exactly (BP converged). Reuses
+    /// `scratch`.
+    pub(crate) fn hard_decision_into(
         &self,
         dem: &DetectorErrorModel,
         defects: &[u32],
@@ -227,9 +210,9 @@ impl BeliefPropagation {
 #[derive(Debug, Clone, Default)]
 pub struct BpUfScratch {
     /// BP message and posterior buffers.
-    pub bp: BpScratch,
+    pub(crate) bp: BpScratch,
     /// Union–find fallback scratch.
-    pub uf: UfScratch,
+    pub(crate) uf: UfScratch,
 }
 
 /// Belief propagation with a union–find fallback: each syndrome first gets
@@ -321,7 +304,8 @@ mod tests {
         // most likely explanation; its posterior LLR should go negative.
         let dem = chain_dem(4, 0.01);
         let bp = BeliefPropagation::new(&dem);
-        let post = bp.posteriors(&[0]);
+        let mut scratch = BpScratch::default();
+        let post = bp.posteriors_into(&[0], &mut scratch);
         assert!(
             post[0] < 0.0,
             "boundary edge should be blamed: posts = {post:?}"
@@ -383,11 +367,5 @@ mod tests {
             "BP+UF {r_bp} should be comparable to UF {r_uf}"
         );
         assert!(r_bp < 0.5 * p, "decoding must beat the raw rate: {r_bp}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn rejects_zero_iterations() {
-        let _ = BeliefPropagation::new(&chain_dem(3, 0.01)).with_iterations(0);
     }
 }

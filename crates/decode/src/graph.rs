@@ -54,17 +54,17 @@ impl std::error::Error for GraphError {}
 
 /// One edge of the decoding graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// First endpoint (a detector index).
-    pub u: u32,
+    pub(crate) u: u32,
     /// Second endpoint, or `None` for the boundary.
-    pub v: Option<u32>,
+    pub(crate) v: Option<u32>,
     /// Log-likelihood weight `ln((1-p)/p)`, clamped to be positive.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Firing probability of the underlying mechanism.
-    pub probability: f64,
+    pub(crate) probability: f64,
     /// Observable mask flipped when this edge is in the correction.
-    pub observables: u64,
+    pub(crate) observables: u64,
 }
 
 /// A matching/union-find decoding graph.
@@ -73,28 +73,27 @@ pub struct Edge {
 ///
 /// ```
 /// use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
-/// use raa_decode::graph::DecodingGraph;
+/// use raa_decode::{graph::DecodingGraph, unionfind::UnionFindDecoder, Decoder};
 ///
 /// let mut c = Circuit::new();
 /// c.r(&[0]);
 /// c.x_error(&[0], 1e-3);
 /// c.m(&[0]);
 /// c.detector(&[MeasRecord::back(1)]);
+/// c.observable_include(0, &[MeasRecord::back(1)]);
 /// let dem = DetectorErrorModel::from_circuit(&c);
 /// let graph = DecodingGraph::from_dem(&dem)?;
-/// assert_eq!(graph.num_edges(), 1);
+/// // One boundary edge: the lone fired detector is explained by the X
+/// // error, which flips the observable.
+/// assert_eq!(UnionFindDecoder::new(graph).predict(&[0]), 1);
 /// # Ok::<(), raa_decode::graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecodingGraph {
     num_detectors: usize,
-    num_observables: usize,
     edges: Vec<Edge>,
     /// Edge indices incident to each detector.
     adjacency: Vec<Vec<u32>>,
-    /// Probability-weighted count of mechanisms dropped because they flip no
-    /// detector but do flip observables (an irreducible logical error floor).
-    undetectable_observable_probability: f64,
 }
 
 impl DecodingGraph {
@@ -105,23 +104,17 @@ impl DecodingGraph {
     /// Returns [`GraphError::NotGraphlike`] if a mechanism flips more than two
     /// detectors; call [`DetectorErrorModel::decompose_graphlike`] first, or
     /// use [`DecodingGraph::from_dem_decomposed`].
+    // raa-audit: allow(orphan-pub): batch_proptest.rs builds graphs from hand-written graphlike DEMs; the pipeline decomposes through from_dem_decomposed.
     pub fn from_dem(dem: &DetectorErrorModel) -> Result<Self, GraphError> {
         let mut graph = Self {
             num_detectors: dem.num_detectors,
-            num_observables: dem.num_observables,
             edges: Vec::new(),
             adjacency: vec![Vec::new(); dem.num_detectors],
-            undetectable_observable_probability: 0.0,
         };
         for e in dem.iter() {
             match e.detectors.len() {
-                0 => {
-                    if e.observables != 0 {
-                        let p = e.probability;
-                        let q = &mut graph.undetectable_observable_probability;
-                        *q = *q * (1.0 - p) + p * (1.0 - *q);
-                    }
-                }
+                // A mechanism that flips no detector cannot be decoded.
+                0 => {}
                 1 => graph.push_edge(e.detectors[0], None, e.probability, e.observables),
                 2 => graph.push_edge(
                     e.detectors[0],
@@ -164,34 +157,23 @@ impl DecodingGraph {
     }
 
     /// Number of detector nodes.
-    pub fn num_detectors(&self) -> usize {
+    pub(crate) fn num_detectors(&self) -> usize {
         self.num_detectors
     }
 
-    /// Number of observables tracked on edges.
-    pub fn num_observables(&self) -> usize {
-        self.num_observables
-    }
-
     /// Number of edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
     /// The edges.
-    pub fn edges(&self) -> &[Edge] {
+    pub(crate) fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
     /// Edge indices incident to detector `d`.
-    pub fn incident(&self, d: u32) -> &[u32] {
+    pub(crate) fn incident(&self, d: u32) -> &[u32] {
         &self.adjacency[d as usize]
-    }
-
-    /// Probability that some undetectable mechanism flips an observable;
-    /// a floor on the achievable logical error rate.
-    pub fn undetectable_observable_probability(&self) -> f64 {
-        self.undetectable_observable_probability
     }
 }
 
@@ -213,7 +195,7 @@ pub(crate) const WEIGHT_QUANTA: f64 = 32.0;
 /// The virtual boundary is encoded as node index `num_detectors` so endpoint
 /// comparisons stay branch-free in the growth loop.
 #[derive(Debug, Clone)]
-pub struct CompiledGraph {
+pub(crate) struct CompiledGraph {
     num_detectors: usize,
     /// CSR offsets: edges incident to detector `d` live at
     /// `adj_edges[adj_off[d]..adj_off[d + 1]]`.
@@ -225,8 +207,6 @@ pub struct CompiledGraph {
     weights: Vec<u32>,
     /// Observable mask flipped when the edge joins a correction.
     observables: Vec<u64>,
-    /// True when built by [`CompiledGraph::compile_uniform`].
-    uniform: bool,
 }
 
 impl CompiledGraph {
@@ -240,7 +220,7 @@ impl CompiledGraph {
     /// quantization divides by the maximum weight. Callers that can tolerate
     /// losing the weighting should fall back to
     /// [`CompiledGraph::compile_uniform`].
-    pub fn compile(graph: &DecodingGraph) -> Result<Self, GraphError> {
+    pub(crate) fn compile(graph: &DecodingGraph) -> Result<Self, GraphError> {
         let mut max_w = 0.0f64;
         for (i, e) in graph.edges().iter().enumerate() {
             if !e.weight.is_finite() {
@@ -258,18 +238,18 @@ impl CompiledGraph {
             .iter()
             .map(|e| ((e.weight / max_w * WEIGHT_QUANTA).round() as u32).max(1))
             .collect();
-        Ok(Self::assemble(graph, weights, false))
+        Ok(Self::assemble(graph, weights))
     }
 
     /// Compiles `graph` with every edge given unit weight, ignoring the
     /// probabilities. This is the degenerate-weight fallback: growth order
     /// becomes pure hop distance, which matches what the quantizer produces
     /// anyway when all weights collapse to the same quantum.
-    pub fn compile_uniform(graph: &DecodingGraph) -> Self {
-        Self::assemble(graph, vec![1; graph.num_edges()], true)
+    pub(crate) fn compile_uniform(graph: &DecodingGraph) -> Self {
+        Self::assemble(graph, vec![1; graph.num_edges()])
     }
 
-    fn assemble(graph: &DecodingGraph, weights: Vec<u32>, uniform: bool) -> Self {
+    fn assemble(graph: &DecodingGraph, weights: Vec<u32>) -> Self {
         let nd = graph.num_detectors();
         let boundary = nd as u32;
         let mut adj_off = Vec::with_capacity(nd + 1);
@@ -292,51 +272,44 @@ impl CompiledGraph {
             endpoints,
             weights,
             observables,
-            uniform,
         }
     }
 
     /// Number of detector nodes (the boundary is encoded as this index).
     #[inline]
-    pub fn num_detectors(&self) -> usize {
+    pub(crate) fn num_detectors(&self) -> usize {
         self.num_detectors
     }
 
     /// Number of edges.
     #[inline]
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.endpoints.len()
     }
 
     /// Edge indices incident to detector `d`.
     #[inline]
-    pub fn incident(&self, d: u32) -> &[u32] {
+    pub(crate) fn incident(&self, d: u32) -> &[u32] {
         let d = d as usize;
         &self.adj_edges[self.adj_off[d] as usize..self.adj_off[d + 1] as usize]
     }
 
     /// Both endpoints of edge `e`; the boundary is `num_detectors`.
     #[inline]
-    pub fn endpoints(&self, e: u32) -> [u32; 2] {
+    pub(crate) fn endpoints(&self, e: u32) -> [u32; 2] {
         self.endpoints[e as usize]
     }
 
     /// Quantized integer weight of edge `e` (growth units, ≥ 1).
     #[inline]
-    pub fn weight(&self, e: u32) -> u32 {
+    pub(crate) fn weight(&self, e: u32) -> u32 {
         self.weights[e as usize]
     }
 
     /// Observable mask of edge `e`.
     #[inline]
-    pub fn observables(&self, e: u32) -> u64 {
+    pub(crate) fn observables(&self, e: u32) -> u64 {
         self.observables[e as usize]
-    }
-
-    /// Whether this graph was compiled with the uniform-weight fallback.
-    #[inline]
-    pub fn is_uniform(&self) -> bool {
-        self.uniform
     }
 }
 
@@ -410,14 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn undetectable_observable_floor_tracked() {
-        let d = dem(vec![err(&[], 1, 0.03)], 0);
-        let g = DecodingGraph::from_dem(&d).unwrap();
-        assert!((g.undetectable_observable_probability() - 0.03).abs() < 1e-12);
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
     fn compiled_graph_mirrors_adjacency_and_quantizes_weights() {
         let d = dem(
             vec![err(&[0], 1, 0.01), err(&[0, 1], 0, 0.1), err(&[1], 0, 0.01)],
@@ -427,7 +392,6 @@ mod tests {
         let c = CompiledGraph::compile(&g).unwrap();
         assert_eq!(c.num_detectors(), 2);
         assert_eq!(c.num_edges(), 3);
-        assert!(!c.is_uniform());
         for det in 0..2u32 {
             assert_eq!(c.incident(det), g.incident(det));
         }
@@ -469,7 +433,6 @@ mod tests {
         let d = dem(vec![err(&[0], 0, 0.5), err(&[0, 1], 0, 0.5)], 2);
         let g = DecodingGraph::from_dem(&d).unwrap();
         let c = CompiledGraph::compile_uniform(&g);
-        assert!(c.is_uniform());
         assert_eq!(c.num_edges(), 2);
         assert!((0..2).all(|e| c.weight(e) == 1));
     }

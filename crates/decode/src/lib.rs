@@ -103,7 +103,7 @@
 //! let sampler = CircuitSampler::new(&c);
 //! let stats = mc::logical_error_rate_sampled(&sampler, &decoder, 10_000, 7, &McConfig::default())
 //!     .expect("the default McConfig uses the ambient pool");
-//! assert!(stats.logical_error_rate() < 0.02);
+//! assert!((stats.failures as f64) < 0.02 * stats.shots as f64);
 //! # Ok::<(), raa_decode::graph::GraphError>(())
 //! ```
 
@@ -116,14 +116,12 @@ pub mod mc;
 pub mod unionfind;
 pub mod windowed;
 
-pub use bp::{BeliefPropagation, BpUfScratch, BpUnionFindDecoder};
-pub use graph::{CompiledGraph, DecodingGraph, Edge, GraphError};
-pub use matching::{MatchScratch, MatchingDecoder};
-pub use mc::{CircuitSampler, DecodeStats, McConfig, McError, Sampler};
-pub use unionfind::{UfScratch, UnionFindDecoder, UnionFindOutcome};
-pub use windowed::{
-    LayerAssignment, UniformLayers, WindowError, WindowScratch, WindowState, WindowedDecoder,
-};
+pub use bp::BpUnionFindDecoder;
+pub use graph::DecodingGraph;
+pub use matching::MatchingDecoder;
+pub use mc::{CircuitSampler, McConfig, Sampler};
+pub use unionfind::UnionFindDecoder;
+pub use windowed::{UniformLayers, WindowError, WindowedDecoder};
 
 use raa_stabsim::SyndromeBatch;
 

@@ -7,13 +7,13 @@
 //! plays the role of the paper's most-likely-error (MLE) reference decoder
 //! for calibrating the decoding factor α on small instances.
 //!
-//! - **One cost source.** Graphs with at most [`PRECOMPUTE_MAX_DETECTORS`]
+//! - **One cost source.** Graphs with at most `PRECOMPUTE_MAX_DETECTORS`
 //!   detectors get all-pairs shortest-path tables in
 //!   [`MatchingDecoder::new`], and a decode on them searches the graph not
 //!   at all: the partition, the DP, the greedy fallback and the observable
-//!   mask all read the tables. Only a graph without tables (a larger one,
-//!   or [`MatchingDecoder::with_precompute`]`(false)`) runs one early-exit
-//!   Dijkstra per defect per decode, and the same pairing code reads its
+//!   mask all read the tables. Only a graph without tables (a larger one;
+//!   the unit tests also switch them off to compare the two sources) runs
+//!   one early-exit Dijkstra per defect per decode, and the same pairing code reads its
 //!   rows instead. Both sources hold the same bits: an early-exit Dijkstra
 //!   settles a prefix of the full search's deterministic settle order, so
 //!   every distance and predecessor chain it settles equals the tabulated
@@ -42,11 +42,11 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Default maximum number of defects for the exact DP.
-pub const DEFAULT_MAX_EXACT_DEFECTS: usize = 20;
+pub(crate) const DEFAULT_MAX_EXACT_DEFECTS: usize = 20;
 
 /// Detector-count ceiling below which [`MatchingDecoder::new`] precomputes
 /// the all-pairs distance/path tables (the tables are O(detectors²)).
-pub const PRECOMPUTE_MAX_DETECTORS: usize = 512;
+pub(crate) const PRECOMPUTE_MAX_DETECTORS: usize = 512;
 
 /// Reusable working state for [`MatchingDecoder`].
 ///
@@ -139,10 +139,10 @@ pub struct MatchingDecoder {
 impl MatchingDecoder {
     /// Builds a decoder owning `graph` with the default exact-DP cap.
     ///
-    /// Graphs with at most [`PRECOMPUTE_MAX_DETECTORS`] detectors get
+    /// Graphs with at most `PRECOMPUTE_MAX_DETECTORS` detectors get
     /// all-pairs distance/path tables precomputed here, and every decode on
     /// them reads its costs and path masks from the tables with no graph
-    /// search at all; see [`MatchingDecoder::with_precompute`] to override.
+    /// search at all.
     /// Without tables a decode runs one early-exit Dijkstra per defect,
     /// which settles the same bits the tables hold (see the module doc).
     /// Either way each component is paired by the reachable-subset DP,
@@ -162,11 +162,12 @@ impl MatchingDecoder {
     }
 
     /// Enables or disables the all-pairs precompute, regardless of graph
-    /// size. The tables are O(detectors²) in memory and cost one full
-    /// Dijkstra per detector to build; decoding results are bit-identical
-    /// either way (the tables hold exactly what the per-shot searches
-    /// would settle).
-    pub fn with_precompute(mut self, enabled: bool) -> Self {
+    /// size: the tests' switch between the two cost sources. The tables are
+    /// O(detectors²) in memory and cost one full Dijkstra per detector to
+    /// build; decoding results are bit-identical either way (the tables
+    /// hold exactly what the per-shot searches would settle).
+    #[cfg(test)]
+    pub(crate) fn with_precompute(mut self, enabled: bool) -> Self {
         self.precomputed = if enabled {
             Some(self.build_precomputed())
         } else {
@@ -205,20 +206,17 @@ impl MatchingDecoder {
         pre
     }
 
-    /// Sets the maximum number of defects decoded exactly (≤ 24).
+    /// Sets the maximum number of defects decoded exactly (≤ 24), so the
+    /// tests can force the greedy fallback.
     ///
     /// # Panics
     ///
     /// Panics if `cap` exceeds 24 (the DP table would be too large).
-    pub fn with_max_exact_defects(mut self, cap: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_exact_defects(mut self, cap: usize) -> Self {
         assert!(cap <= 24, "exact matching cap too large: {cap}");
         self.max_exact_defects = cap;
         self
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &DecodingGraph {
-        &self.graph
     }
 
     /// Dijkstra from `source`, writing into row `row` of the search tables.
@@ -328,9 +326,9 @@ impl MatchingDecoder {
         }
     }
 
-    /// Decodes with a fresh scratch; prefer
-    /// [`MatchingDecoder::decode_into`] in loops.
-    pub fn decode(&self, defects: &[u32]) -> u64 {
+    /// Decodes with a fresh scratch.
+    #[cfg(test)]
+    pub(crate) fn decode(&self, defects: &[u32]) -> u64 {
         self.decode_into(defects, &mut MatchScratch::default())
     }
 
@@ -340,7 +338,7 @@ impl MatchingDecoder {
     /// reaches neither the boundary nor a partner that can complete the
     /// pairing) contributes no flip: its defects stay unmatched. The greedy
     /// fallback still takes its cheapest options in order, finite or not.
-    pub fn decode_into(&self, defects: &[u32], scratch: &mut MatchScratch) -> u64 {
+    pub(crate) fn decode_into(&self, defects: &[u32], scratch: &mut MatchScratch) -> u64 {
         let k = defects.len();
         if k == 0 {
             return 0;

@@ -17,7 +17,7 @@
 //! that reach their weight, which then solidify and merge in visit order.
 //! Five mechanisms make the batched Monte-Carlo hot path cheap:
 //!
-//! - **Compiled graph.** The decoder walks a [`CompiledGraph`] — CSR
+//! - **Compiled graph.** The decoder walks a `CompiledGraph` — CSR
 //!   adjacency in one flat arena with pre-quantized integer weights — built
 //!   once at construction and shared read-only by every worker, instead of
 //!   chasing per-detector `Vec`s on each decode.
@@ -69,22 +69,22 @@
 //!
 //! Every syndrome takes the same path — seed, grow, peel — and leaves one
 //! record in its scratch besides the outcome: the correction edges
-//! ([`UfScratch::correction`]), which the windowed decoder splits at its
+//! (`UfScratch::correction`), which the windowed decoder splits at its
 //! commit boundary.
 
-use crate::graph::{CompiledGraph, DecodingGraph, GraphError};
+use crate::graph::{CompiledGraph, DecodingGraph};
 use crate::Decoder;
 use raa_stabsim::SyndromeBatch;
 use std::collections::VecDeque;
 
 /// Outcome of a union–find decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnionFindOutcome {
+pub(crate) struct UnionFindOutcome {
     /// Predicted observable mask.
-    pub observables: u64,
+    pub(crate) observables: u64,
     /// Whether peeling fully resolved every defect (it should whenever the
     /// graph connects all detectors to the boundary).
-    pub converged: bool,
+    pub(crate) converged: bool,
 }
 
 const NONE: u32 = u32::MAX;
@@ -259,7 +259,7 @@ impl UfScratch {
     /// observable mask is the XOR of these edges' observable masks; the
     /// windowed decoder uses the edges themselves to split a correction at
     /// the commit boundary (syndrome projection).
-    pub fn correction(&self) -> &[u32] {
+    pub(crate) fn correction(&self) -> &[u32] {
         &self.correction
     }
 
@@ -379,9 +379,9 @@ impl UfScratch {
 
 /// Weighted union–find decoder over a [`DecodingGraph`].
 ///
-/// At construction the graph is compiled into a [`CompiledGraph`] (flat CSR
+/// At construction the graph is compiled into a `CompiledGraph` (flat CSR
 /// adjacency, quantized integer weights) that the decode loop walks; the
-/// original graph stays available through [`UnionFindDecoder::graph`] for
+/// original graph stays available through `UnionFindDecoder::graph` for
 /// callers that need edge endpoints or observables in floating-point form
 /// (e.g. the windowed decoder's commit-boundary split).
 ///
@@ -421,42 +421,20 @@ impl UnionFindDecoder {
     /// If the weights are degenerate (non-finite, or all ≈ 0 because every
     /// probability ≈ 1/2) the decoder falls back to uniform unit weights —
     /// exactly what the quantizer used to produce silently for such graphs.
-    /// Use [`UnionFindDecoder::try_new`] to surface the degeneracy as a
-    /// typed error instead.
     pub fn new(graph: DecodingGraph) -> Self {
         let compiled = CompiledGraph::compile(&graph)
             .unwrap_or_else(|_| CompiledGraph::compile_uniform(&graph));
         Self { graph, compiled }
     }
 
-    /// Builds a decoder owning `graph`, rejecting graphs whose edge weights
-    /// cannot be meaningfully quantized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::DegenerateWeights`] when an edge weight is
-    /// non-finite or the maximum weight is ~zero (all probabilities ≈ 1/2);
-    /// quantizing such weights would silently flatten the weighted growth
-    /// order. [`UnionFindDecoder::new`] instead falls back to uniform
-    /// weights for these graphs.
-    pub fn try_new(graph: DecodingGraph) -> Result<Self, GraphError> {
-        let compiled = CompiledGraph::compile(&graph)?;
-        Ok(Self { graph, compiled })
-    }
-
     /// The underlying graph.
-    pub fn graph(&self) -> &DecodingGraph {
+    pub(crate) fn graph(&self) -> &DecodingGraph {
         &self.graph
     }
 
-    /// The compiled (CSR, quantized-weight) form the decode loop runs on.
-    pub fn compiled(&self) -> &CompiledGraph {
-        &self.compiled
-    }
-
-    /// Decodes a syndrome with a fresh scratch; prefer
-    /// [`UnionFindDecoder::decode_into`] in loops.
-    pub fn decode(&self, defects: &[u32]) -> UnionFindOutcome {
+    /// Decodes a syndrome with a fresh scratch.
+    #[cfg(test)]
+    pub(crate) fn decode(&self, defects: &[u32]) -> UnionFindOutcome {
         self.decode_into(defects, &mut UfScratch::default())
     }
 
@@ -466,7 +444,7 @@ impl UnionFindDecoder {
     /// `scratch`; steady state performs no heap allocation. Besides the
     /// outcome, the scratch holds the correction edges
     /// ([`UfScratch::correction`]).
-    pub fn decode_into(&self, defects: &[u32], scratch: &mut UfScratch) -> UnionFindOutcome {
+    pub(crate) fn decode_into(&self, defects: &[u32], scratch: &mut UfScratch) -> UnionFindOutcome {
         if defects.is_empty() {
             scratch.correction.clear();
             return UnionFindOutcome {
@@ -701,7 +679,15 @@ impl Decoder for UnionFindDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphError;
     use raa_stabsim::dem::{DemError, DetectorErrorModel};
+
+    /// Whether `g` was built by [`CompiledGraph::compile_uniform`]: the
+    /// weighted compile gives its heaviest edge `WEIGHT_QUANTA` quanta, so
+    /// only the fallback has every weight at 1.
+    fn is_uniform(g: &CompiledGraph) -> bool {
+        (0..g.num_edges() as u32).all(|e| g.weight(e) == 1)
+    }
 
     /// Chain graph: B - 0 - 1 - 2 - B with uniform probability, observable on
     /// the left boundary edge (like a distance-4 repetition code slice).
@@ -1291,10 +1277,10 @@ mod tests {
         let (mut min_w, mut max_w) = (u32::MAX, 0);
         for graph in graphs {
             let decoder = UnionFindDecoder::new(graph);
-            let g = decoder.compiled();
+            let g = &decoder.compiled;
             let nd = g.num_detectors() as u32;
             for ei in 0..g.num_edges() as u32 {
-                if !g.is_uniform() {
+                if !is_uniform(g) {
                     min_w = min_w.min(g.weight(ei));
                     max_w = max_w.max(g.weight(ei));
                 }
@@ -1362,12 +1348,12 @@ mod tests {
         };
         let g = DecodingGraph::from_dem(&dem).unwrap();
         let d = UnionFindDecoder::new(g.clone());
-        assert!(d.compiled().is_uniform());
+        assert!(is_uniform(&d.compiled));
         let out = d.decode(&[0]);
         assert!(out.converged);
-        // And the typed-error constructor surfaces the degeneracy instead.
+        // And the weighted compile surfaces the degeneracy as a typed error.
         assert_eq!(
-            UnionFindDecoder::try_new(g).unwrap_err(),
+            CompiledGraph::compile(&g).unwrap_err(),
             GraphError::DegenerateWeights { edge: None }
         );
     }
@@ -1392,19 +1378,19 @@ mod tests {
         };
         let g = DecodingGraph::from_dem(&dem).unwrap();
         assert_eq!(
-            UnionFindDecoder::try_new(g.clone()).unwrap_err(),
+            CompiledGraph::compile(&g).unwrap_err(),
             GraphError::DegenerateWeights { edge: Some(1) }
         );
         // The lenient constructor still produces a working decoder.
         let d = UnionFindDecoder::new(g);
-        assert!(d.compiled().is_uniform());
+        assert!(is_uniform(&d.compiled));
         assert!(d.decode(&[0]).converged);
     }
 
     #[test]
     fn healthy_graphs_keep_weighted_growth_in_new() {
         let d = UnionFindDecoder::new(chain_graph(0.01));
-        assert!(!d.compiled().is_uniform());
+        assert!(!is_uniform(&d.compiled));
     }
 
     #[test]

@@ -40,22 +40,17 @@
 //!
 //! # Streaming
 //!
-//! The same engine runs incrementally: [`WindowedDecoder::stream_push`]
-//! feeds defects layer by layer as a streaming sampler finalizes them,
-//! [`WindowedDecoder::stream_advance`] runs every window step whose full
-//! look-ahead is available, and [`WindowedDecoder::stream_finish`] drains
-//! the tail. The batch entry point ([`Decoder::predict_into`]) is a thin
-//! wrapper over the same steps, so for identical defect sets the two are
-//! **bit-identical** — the property the streaming Monte-Carlo pipeline of
-//! [`crate::mc`] pins. Pending state per shot is the sparse projected
-//! syndrome of the open window only: O(window), not O(circuit).
-//!
-//! [`crate::mc`]'s shot-batched pipeline drives the third entry point,
-//! [`WindowedDecoder::stream_step_fired`]: the caller extracts each
-//! window's fired defects straight from the sampler's bitplanes and the
-//! decoder merges them (XOR) with the shot's pending projections — the
-//! same window steps again, in window-major order across a whole shot
-//! block.
+//! The batch entry point ([`Decoder::predict_into`]) pushes a shot's whole
+//! defect list into a per-shot `WindowState` and runs every window step
+//! over it. [`crate::mc`]'s streamed pipeline runs the same steps through
+//! `WindowedDecoder::stream_step_fired`: it extracts each window's fired
+//! defects straight from the streaming sampler's bitplanes as their layers
+//! finalize, and the decoder merges them (XOR) with the shot's pending
+//! projections, in window-major order across a whole shot block. For
+//! identical defect sets the two are **bit-identical** — the property the
+//! streaming Monte-Carlo pipeline pins. Pending state per shot is the
+//! sparse projected syndrome of the open window only: O(window), not
+//! O(circuit).
 
 use crate::graph::{DecodingGraph, Edge};
 use crate::unionfind::{UfScratch, UnionFindDecoder};
@@ -63,11 +58,11 @@ use crate::Decoder;
 use std::fmt;
 
 /// Reusable working state for [`WindowedDecoder`] (shared across shots;
-/// the per-shot streaming state is [`WindowState`]).
+/// the per-shot streaming state is `WindowState`).
 #[derive(Debug, Clone, Default)]
 pub struct WindowScratch {
     /// Inner union–find scratch.
-    pub uf: UfScratch,
+    pub(crate) uf: UfScratch,
     /// Defects of the window currently being decoded.
     in_window: Vec<u32>,
     /// Per-shot state used by the batch entry point.
@@ -78,7 +73,7 @@ pub struct WindowScratch {
 /// sorted) defects of the open window plus the committed observable flips.
 /// Reusable across shots via [`WindowedDecoder::stream_reset`].
 #[derive(Debug, Clone, Default)]
-pub struct WindowState {
+pub(crate) struct WindowState {
     /// Pending defects (original and projected), sorted ascending. Layers
     /// below `start` have been consumed.
     remaining: Vec<u32>,
@@ -89,10 +84,9 @@ pub struct WindowState {
 }
 
 impl WindowState {
-    /// Number of pending (uncommitted) defects — bounded by the open
-    /// window's hits, not by the circuit depth (except in the
-    /// global-fallback regime where the window covers the whole circuit).
-    pub fn pending_defects(&self) -> usize {
+    /// Defects pending in the open window's projected syndrome.
+    #[cfg(test)]
+    pub(crate) fn pending_defects(&self) -> usize {
         self.remaining.len()
     }
 
@@ -100,7 +94,7 @@ impl WindowState {
     /// After the final window step (`start` past the last layer) this is
     /// the shot's prediction — what [`WindowedDecoder::stream_finish`]
     /// returns.
-    pub fn committed_observables(&self) -> u64 {
+    pub(crate) fn committed_observables(&self) -> u64 {
         self.observables
     }
 }
@@ -159,17 +153,11 @@ pub trait LayerAssignment {
     /// The layer index of detector `d`.
     fn layer_of(&self, d: u32) -> usize;
 
-    /// Validates the layering against a detector count, panicking on
-    /// inconsistency. The default accepts anything; implementations should
-    /// reject parameters that would silently misassign detectors.
-    fn validate(&self, num_detectors: usize) {
-        let _ = num_detectors;
-    }
-
-    /// Non-panicking form of [`LayerAssignment::validate`] used by
-    /// [`WindowedDecoder::try_new`]: returns the reason the layering cannot
-    /// cover `num_detectors` detectors, or `Ok(())`. The default accepts
-    /// anything.
+    /// Returns the reason the layering cannot cover `num_detectors`
+    /// detectors, or `Ok(())`: [`WindowedDecoder::new`] panics on the
+    /// error and [`WindowedDecoder::try_new`] returns it. The default
+    /// accepts anything; implementations should reject parameters that
+    /// would silently misassign detectors.
     ///
     /// # Errors
     ///
@@ -195,39 +183,20 @@ impl LayerAssignment for UniformLayers {
         d as usize / self.detectors_per_layer
     }
 
-    /// Rejects a detector count the uniform layering cannot represent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detectors_per_layer` is zero or does not divide
-    /// `num_detectors` — a trailing partial layer means the block size does
-    /// not match the circuit's round structure, and every detector after
-    /// the mismatch would land in the wrong layer.
-    fn validate(&self, num_detectors: usize) {
-        raa_stabsim::validate_uniform_layers(num_detectors, self.detectors_per_layer);
-    }
-
+    /// Rejects a detector count the uniform layering cannot represent
+    /// ([`raa_stabsim::check_uniform_layers`]).
     fn check(&self, num_detectors: usize) -> Result<(), String> {
-        if self.detectors_per_layer == 0 {
-            return Err("detectors_per_layer must be at least 1".into());
-        }
-        if !num_detectors.is_multiple_of(self.detectors_per_layer) {
-            return Err(format!(
-                "detector count {num_detectors} is not divisible by detectors_per_layer {}",
-                self.detectors_per_layer
-            ));
-        }
-        Ok(())
+        raa_stabsim::check_uniform_layers(num_detectors, self.detectors_per_layer)
     }
 }
 
 /// A sliding-window wrapper around the union–find decoder.
 ///
-/// # Example: incremental (streaming) decoding
+/// # Example
 ///
 /// ```
 /// use raa_stabsim::{Circuit, MeasRecord, DetectorErrorModel};
-/// use raa_decode::{DecodingGraph, UniformLayers, WindowedDecoder, WindowScratch, WindowState};
+/// use raa_decode::{Decoder, DecodingGraph, UniformLayers, WindowedDecoder};
 ///
 /// // Four rounds of one repeated measurement: one detector per layer.
 /// let mut c = Circuit::new();
@@ -242,17 +211,9 @@ impl LayerAssignment for UniformLayers {
 /// let (graph, _) = DecodingGraph::from_dem_decomposed(&dem);
 /// let w = WindowedDecoder::new(graph, UniformLayers { detectors_per_layer: 1 }, 1, 1);
 ///
-/// // One X error in round 1 fires detectors 1 and 2. Stream them in as
-/// // their layers finalize; the batch entry point gives the same answer.
-/// let per_layer: [&[u32]; 4] = [&[], &[1], &[2], &[]];
-/// let (mut state, mut scratch) = (WindowState::default(), WindowScratch::default());
-/// w.stream_reset(&mut state);
-/// for (layer, defects) in per_layer.iter().enumerate() {
-///     w.stream_push(&mut state, defects);
-///     w.stream_advance(&mut state, layer + 1, &mut scratch);
-/// }
-/// let streamed = w.stream_finish(&mut state, &mut scratch);
-/// assert_eq!(streamed, w.decode_windowed(&[1, 2]));
+/// // One X error in round 1 fires detectors 1 and 2. The window steps
+/// // pair them across the round boundary, which flips no observable.
+/// assert_eq!(w.predict(&[1, 2]), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WindowedDecoder<L: LayerAssignment> {
@@ -278,11 +239,13 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     /// # Panics
     ///
     /// Panics if `commit` is zero, or if `layers` rejects the graph's
-    /// detector count (see [`LayerAssignment::validate`] — for
+    /// detector count (see [`LayerAssignment::check`] — for
     /// [`UniformLayers`] that is a block size that does not divide it).
     pub fn new(graph: DecodingGraph, layers: L, commit: usize, buffer: usize) -> Self {
         assert!(commit >= 1, "must commit at least one layer per window");
-        layers.validate(graph.num_detectors());
+        if let Err(e) = layers.check(graph.num_detectors()) {
+            panic!("{e}");
+        }
         Self::assemble(graph, layers, commit, buffer)
     }
 
@@ -340,48 +303,42 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     }
 
     /// Number of time layers seen in the graph.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.num_layers
     }
 
     /// Detectors in the underlying decoding graph.
-    pub fn num_detectors(&self) -> usize {
+    pub(crate) fn num_detectors(&self) -> usize {
         self.inner.graph().num_detectors()
     }
 
     /// The layer assignment.
-    pub fn layers(&self) -> &L {
+    pub(crate) fn layers(&self) -> &L {
         &self.layers
     }
 
     /// Layers committed per window step.
-    pub fn commit(&self) -> usize {
+    pub(crate) fn commit(&self) -> usize {
         self.commit
     }
 
     /// Look-ahead layers decoded but not committed per window step.
-    pub fn buffer(&self) -> usize {
+    pub(crate) fn buffer(&self) -> usize {
         self.buffer
     }
 
     /// Whether the window covers the whole circuit, in which case every
     /// decode falls back to one global union–find pass (exactly
     /// whole-circuit decoding).
-    pub fn is_global(&self) -> bool {
+    pub(crate) fn is_global(&self) -> bool {
         self.num_layers <= self.commit + self.buffer
-    }
-
-    /// Decodes by sliding a window with a fresh scratch; prefer
-    /// [`WindowedDecoder::decode_windowed_into`] in loops.
-    pub fn decode_windowed(&self, defects: &[u32]) -> u64 {
-        self.decode_windowed_into(defects, &mut WindowScratch::default())
     }
 
     /// Decodes a full shot's defects (sorted ascending) by sliding a
     /// `commit + buffer` window over the layers; see the [module
     /// docs](self) for the commit/projection semantics. All working state
     /// lives in `scratch`.
-    pub fn decode_windowed_into(&self, defects: &[u32], scratch: &mut WindowScratch) -> u64 {
+    pub(crate) fn decode_windowed_into(&self, defects: &[u32], scratch: &mut WindowScratch) -> u64 {
         if self.is_global() {
             return self.inner.predict_into(defects, &mut scratch.uf);
         }
@@ -397,7 +354,7 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     }
 
     /// Resets a per-shot streaming state (reusing its allocation).
-    pub fn stream_reset(&self, state: &mut WindowState) {
+    pub(crate) fn stream_reset(&self, state: &mut WindowState) {
         state.remaining.clear();
         state.start = 0;
         state.observables = 0;
@@ -405,9 +362,8 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
 
     /// Feeds newly finalized defects (sorted ascending, no duplicates)
     /// into the pending syndrome. Layers must arrive in order: a pushed
-    /// defect's layer must not precede a window step already run by
-    /// [`WindowedDecoder::stream_advance`].
-    pub fn stream_push(&self, state: &mut WindowState, defects: &[u32]) {
+    /// defect's layer must not precede a window step already run.
+    pub(crate) fn stream_push(&self, state: &mut WindowState, defects: &[u32]) {
         for &d in defects {
             debug_assert!(
                 self.layers.layer_of(d) >= state.start,
@@ -421,10 +377,12 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     }
 
     /// Runs every window step whose full `commit + buffer` look-ahead lies
-    /// within the first `available_layers` finalized layers. In the
+    /// within the first `available_layers` finalized layers: the
+    /// layer-by-layer session the streamed = batch tests drive. In the
     /// global-fallback regime this is a no-op (the one global decode
     /// happens in [`WindowedDecoder::stream_finish`]).
-    pub fn stream_advance(
+    #[cfg(test)]
+    pub(crate) fn stream_advance(
         &self,
         state: &mut WindowState,
         available_layers: usize,
@@ -442,7 +400,11 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
 
     /// Runs the remaining window steps (every layer is now available) and
     /// returns the accumulated observable prediction for the shot.
-    pub fn stream_finish(&self, state: &mut WindowState, scratch: &mut WindowScratch) -> u64 {
+    pub(crate) fn stream_finish(
+        &self,
+        state: &mut WindowState,
+        scratch: &mut WindowScratch,
+    ) -> u64 {
         if self.is_global() {
             return self.inner.predict_into(&state.remaining, &mut scratch.uf);
         }
@@ -462,7 +424,7 @@ impl<L: LayerAssignment> WindowedDecoder<L> {
     /// order produces, so the two drivers are bit-identical. Not
     /// available in the global-fallback regime (use
     /// [`WindowedDecoder::decode_windowed_into`]).
-    pub fn stream_step_fired(
+    pub(crate) fn stream_step_fired(
         &self,
         state: &mut WindowState,
         fired: &[u32],

@@ -20,20 +20,20 @@ use raa_surface::code832;
 use std::fmt;
 
 /// Number of |T⟩ inputs per |CCZ⟩ output.
-pub const T_PER_CCZ: usize = 8;
+pub(crate) const T_PER_CCZ: usize = 8;
 
 /// Transversal CNOT layers in the factory circuit (Fig. 8a).
-pub const FACTORY_CNOT_LAYERS: usize = 4;
+pub(crate) const FACTORY_CNOT_LAYERS: usize = 4;
 
 /// Logical CNOT count of the factory circuit (Fig. 8c: the four layers touch
 /// the four outputs and eight block qubits).
-pub const FACTORY_CNOTS: usize = 16;
+pub(crate) const FACTORY_CNOTS: usize = 16;
 
 /// Patches held by the factory proper: 4 outputs + 8 code-block qubits.
-pub const FACTORY_PATCHES: usize = 12;
+pub(crate) const FACTORY_PATCHES: usize = 12;
 
 /// Cultivation plots in the bottom row (12 slots of d × d; 8 active).
-pub const CULTIVATION_SLOTS: usize = 12;
+pub(crate) const CULTIVATION_SLOTS: usize = 12;
 
 /// An 8T-to-CCZ factory instance with its cultivation stage.
 ///
@@ -61,7 +61,7 @@ impl CczFactory {
     ///
     /// Panics unless `t_input_error` is in (0, 0.01) — cultivation cannot
     /// sensibly target worse than ~1%.
-    pub fn new(t_input_error: f64, cultivation: CultivationModel) -> Self {
+    pub(crate) fn new(t_input_error: f64, cultivation: CultivationModel) -> Self {
         assert!(
             t_input_error > 0.0 && t_input_error < 1e-2,
             "per-T input error must be in (0, 1e-2), got {t_input_error}"
@@ -102,7 +102,7 @@ impl CczFactory {
     /// Error contributed by the factory's own transversal Clifford layers
     /// (Eq. 4 per CNOT at the context's distance; the paper treats these as
     /// negligible thanks to the inner surface-code protection).
-    pub fn clifford_error(ctx: &ArchContext) -> f64 {
+    pub(crate) fn clifford_error(ctx: &ArchContext) -> f64 {
         FACTORY_CNOTS as f64 * logical::cnot_error(&ctx.error, ctx.distance, ctx.cnots_per_round)
     }
 
@@ -113,7 +113,7 @@ impl CczFactory {
     }
 
     /// Probability an attempt is discarded by post-selection.
-    pub fn rejection_probability(&self) -> f64 {
+    pub(crate) fn rejection_probability(&self) -> f64 {
         code832::rejection_probability(self.t_input_error)
     }
 

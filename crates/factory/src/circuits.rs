@@ -37,6 +37,7 @@ impl FactoryProtocol {
     ];
 
     /// Stable lowercase label used in records and on the wire.
+    // raa-audit: allow(orphan-pub): sim's jobs.rs unit tests label every kind with it.
     pub fn label(self) -> &'static str {
         match self {
             FactoryProtocol::Distill15 => "distill15",
@@ -55,6 +56,7 @@ impl FactoryProtocol {
     }
 
     /// The cycled transversal-CNOT layer schedule (0-based patch pairs).
+    // raa-audit: allow(orphan-pub): scenario_proptests.rs checks every schedule's CNOT layers with it.
     pub fn schedule(self) -> Vec<Vec<(usize, usize)>> {
         match self {
             // [[15,1,3]] Reed–Muller encoder: qubits are labelled 1..=15 by

@@ -14,20 +14,20 @@ use raa_core::ArchContext;
 use std::fmt;
 
 /// Error suppression coefficient of one 15-to-1 round.
-pub const SUPPRESSION_COEFF: f64 = 35.0;
+pub(crate) const SUPPRESSION_COEFF: f64 = 35.0;
 
 /// Logical qubits held by one 15-to-1 unit (15 inputs + workspace).
-pub const UNIT_PATCHES: f64 = 20.0;
+pub(crate) const UNIT_PATCHES: f64 = 20.0;
 
 /// Clifford depth (transversal layers) of one 15-to-1 round.
-pub const ROUND_LAYERS: f64 = 8.0;
+pub(crate) const ROUND_LAYERS: f64 = 8.0;
 
 /// A (possibly multi-level) 15-to-1 T-distillation pipeline feeding the
 /// 8T-to-CCZ stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Distill15Factory {
     /// Raw injected |T⟩ error rate entering level 1 (≈ p_phys).
-    pub injected_error: f64,
+    pub(crate) injected_error: f64,
     /// Number of 15-to-1 levels (1 or 2 in practice).
     pub levels: u32,
 }
@@ -38,7 +38,7 @@ impl Distill15Factory {
     /// # Panics
     ///
     /// Panics unless `injected_error` is in (0, 0.1) and `levels` in 1..=3.
-    pub fn new(injected_error: f64, levels: u32) -> Self {
+    pub(crate) fn new(injected_error: f64, levels: u32) -> Self {
         assert!(
             injected_error > 0.0 && injected_error < 0.1,
             "injected error must be in (0, 0.1), got {injected_error}"
@@ -62,7 +62,7 @@ impl Distill15Factory {
     }
 
     /// Output |T⟩ error after all levels: `p ← 35 p³` per level.
-    pub fn output_error(&self) -> f64 {
+    pub(crate) fn output_error(&self) -> f64 {
         let mut p = self.injected_error;
         for _ in 0..self.levels {
             p = SUPPRESSION_COEFF * p.powi(3);
@@ -72,7 +72,7 @@ impl Distill15Factory {
 
     /// Patches held by the pipeline: level ℓ needs 15× the units of ℓ+1 to
     /// keep it fed, so space is dominated by the first level.
-    pub fn patches(&self) -> f64 {
+    pub(crate) fn patches(&self) -> f64 {
         (0..self.levels)
             .map(|l| UNIT_PATCHES * 15f64.powi((self.levels - 1 - l) as i32))
             .sum()
@@ -85,7 +85,7 @@ impl Distill15Factory {
 
     /// Time per output |T⟩: each level's round is `ROUND_LAYERS` transversal
     /// steps plus measurement and feed-forward, pipelined across levels.
-    pub fn t_output_interval(&self, ctx: &ArchContext) -> f64 {
+    pub(crate) fn t_output_interval(&self, ctx: &ArchContext) -> f64 {
         let cycle = ctx.cycle();
         ROUND_LAYERS * cycle.transversal_step(1.0 / ctx.cnots_per_round)
             + ctx.physical.measure_time

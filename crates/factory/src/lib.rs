@@ -33,8 +33,8 @@ pub mod cultivation;
 pub mod distill15;
 pub mod se_opt;
 
-pub use ccz::{CczFactory, FACTORY_PATCHES, T_PER_CCZ};
+pub use ccz::CczFactory;
 pub use circuits::FactoryProtocol;
 pub use cultivation::CultivationModel;
 pub use distill15::Distill15Factory;
-pub use se_opt::{optimal_factory_se_rounds, sweep_factory_se_rounds, FactorySweepPoint};
+pub use se_opt::sweep_factory_se_rounds;

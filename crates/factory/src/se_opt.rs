@@ -56,19 +56,6 @@ pub fn sweep_factory_se_rounds(
         .collect()
 }
 
-/// The SE-rounds-per-CNOT value minimizing factory volume over `candidates`.
-pub fn optimal_factory_se_rounds(
-    base: &ArchContext,
-    ccz_target: f64,
-    candidates: &[f64],
-) -> Option<f64> {
-    sweep_factory_se_rounds(base, ccz_target, candidates)
-        .into_iter()
-        .filter_map(|p| p.volume_per_ccz.map(|v| (p.se_rounds_per_cnot, v)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("volumes are finite"))
-        .map(|(r, _)| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +73,11 @@ mod tests {
     #[test]
     fn optimum_at_or_below_one_round_per_cnot() {
         // Fig. 11(a): "around 1 SE round per gate provides a good balance".
-        let opt = optimal_factory_se_rounds(&ArchContext::paper(), 1.6e-11, &CANDIDATES)
+        let opt = sweep_factory_se_rounds(&ArchContext::paper(), 1.6e-11, &CANDIDATES)
+            .into_iter()
+            .filter_map(|p| p.volume_per_ccz.map(|v| (p.se_rounds_per_cnot, v)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .map(|(r, _)| r)
             .expect("target reachable");
         assert!(opt <= 2.0, "optimal rounds per CNOT = {opt}");
     }

@@ -22,12 +22,12 @@ use raa_physics::motion;
 use std::fmt;
 
 /// Patches of one MAJ/UMA working block (Fig. 9c: a 3 × 2 logical region).
-pub const BLOCK_PATCHES: u64 = 6;
+pub(crate) const BLOCK_PATCHES: u64 = 6;
 
 /// Two-qubit-gate count charged per bit position: the MAJ block's CCZ
 /// teleportation CNOTs and auto-corrected CZs (Fig. 9b) plus the cheaper
 /// measurement-based UMA uncomputation.
-pub const GATES_PER_BLOCK: u64 = 12;
+pub(crate) const GATES_PER_BLOCK: u64 = 12;
 
 /// A Cuccaro ripple-carry adder over `n_bits`-bit registers with runways.
 ///
@@ -71,11 +71,6 @@ impl CuccaroAdder {
         Self::new(n_bits, n_bits, 0)
     }
 
-    /// Register width in bits.
-    pub fn n_bits(&self) -> u32 {
-        self.n_bits
-    }
-
     /// Number of parallel runway segments.
     pub fn segments(&self) -> u32 {
         self.n_bits.div_ceil(self.runway_separation)
@@ -95,12 +90,12 @@ impl CuccaroAdder {
     }
 
     /// CNOT count of the bare Cuccaro circuit (≈ 5 per bit).
-    pub fn cnot_count(&self) -> u64 {
+    pub(crate) fn cnot_count(&self) -> u64 {
         5 * self.padded_bits()
     }
 
     /// Sequential depth in reaction-time steps: `2 (r_sep + r_pad)`.
-    pub fn reaction_depth(&self) -> u64 {
+    pub(crate) fn reaction_depth(&self) -> u64 {
         2 * u64::from(self.runway_separation + self.runway_padding)
     }
 
@@ -112,7 +107,7 @@ impl CuccaroAdder {
     /// Duration of one MAJ/UMA block's physical execution (four transversal
     /// steps within the 3×2 region, the longest move being √2·d·l, plus the
     /// block measurement): sets how many blocks a segment keeps in flight.
-    pub fn block_time(&self, ctx: &ArchContext) -> f64 {
+    pub(crate) fn block_time(&self, ctx: &ArchContext) -> f64 {
         let cycle = ctx.cycle();
         let diag_move = motion::move_time_sites(
             &ctx.physical,
@@ -125,7 +120,7 @@ impl CuccaroAdder {
     /// |CCZ⟩ demand rate while the adder runs, per second: each segment
     /// resolves one MAJ (consuming a |CCZ⟩) every two reaction steps (the UMA
     /// uncomputation step consumes none).
-    pub fn ccz_rate(&self, ctx: &ArchContext) -> f64 {
+    pub(crate) fn ccz_rate(&self, ctx: &ArchContext) -> f64 {
         f64::from(self.segments()) / (2.0 * ctx.reaction_time())
     }
 

@@ -23,6 +23,7 @@
 /// // A 5 ms MAJ block at a 1 ms reaction time: 5 copies in flight.
 /// assert_eq!(parallel_copies(5e-3, 1e-3), 5);
 /// ```
+// raa-audit: allow(orphan-pub): its doctest shows the Fig. 7 copy count; the adder sizes its pipeline with it in-crate.
 pub fn parallel_copies(t_block: f64, t_reaction: f64) -> u64 {
     assert!(
         t_block.is_finite() && t_block > 0.0,
@@ -35,25 +36,10 @@ pub fn parallel_copies(t_block: f64, t_reaction: f64) -> u64 {
     (t_block / t_reaction).ceil().max(1.0) as u64
 }
 
-/// Effective duration per block when pipelined: the reaction time, unless the
-/// block itself is faster.
-pub fn pipelined_block_interval(t_block: f64, t_reaction: f64) -> f64 {
-    assert!(t_block > 0.0 && t_reaction > 0.0);
-    t_reaction.min(t_block)
-}
-
 /// Space overhead (in patches) of running `copies` of a block of
 /// `patches_per_block` patches, including one bridge-qubit pair per copy.
-pub fn pipeline_patches(copies: u64, patches_per_block: u64) -> u64 {
+pub(crate) fn pipeline_patches(copies: u64, patches_per_block: u64) -> u64 {
     copies * (patches_per_block + 2)
-}
-
-/// Logical-error contribution of the Bell bridge per block: the Bell pair is
-/// created, idles for one block duration, and is measured — two extra logical
-/// qubits for `rounds` SE rounds at per-qubit-round error `p_round`.
-pub fn bridge_error(rounds: f64, p_round: f64) -> f64 {
-    assert!(rounds >= 0.0 && p_round >= 0.0);
-    (2.0 * rounds * p_round).min(1.0)
 }
 
 #[cfg(test)]
@@ -69,21 +55,9 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_interval_is_reaction_limited() {
-        assert_eq!(pipelined_block_interval(5e-3, 1e-3), 1e-3);
-        assert_eq!(pipelined_block_interval(0.5e-3, 1e-3), 0.5e-3);
-    }
-
-    #[test]
     fn pipeline_space_accounting() {
         assert_eq!(pipeline_patches(5, 6), 40);
         assert_eq!(pipeline_patches(1, 0), 2);
-    }
-
-    #[test]
-    fn bridge_error_scales_and_saturates() {
-        assert!((bridge_error(10.0, 1e-6) - 2e-5).abs() < 1e-12);
-        assert_eq!(bridge_error(1e9, 1.0), 1.0);
     }
 
     #[test]

@@ -31,6 +31,7 @@ impl GadgetKind {
     pub const ALL: [GadgetKind; 3] = [GadgetKind::Adder, GadgetKind::Lookup, GadgetKind::Fanout];
 
     /// Stable lowercase label used in records and on the wire.
+    // raa-audit: allow(orphan-pub): sim's jobs.rs unit tests label every kind with it.
     pub fn label(self) -> &'static str {
         match self {
             GadgetKind::Adder => "adder",
@@ -56,6 +57,7 @@ impl GadgetKind {
     ///
     /// Panics if `width` is below the gadget's minimum (1 for the adder,
     /// 2 for lookup and fan-out).
+    // raa-audit: allow(orphan-pub): scenario_proptests.rs checks every schedule's CNOT layers with it.
     pub fn schedule(self, width: usize) -> Vec<Vec<(usize, usize)>> {
         match self {
             GadgetKind::Adder => {

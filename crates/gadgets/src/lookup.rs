@@ -22,7 +22,12 @@ use std::fmt;
 
 /// GHZ helper patches per target patch (one GHZ qubit plus a shared prep
 /// ancilla between neighbours, Fig. 10c).
-pub const GHZ_OVERHEAD_PER_TARGET: f64 = 1.5;
+pub(crate) const GHZ_OVERHEAD_PER_TARGET: f64 = 1.5;
+
+/// GHZ grid spacing in patch pitches: 2 keeps moves at 2·d·l as in
+/// Fig. 10c. Each GHZ stage runs one pipeline copy, which the paper finds
+/// optimal.
+const GHZ_SPACING: f64 = 2.0;
 
 /// A QROM look-up gadget.
 ///
@@ -41,12 +46,7 @@ pub const GHZ_OVERHEAD_PER_TARGET: f64 = 1.5;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LookupTable {
     address_bits: u32,
-    output_bits: u32,
-    /// GHZ grid spacing in patch pitches (optimized over in the paper; the
-    /// default 2 keeps moves at 2·d·l as in Fig. 10c).
-    ghz_spacing: f64,
-    /// Pipeline copies per GHZ stage (the paper finds 1 optimal).
-    pipeline_copies: u32,
+    pub(crate) output_bits: u32,
 }
 
 impl LookupTable {
@@ -65,91 +65,52 @@ impl LookupTable {
         Self {
             address_bits,
             output_bits,
-            ghz_spacing: 2.0,
-            pipeline_copies: 1,
         }
     }
 
-    /// Sets the GHZ grid spacing in patch pitches.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the spacing is in [0.5, 16].
-    pub fn with_ghz_spacing(mut self, spacing: f64) -> Self {
-        assert!(
-            (0.5..=16.0).contains(&spacing),
-            "GHZ spacing must be in [0.5, 16], got {spacing}"
-        );
-        self.ghz_spacing = spacing;
-        self
-    }
-
-    /// Sets the number of pipeline copies per GHZ stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `copies` is zero.
-    pub fn with_pipeline_copies(mut self, copies: u32) -> Self {
-        assert!(copies >= 1, "need at least one pipeline copy");
-        self.pipeline_copies = copies;
-        self
-    }
-
-    /// Address width in bits.
-    pub fn address_bits(&self) -> u32 {
-        self.address_bits
-    }
-
-    /// Output register width in bits.
-    pub fn output_bits(&self) -> u32 {
-        self.output_bits
-    }
-
     /// Number of table entries, `2^w`.
-    pub fn entries(&self) -> u64 {
+    pub(crate) fn entries(&self) -> u64 {
         1u64 << self.address_bits
     }
 
     /// Toffoli count of the unary-iteration scan: `2^w − 1` temporary ANDs.
-    pub fn toffoli_count(&self) -> u64 {
+    pub(crate) fn toffoli_count(&self) -> u64 {
         self.entries() - 1
     }
 
     /// Toffoli count of the measurement-based unlookup (uncomputation):
     /// `O(2^(w/2))` via the square-root trick of windowed arithmetic \[65\].
-    pub fn unlookup_toffoli_count(&self) -> u64 {
+    pub(crate) fn unlookup_toffoli_count(&self) -> u64 {
         1u64 << self.address_bits.div_ceil(2)
     }
 
     /// Duration of one GHZ fan-out stage: two constant hops of
-    /// `ghz_spacing · d` sites (GHZ qubits into place, next stage's prep
+    /// `GHZ_SPACING · d` sites (GHZ qubits into place, next stage's prep
     /// moving behind it) — measurements pipeline with the moves.
-    pub fn fanout_stage_time(&self, ctx: &ArchContext) -> f64 {
-        let hop =
-            motion::move_time_sites(&ctx.physical, self.ghz_spacing * f64::from(ctx.distance));
-        2.0 * hop / f64::from(self.pipeline_copies) + ctx.physical.gate_time
+    pub(crate) fn fanout_stage_time(&self, ctx: &ArchContext) -> f64 {
+        let hop = motion::move_time_sites(&ctx.physical, GHZ_SPACING * f64::from(ctx.distance));
+        2.0 * hop + ctx.physical.gate_time
     }
 
     /// Effective time per table entry: reaction-limited Toffoli scan
     /// overlapped with the fan-out pipeline.
-    pub fn entry_time(&self, ctx: &ArchContext) -> f64 {
+    pub(crate) fn entry_time(&self, ctx: &ArchContext) -> f64 {
         ctx.reaction_time().max(self.fanout_stage_time(ctx))
     }
 
     /// Wall-clock duration of one lookup: the `2^w`-entry scan at the
     /// per-entry rate. The measurement-based unlookup involves no fan-out and
     /// overlaps with the subsequent addition, so it costs |CCZ⟩ states
-    /// ([`LookupTable::unlookup_toffoli_count`]) but no extra wall-clock time.
+    /// (`LookupTable::unlookup_toffoli_count`) but no extra wall-clock time.
     pub fn duration(&self, ctx: &ArchContext) -> f64 {
         self.entries() as f64 * self.entry_time(ctx)
     }
 
     /// Logical patches of the GHZ fan-out layer: an underlying grid of one
-    /// GHZ qubit plus half a prep ancilla per `ghz_spacing` target patches
-    /// (Fig. 10c), per pipeline copy.
+    /// GHZ qubit plus half a prep ancilla per `GHZ_SPACING` target patches
+    /// (Fig. 10c).
     pub fn ghz_patches(&self) -> f64 {
-        f64::from(self.output_bits) * GHZ_OVERHEAD_PER_TARGET / self.ghz_spacing
-            * f64::from(self.pipeline_copies)
+        f64::from(self.output_bits) * GHZ_OVERHEAD_PER_TARGET / GHZ_SPACING
     }
 
     /// Physical qubits: address + output registers plus the GHZ fan-out layer.
@@ -260,23 +221,6 @@ mod tests {
         let lookup = LookupTable::new(7, 2994);
         let share = lookup.fanout_error_share(&ctx());
         assert!(share > 0.5, "fan-out share = {share}");
-    }
-
-    #[test]
-    fn wider_pipeline_shortens_stage() {
-        let base = LookupTable::new(7, 512);
-        let piped = base.with_pipeline_copies(2);
-        assert!(piped.fanout_stage_time(&ctx()) < base.fanout_stage_time(&ctx()));
-        assert!(piped.qubits(&ctx()) > base.qubits(&ctx()));
-    }
-
-    #[test]
-    fn spacing_tradeoff() {
-        let tight = LookupTable::new(7, 512).with_ghz_spacing(1.0);
-        let loose = LookupTable::new(7, 512).with_ghz_spacing(4.0);
-        // Tighter grid: more GHZ qubits, shorter moves.
-        assert!(tight.qubits(&ctx()) > loose.qubits(&ctx()));
-        assert!(tight.fanout_stage_time(&ctx()) < loose.fanout_stage_time(&ctx()));
     }
 
     #[test]

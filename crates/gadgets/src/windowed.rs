@@ -50,11 +50,6 @@ impl LookupAddition {
         self.lookup.ccz_count() + self.adder.toffoli_count()
     }
 
-    /// Wall-clock duration: lookup then addition (the paper's 0.17 + 0.28 s).
-    pub fn duration(&self, ctx: &ArchContext) -> f64 {
-        self.lookup.duration(ctx) + self.adder.duration(ctx)
-    }
-
     /// Peak |CCZ⟩ demand rate, set by the addition stage (Fig. 5c,d: factories
     /// feed the active addition).
     pub fn peak_ccz_rate(&self, ctx: &ArchContext) -> f64 {
@@ -105,7 +100,7 @@ mod tests {
     fn paper_duration_0p45_s() {
         // 0.17 s lookup + 0.28 s addition (§IV.2).
         let g = paper_gadget();
-        let t = g.duration(&ctx());
+        let t = g.cost(&ctx()).seconds;
         assert!((t - 0.45).abs() < 0.04, "t = {t}");
     }
 
@@ -121,7 +116,7 @@ mod tests {
     fn lookup_register_covers_padded_adder() {
         let g = paper_gadget();
         assert_eq!(
-            g.lookup().output_bits() as u64,
+            u64::from(g.lookup().output_bits),
             g.adder().padded_bits(),
             "the loaded value must cover runway-padded accumulator bits"
         );
@@ -131,7 +126,8 @@ mod tests {
     fn cost_composition() {
         let g = paper_gadget();
         let c = g.cost(&ctx());
-        assert!((c.seconds - g.duration(&ctx())).abs() < 1e-12);
+        let duration = g.lookup().duration(&ctx()) + g.adder().duration(&ctx());
+        assert!((c.seconds - duration).abs() < 1e-12);
         assert_eq!(c.ccz_states, g.ccz_count() as f64);
         assert!(c.logical_error < 1e-6, "error = {}", c.logical_error);
     }
@@ -150,7 +146,7 @@ mod tests {
             let small = LookupAddition::new(w1, w2, 512, 96, 43);
             let big = LookupAddition::new(w1 + 1, w2 + 1, 512, 96, 43);
             prop_assert!(big.ccz_count() > small.ccz_count());
-            prop_assert!(big.duration(&ctx()) > small.duration(&ctx()));
+            prop_assert!(big.cost(&ctx()).seconds > small.cost(&ctx()).seconds);
         }
     }
 }

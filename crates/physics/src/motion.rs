@@ -34,6 +34,7 @@ use crate::params::PhysicalParams;
 /// let t = move_time(&p, 55e-6);
 /// assert!((t - 200e-6).abs() < 1e-6);
 /// ```
+// raa-audit: allow(orphan-pub): paper_numbers.rs checks the Eq. (1) move times against the paper.
 pub fn move_time(params: &PhysicalParams, distance: f64) -> f64 {
     assert!(
         distance.is_finite() && distance >= 0.0,

@@ -49,11 +49,6 @@ impl Default for PhysicalParams {
 }
 
 impl PhysicalParams {
-    /// Creates the Table I parameter set (same as [`Default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Round-trip reaction time of the control system (§II.2): the time from a
     /// measurement to the next conditional quantum operation. Modelled as
     /// measurement plus decoding latency, giving the paper's assumed 1 ms.

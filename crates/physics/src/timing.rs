@@ -51,16 +51,6 @@ impl CycleModel {
         }
     }
 
-    /// The physical parameters used by this model.
-    pub fn params(&self) -> &PhysicalParams {
-        &self.params
-    }
-
-    /// The code distance used by this model.
-    pub fn distance(&self) -> u32 {
-        self.distance
-    }
-
     /// Duration of the gate segment of one SE round: four single-site ancilla
     /// hops plus the entangling-gate layers (≈400 µs with Table I values, §IV.2).
     pub fn gate_segment(&self) -> f64 {
@@ -125,7 +115,7 @@ mod tests {
     fn patch_move_matches_measure_time_at_d27() {
         // §IV.2: patch move ~ 500 us == measurement time, enabling pipelining.
         let m = model(27);
-        let ratio = m.patch_move_time() / m.params().measure_time;
+        let ratio = m.patch_move_time() / m.params.measure_time;
         assert!((ratio - 1.0).abs() < 0.05, "ratio = {ratio}");
     }
 

@@ -22,7 +22,7 @@ use std::fmt;
 pub const DEFAULT_TOTAL_BUDGET: f64 = 0.08;
 
 /// Fractional space overhead for routing corridors and interface zones.
-pub const ROUTING_OVERHEAD: f64 = 0.02;
+pub(crate) const ROUTING_OVERHEAD: f64 = 0.02;
 
 /// Largest code distance the distance optimization searches.
 pub const MAX_SEARCHED_DISTANCE: u32 = 61;
@@ -39,7 +39,7 @@ pub struct TransversalArchitecture {
     /// Logical error model (§III.4).
     pub error: ErrorModelParams,
     /// Dense qLDPC idle-storage compression factor (§IV.3.4), if enabled.
-    pub qldpc_storage_compression: Option<f64>,
+    pub(crate) qldpc_storage_compression: Option<f64>,
 }
 
 impl TransversalArchitecture {
@@ -57,7 +57,7 @@ impl TransversalArchitecture {
     /// Returns a copy with a different logical-error model (e.g. one fitted
     /// to circuit-level simulations instead of the paper's assumed
     /// parameters).
-    pub fn with_error_model(mut self, error: ErrorModelParams) -> Self {
+    pub(crate) fn with_error_model(mut self, error: ErrorModelParams) -> Self {
         self.error = error;
         self
     }
@@ -104,6 +104,7 @@ impl TransversalArchitecture {
     }
 
     /// The architecture context at these parameters.
+    // raa-audit: allow(orphan-pub): paper_numbers.rs reads the paper architecture's context with it.
     pub fn context(&self) -> ArchContext {
         ArchContext {
             physical: self.physical,
@@ -118,7 +119,7 @@ impl TransversalArchitecture {
     /// # Panics
     ///
     /// Panics if the |CCZ⟩ error target is unreachable at this distance
-    /// (use [`TransversalArchitecture::try_estimate`] to probe).
+    /// (use `TransversalArchitecture::try_estimate` to probe).
     pub fn estimate(&self) -> ResourceEstimate {
         self.try_estimate()
             .expect("CCZ target unreachable at this distance")
@@ -126,7 +127,7 @@ impl TransversalArchitecture {
 
     /// Runs the resource estimate, or `None` when the code distance is too
     /// small for the factories to reach the per-|CCZ⟩ error target.
-    pub fn try_estimate(&self) -> Option<ResourceEstimate> {
+    pub(crate) fn try_estimate(&self) -> Option<ResourceEstimate> {
         self.params.validate(&self.instance);
         let ctx = self.context();
         let counts = operation_counts(&self.instance, &self.params);

@@ -19,7 +19,7 @@
 use std::fmt;
 
 /// Extra exponent padding bits in the Ekerå–Håstad exponent length.
-pub const EXPONENT_PADDING: u32 = 10;
+pub(crate) const EXPONENT_PADDING: u32 = 10;
 
 /// An RSA factoring instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,17 +39,17 @@ impl FactoringInstance {
     }
 
     /// The paper's benchmark: RSA-2048.
-    pub fn rsa2048() -> Self {
+    pub(crate) fn rsa2048() -> Self {
         Self::new(2048)
     }
 
     /// Modulus width in bits.
-    pub fn n_bits(&self) -> u32 {
+    pub(crate) fn n_bits(&self) -> u32 {
         self.n_bits
     }
 
     /// Ekerå–Håstad exponent length: `1.5 n` plus padding.
-    pub fn exponent_bits(&self) -> u32 {
+    pub(crate) fn exponent_bits(&self) -> u32 {
         self.n_bits + self.n_bits / 2 + EXPONENT_PADDING
     }
 }
@@ -107,7 +107,7 @@ impl AlgorithmParams {
     /// # Panics
     ///
     /// Panics on zero windows, zero runway separation or `distance < 3`.
-    pub fn validate(&self, instance: &FactoringInstance) {
+    pub(crate) fn validate(&self, instance: &FactoringInstance) {
         assert!(self.w_exp >= 1, "exponent window must be at least 1");
         assert!(self.w_mul >= 1, "multiplication window must be at least 1");
         assert!(self.r_sep >= 1, "runway separation must be at least 1");
@@ -122,18 +122,21 @@ impl AlgorithmParams {
 
 /// Windowed-arithmetic operation counts for an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperationCounts {
+pub(crate) struct OperationCounts {
     /// Total windowed lookup-additions.
-    pub lookup_additions: u64,
+    pub(crate) lookup_additions: u64,
     /// Exponent windows processed (one controlled multiply each... times two
     /// for compute/uncompute).
-    pub exponent_windows: u64,
+    pub(crate) exponent_windows: u64,
     /// Multiplication windows per multiplication.
-    pub multiplication_windows: u64,
+    pub(crate) multiplication_windows: u64,
 }
 
 /// Computes the windowed-arithmetic counts for `instance` under `params`.
-pub fn operation_counts(instance: &FactoringInstance, params: &AlgorithmParams) -> OperationCounts {
+pub(crate) fn operation_counts(
+    instance: &FactoringInstance,
+    params: &AlgorithmParams,
+) -> OperationCounts {
     params.validate(instance);
     let exp_windows = u64::from(instance.exponent_bits().div_ceil(params.w_exp));
     let mul_windows = u64::from(instance.n_bits().div_ceil(params.w_mul));

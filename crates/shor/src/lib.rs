@@ -38,11 +38,9 @@ pub mod ekera_hastad;
 pub mod optimizer;
 pub mod sensitivity;
 
-pub use architecture::{
-    ErrorBreakdown, ResourceEstimate, SpaceBreakdown, TransversalArchitecture, CCZ_BUDGET,
-    DEFAULT_TOTAL_BUDGET, MAX_SEARCHED_DISTANCE,
-};
+pub use architecture::{ResourceEstimate, TransversalArchitecture, MAX_SEARCHED_DISTANCE};
 pub use baselines::{BeverlandModel, GidneyEkeraModel};
-pub use ekera_hastad::{operation_counts, AlgorithmParams, FactoringInstance, OperationCounts};
-pub use optimizer::{optimize, optimize_paper_instance, OptimizationResult, SearchSpace};
-pub use sensitivity::SweepPoint;
+pub use ekera_hastad::{AlgorithmParams, FactoringInstance};
+pub use optimizer::{optimize, optimize_paper_instance, SearchSpace};
+
+pub use architecture::DEFAULT_TOTAL_BUDGET;

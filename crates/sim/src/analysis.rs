@@ -11,7 +11,7 @@ use raa_core::fit::{fit_cnot_model, CnotErrorPoint, FitResult};
 /// Per-CNOT (and per-round) error rates above which a point is dropped from
 /// fits (the model only holds well below saturation; same cut as the
 /// paper's figures).
-pub const MAX_FITTABLE_RATE: f64 = 0.4;
+pub(crate) const MAX_FITTABLE_RATE: f64 = 0.4;
 
 /// Extracts the Eq. (4) fit points from transversal-CNOT records: one point
 /// per record with a measured per-CNOT error in `(0, 0.4)`.
@@ -34,7 +34,7 @@ pub fn cnot_points(records: &[ExperimentRecord]) -> Vec<CnotErrorPoint> {
 /// Fits (α, Λ) of Eq. (4) to the transversal-CNOT records with the
 /// prefactor `c` held fixed. Returns `None` with fewer than two usable
 /// points, or when the usable points cannot support the two-parameter fit
-/// (e.g. every record saturated above [`MAX_FITTABLE_RATE`], produced zero
+/// (e.g. every record saturated above `MAX_FITTABLE_RATE`, produced zero
 /// failures, or collapsed onto a single `(x, d)` coordinate — see
 /// [`raa_core::fit::fit_cnot_model`]).
 pub fn fit_eq4(records: &[ExperimentRecord], c: f64) -> Option<FitResult> {
@@ -49,7 +49,7 @@ pub fn fit_eq4(records: &[ExperimentRecord], c: f64) -> Option<FitResult> {
 /// least-squares slope of `ln(p_round)` against `(d + 1)/2` (the Eq. 4
 /// exponent), so `Λ = exp(−slope)`. Returns `None` without at least two
 /// distinct distances carrying a usable rate — nonzero, finite and below
-/// [`MAX_FITTABLE_RATE`] (saturated points carry no slope information and
+/// `MAX_FITTABLE_RATE` (saturated points carry no slope information and
 /// would drag the fit toward Λ = 1).
 pub fn memory_lambda(records: &[ExperimentRecord]) -> Option<f64> {
     let points: Vec<(f64, f64)> = records

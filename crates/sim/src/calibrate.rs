@@ -136,7 +136,7 @@ impl CalibrationConfig {
     ///
     /// [`CalibrationError::NoDistances`] when the config has no code
     /// distance, so neither grid has a point.
-    pub fn specs(&self) -> Result<(Vec<ExperimentSpec>, usize), CalibrationError> {
+    pub(crate) fn specs(&self) -> Result<(Vec<ExperimentSpec>, usize), CalibrationError> {
         self.check()?;
         let mut specs = self.memory_grid().specs();
         let memory_points = specs.len();
@@ -154,7 +154,7 @@ impl CalibrationConfig {
     }
 
     /// The orchestrator this config runs on.
-    pub fn orchestrator(&self) -> io::Result<Orchestrator> {
+    pub(crate) fn orchestrator(&self) -> io::Result<Orchestrator> {
         let orch = Orchestrator::new().with_point_threads(self.point_threads);
         match &self.cache_dir {
             Some(dir) => orch.with_cache_dir(dir),
@@ -237,7 +237,7 @@ pub struct Calibration {
     pub lambda_memory: Option<f64>,
     /// Model parameters anchored at the sweep's `p_phys`
     /// (`p_thres = Λ·p_phys`). Re-anchor at a hardware rate with
-    /// [`Calibration::params_at`].
+    /// [`ErrorModelParams::with_p_phys`].
     pub params: ErrorModelParams,
     /// Memory-sweep records (grid order).
     pub memory_records: Vec<ExperimentRecord>,
@@ -252,22 +252,8 @@ pub struct Calibration {
     pub fresh_shots: usize,
 }
 
-impl Calibration {
-    /// The calibrated parameters re-anchored at a hardware physical error
-    /// rate: keeps the simulation-fitted `p_thres` and `α`, replaces
-    /// `p_phys` — the form the architecture estimator consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_phys` is not inside `(0, p_thres)` (the hardware would
-    /// be at or above the calibrated threshold).
-    pub fn params_at(&self, p_phys: f64) -> ErrorModelParams {
-        self.params.with_p_phys(p_phys)
-    }
-}
-
 /// Runs the full calibration: the memory and transversal-CNOT points as one
-/// point queue ([`CalibrationConfig::specs`]) through the cached
+/// point queue (`CalibrationConfig::specs`) through the cached
 /// orchestrator, fits (α, Λ), and anchors [`ErrorModelParams`] at the
 /// sweep's actual `p_phys`. No point waits for the other grid to finish.
 ///
@@ -363,7 +349,7 @@ mod tests {
         assert_eq!(cal.fresh_points, 2 + 8);
         assert_eq!(cal.fresh_shots, 2 * 1_500 + 8 * 1_000);
         // Re-anchoring at hardware noise keeps the calibrated threshold.
-        let hw = cal.params_at(1e-3);
+        let hw = cal.params.with_p_phys(1e-3);
         assert_eq!(hw.p_thres, cal.params.p_thres);
         assert!(hw.lambda() > cal.fit.lambda);
     }

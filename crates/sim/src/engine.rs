@@ -76,24 +76,21 @@ pub fn build_circuit(spec: &ExperimentSpec) -> Circuit {
 /// protocol's (or gadget's) cycled CNOT layer schedule, one layer per SE
 /// round, at the spec's distance, basis and noise.
 fn scheduled_experiment(spec: &ExperimentSpec) -> ScheduledCnotExperiment {
-    let (patches, schedule, rounds) = match spec.scenario {
+    let d = spec.distance;
+    let experiment = match spec.scenario {
         Scenario::MagicFactory { protocol, rounds } => {
-            (protocol.patches(), protocol.schedule(), rounds)
+            protocol.experiment(d, rounds.resolve(d), spec.noise)
         }
         Scenario::Gadget {
             kind,
             width,
             rounds,
-        } => (kind.patches(width), kind.schedule(width), rounds),
+        } => kind.experiment(d, width, rounds.resolve(d), spec.noise),
         _ => unreachable!("only called for factory/gadget specs"),
     };
     ScheduledCnotExperiment {
-        distance: spec.distance,
-        patches,
-        schedule,
-        rounds: rounds.resolve(spec.distance),
         basis: spec.basis,
-        noise: spec.noise,
+        ..experiment
     }
 }
 
@@ -194,9 +191,6 @@ fn decode_budget<D: Decoder + Sync>(
 /// are deterministic; wall time is not).
 #[derive(Debug, Clone, Copy)]
 pub struct RunTiming {
-    /// Circuit construction, DEM extraction, graph decomposition and
-    /// decoder construction.
-    pub setup_seconds: f64,
     /// Sampling + Monte-Carlo decoding only — the number to use for decoder
     /// throughput comparisons.
     pub decode_seconds: f64,
@@ -245,8 +239,6 @@ pub fn try_run(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), M
         seed,
         ref mc,
     } = *spec;
-    // raa-audit: allow(nondet-time): the wall-clock split is reported beside the record in RunTiming and never enters a record, fingerprint, or memo.
-    let start = Instant::now();
     let circuit = build_circuit(spec);
     let dem = DetectorErrorModel::from_circuit(&circuit);
     let (graph, arbitrary) = DecodingGraph::from_dem_decomposed(&dem);
@@ -305,10 +297,7 @@ pub fn try_run(spec: &ExperimentSpec) -> Result<(ExperimentRecord, RunTiming), M
             }
         }
     }?;
-    let timing = RunTiming {
-        setup_seconds: start.elapsed().as_secs_f64() - decode_seconds,
-        decode_seconds,
-    };
+    let timing = RunTiming { decode_seconds };
     let (patches, cnots, se_rounds, cnots_per_round) = match scenario {
         Scenario::Memory { rounds } | Scenario::Code832Memory { rounds } => {
             (1, 0, rounds.resolve(distance), None)
@@ -407,7 +396,6 @@ mod tests {
         let (record, timing) = try_run(&spec).expect("ambient pool cannot fail");
         assert_eq!(record.to_json(), run(&spec).to_json());
         assert!(timing.decode_seconds >= 0.0);
-        assert!(timing.setup_seconds >= 0.0);
     }
 
     #[test]

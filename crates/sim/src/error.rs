@@ -24,7 +24,7 @@ pub struct PoisonedPoint {
     /// Index into the spec list the point came from.
     pub index: usize,
     /// The spec's name (for human-readable reports).
-    pub name: String,
+    pub(crate) name: String,
     /// The spec's content-addressed cache key (what quarantine matches on).
     pub key: String,
     /// The panic payload, when it was a string (the common case).
@@ -144,7 +144,7 @@ impl From<LockError> for OrchestratorError {
 
 impl OrchestratorError {
     /// Attaches a human-readable context to an [`io::Error`].
-    pub fn io(context: impl Into<String>, source: io::Error) -> Self {
+    pub(crate) fn io(context: impl Into<String>, source: io::Error) -> Self {
         OrchestratorError::Io {
             context: context.into(),
             source,

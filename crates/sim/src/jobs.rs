@@ -18,7 +18,7 @@
 //!
 //! A spec travels as one flat object from one writer, which names every
 //! spec field. The cache key hashes the same bytes
-//! ([`crate::orchestrator::spec_fingerprint`]), so the wire line decides
+//! (`crate::orchestrator::spec_fingerprint`), so the wire line decides
 //! which fields reach a record's identity. The writer leaves out `mc`: it
 //! holds only the decode thread count, which cannot change any record, and
 //! the server owns its own execution budget.
@@ -38,7 +38,7 @@
 //! let line = request.to_line();
 //! assert!(!line.contains('\n'), "one request per line");
 //! let decoded = Request::from_line(&line).unwrap();
-//! assert_eq!(decoded.id(), "job-1");
+//! assert!(matches!(decoded, Request::Sweep { ref id, .. } if id == "job-1"));
 //! # let _ = Response::Error { id: "job-1".into(), message: "demo".into() };
 //! ```
 
@@ -483,7 +483,7 @@ pub enum Request {
 
 impl Request {
     /// The job id the response will echo.
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         match self {
             Request::Sweep { id, .. }
             | Request::Query { id, .. }
@@ -559,11 +559,11 @@ impl Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedPoint {
     /// The point's content-addressed cache key.
-    pub key: String,
+    pub(crate) key: String,
     /// The point's record name at quarantine time.
     pub name: String,
     /// The panic message.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// A daemon health/counters snapshot.
@@ -582,9 +582,9 @@ pub struct ServiceStatus {
     /// Points freshly sampled.
     pub fresh_points: u64,
     /// Monte-Carlo shots sampled.
-    pub fresh_shots: u64,
+    pub(crate) fresh_shots: u64,
     /// Corrupt cache entries found and overwritten.
-    pub corrupt_replaced: u64,
+    pub(crate) corrupt_replaced: u64,
     /// Points shed (drain or abandoned jobs).
     pub shed_points: u64,
     /// The poisoned-point quarantine list.
@@ -683,7 +683,7 @@ fn poisoned_from_wire(v: &Json) -> Result<PoisonedPoint, String> {
 
 impl Response {
     /// The echoed job id.
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         match self {
             Response::Sweep { id, .. }
             | Response::Query { id, .. }

@@ -11,7 +11,7 @@
 //! - [`write_string`] escapes `"`, `\`, newline, carriage return and tab
 //!   with their short escapes, writes every other control character
 //!   (below U+0020) as `\u00xx`, and copies everything else verbatim.
-//! - [`write_number`] writes the shortest decimal that round-trips
+//! - `write_number` writes the shortest decimal that round-trips
 //!   (`format!("{v}")`), and a non-finite value as `null`.
 //!
 //! Both are deterministic, so a record's bytes depend on its fields only.
@@ -29,7 +29,7 @@
 //!   characters included, with the escapes `\"`, `\\`, `\/`, `\b`, `\f`,
 //!   `\n`, `\r`, `\t` and `\uXXXX`. A `\u` escape names one Unicode scalar
 //!   value, so surrogates (and surrogate pairs) are rejected;
-//! - arrays and objects, nested at most [`MAX_DEPTH`] deep. Object fields
+//! - arrays and objects, nested at most `MAX_DEPTH` deep. Object fields
 //!   keep document order; a repeated key keeps both entries, and lookups
 //!   find the first.
 //!
@@ -42,7 +42,7 @@
 //! in which every integer is exact in an `f64`. A `u32` is a count that fits
 //! in a `u32`. Larger values are rejected, never wrapped or saturated.
 //! A `u64` seed does not fit this rule, so seeds travel as decimal strings
-//! ([`Json::u64_str_field`]).
+//! (`Json::u64_str_field`).
 
 use std::fmt::Write as _;
 
@@ -50,7 +50,7 @@ use std::fmt::Write as _;
 /// deep; the limit keeps hostile input from exhausting the stack. The
 /// top-level value sits at depth 0, so a scalar inside 17 nested arrays is
 /// rejected.
-pub const MAX_DEPTH: usize = 16;
+pub(crate) const MAX_DEPTH: usize = 16;
 
 /// The largest count: every integer up to 2⁵³ is exact in an `f64`.
 const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
@@ -63,7 +63,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A number. Parsed numbers are finite; [`write_number`] writes a
+    /// A number. Parsed numbers are finite; `write_number` writes a
     /// non-finite one as `null`.
     Num(f64),
     /// A string.
@@ -87,7 +87,7 @@ impl Json {
     ///   writers print a non-finite value as `null`, so such a value could
     ///   never survive a round trip;
     /// - a nested value is accepted anywhere, so a record line may carry
-    ///   one under an unknown key. [`crate::ExperimentRecord::from_json`]
+    ///   one under an unknown key. `crate::ExperimentRecord::from_json`
     ///   ignores it, as it ignores any unknown key.
     ///
     /// The audit baseline's former parser also took a form feed as
@@ -97,7 +97,7 @@ impl Json {
     /// # Errors
     ///
     /// A description of the first problem: a syntax error with its byte
-    /// offset, a number that overflows, nesting deeper than [`MAX_DEPTH`],
+    /// offset, a number that overflows, nesting deeper than `MAX_DEPTH`,
     /// or bytes after the value.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { text, pos: 0 };
@@ -166,7 +166,7 @@ impl Json {
     }
 
     /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
             _ => None,
@@ -174,7 +174,7 @@ impl Json {
     }
 
     /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -207,7 +207,7 @@ impl Json {
     /// When `self` is not an object or has no field `key`. The typed
     /// accessors below fail the same way, and also when the field holds
     /// the wrong kind of value; every message names `key`.
-    pub fn field(&self, key: &str) -> Result<&Json, String> {
+    pub(crate) fn field(&self, key: &str) -> Result<&Json, String> {
         match self {
             Json::Obj(_) => self
                 .get(key)
@@ -227,18 +227,18 @@ impl Json {
         get(self.field(key)?).ok_or_else(|| format!("field {key:?}: expected {what}"))
     }
 
-    /// The string field `key` (see [`Json::field`] for the errors).
+    /// The string field `key` (see `Json::field` for the errors).
     pub fn str_field(&self, key: &str) -> Result<&str, String> {
         self.read(key, "a string", Json::as_str)
     }
 
     /// The numeric field `key`.
-    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+    pub(crate) fn f64_field(&self, key: &str) -> Result<f64, String> {
         self.read(key, "a number", Json::as_f64)
     }
 
     /// The field `key` as a number, or `None` when it is `null`.
-    pub fn opt_f64_field(&self, key: &str) -> Result<Option<f64>, String> {
+    pub(crate) fn opt_f64_field(&self, key: &str) -> Result<Option<f64>, String> {
         self.read(key, "a number or null", |v| match v {
             Json::Null => Some(None),
             other => other.as_f64().map(Some),
@@ -246,7 +246,7 @@ impl Json {
     }
 
     /// The boolean field `key`.
-    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+    pub(crate) fn bool_field(&self, key: &str) -> Result<bool, String> {
         self.read(key, "a boolean", Json::as_bool)
     }
 
@@ -256,7 +256,7 @@ impl Json {
     }
 
     /// The count field `key` (see the module docs).
-    pub fn count_field(&self, key: &str) -> Result<usize, String> {
+    pub(crate) fn count_field(&self, key: &str) -> Result<usize, String> {
         self.read(key, "an integer in 0..=2^53", |v| {
             v.as_count().and_then(|n| usize::try_from(n).ok())
         })
@@ -268,7 +268,7 @@ impl Json {
     }
 
     /// The array field `key`, every item a count that fits in a `u32`.
-    pub fn u32_items(&self, key: &str) -> Result<Vec<u32>, String> {
+    pub(crate) fn u32_items(&self, key: &str) -> Result<Vec<u32>, String> {
         self.arr_field(key)?
             .iter()
             .map(|item| {
@@ -279,7 +279,7 @@ impl Json {
     }
 
     /// The array field `key`, every item a number.
-    pub fn f64_items(&self, key: &str) -> Result<Vec<f64>, String> {
+    pub(crate) fn f64_items(&self, key: &str) -> Result<Vec<f64>, String> {
         self.arr_field(key)?
             .iter()
             .map(|item| {
@@ -291,7 +291,7 @@ impl Json {
 
     /// The field `key` as a `u64` written as a decimal string (how seeds
     /// travel: a `u64` does not fit an `f64` exactly).
-    pub fn u64_str_field(&self, key: &str) -> Result<u64, String> {
+    pub(crate) fn u64_str_field(&self, key: &str) -> Result<u64, String> {
         self.read(key, "a decimal u64 string", |v| v.as_str()?.parse().ok())
     }
 }
@@ -321,7 +321,7 @@ pub fn write_string(out: &mut String, s: &str) {
 
 /// Appends `v` as the shortest decimal that round-trips, or `null` when it
 /// is not finite.
-pub fn write_number(out: &mut String, v: f64) {
+pub(crate) fn write_number(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {

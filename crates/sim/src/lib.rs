@@ -72,15 +72,11 @@ pub mod record;
 pub mod service;
 pub mod spec;
 
-pub use calibrate::{calibrate, fit_calibration, Calibration, CalibrationConfig, CalibrationError};
-pub use engine::{build_circuit, derive_seed, run, run_sweep, try_run, RunTiming};
-pub use error::{OrchestratorError, PoisonedPoint};
-pub use lock::{Backoff, FileLock, LockError, LockOptions};
-pub use orchestrator::{
-    spec_cache_key, spec_fingerprint, CacheLookup, Orchestrator, PointOutcome, ScrubOptions,
-    ScrubReport, SweepCache, SweepReport,
-};
-pub use record::{parse_json_lines, to_json_lines, ExperimentRecord};
+pub use calibrate::{calibrate, fit_calibration, Calibration, CalibrationConfig};
+pub use engine::{build_circuit, derive_seed, run, run_sweep, try_run};
+pub use error::OrchestratorError;
+pub use orchestrator::{spec_cache_key, CacheLookup, Orchestrator, ScrubOptions, SweepCache};
+pub use record::{to_json_lines, ExperimentRecord};
 pub use service::{ServiceClient, ServiceConfig, SweepService};
 pub use spec::{
     DecoderChoice, ExperimentSpec, Rounds, SamplerChoice, Scenario, ShotBudget, SweepGrid,
@@ -90,4 +86,4 @@ pub use spec::{
 pub use raa_decode::McConfig;
 pub use raa_factory::FactoryProtocol;
 pub use raa_gadgets::GadgetKind;
-pub use raa_surface::{Basis, NoiseModel};
+pub use raa_surface::NoiseModel;

@@ -7,7 +7,7 @@
 //! for the same Monte-Carlo sampling, and a scrubber must never quarantine
 //! or evict an entry another process is mid-way through (re)writing.
 //!
-//! [`FileLock`] implements the portable std-only discipline: a lock is an
+//! `FileLock` implements the portable std-only discipline: a lock is an
 //! `O_EXCL`-created sidecar file (`<key>.lock`) holding the owner's pid.
 //! Acquisition retries with exponential backoff ([`Backoff`]) up to a
 //! bounded wait, and locks whose mtime is older than a staleness threshold
@@ -19,24 +19,17 @@
 //! # Example
 //!
 //! ```
-//! use raa_sim::lock::{Backoff, FileLock, LockOptions};
+//! use raa_sim::lock::LockOptions;
+//! use raa_sim::orchestrator::Orchestrator;
+//! use std::time::Duration;
 //!
-//! let dir = std::env::temp_dir().join(format!("raa-lock-doc-{}", std::process::id()));
-//! std::fs::create_dir_all(&dir).unwrap();
-//! let path = dir.join("entry.lock");
-//!
-//! // Single-writer discipline around a cache entry write:
-//! let lock = FileLock::acquire(&path, &LockOptions::default()).unwrap();
-//! // ... temp-write + rename the entry here ...
-//! lock.release().unwrap();
-//!
-//! // Bounded retry with exponential backoff for transient I/O:
-//! let text = raa_sim::lock::retry_io(&Backoff::default(), || {
-//!     std::fs::read_to_string(&path).map(|s| s.len()).or(Ok(0))
-//! })
-//! .unwrap();
-//! assert_eq!(text, 0);
-//! std::fs::remove_dir_all(&dir).unwrap();
+//! // Give up on a contended cache entry after 50 ms instead of the default.
+//! let opts = LockOptions {
+//!     wait: Duration::from_millis(50),
+//!     ..LockOptions::default()
+//! };
+//! assert!(opts.stale_after > opts.wait);
+//! let _orchestrator = Orchestrator::new().with_lock_options(opts);
 //! ```
 
 use std::fmt;
@@ -50,11 +43,11 @@ use std::time::{Duration, Instant, SystemTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// Total attempts (>= 1).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Delay before the second attempt.
-    pub base: Duration,
+    pub(crate) base: Duration,
     /// Upper bound on any single delay.
-    pub cap: Duration,
+    pub(crate) cap: Duration,
 }
 
 impl Default for Backoff {
@@ -70,7 +63,7 @@ impl Default for Backoff {
 impl Backoff {
     /// The delay to sleep after failed attempt `attempt` (0-based), or
     /// `None` once the budget is exhausted.
-    pub fn delay_after(&self, attempt: u32) -> Option<Duration> {
+    pub(crate) fn delay_after(&self, attempt: u32) -> Option<Duration> {
         if attempt + 1 >= self.attempts {
             return None;
         }
@@ -83,7 +76,10 @@ impl Backoff {
 /// success or the *last* error once the attempt budget is spent. Built for
 /// transient cache I/O contention (e.g. a rename racing a scrubber on a
 /// network filesystem); the op must be idempotent.
-pub fn retry_io<T>(backoff: &Backoff, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+pub(crate) fn retry_io<T>(
+    backoff: &Backoff,
+    mut op: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     let mut attempt = 0;
     loop {
         match op() {
@@ -104,7 +100,7 @@ pub fn retry_io<T>(backoff: &Backoff, mut op: impl FnMut() -> io::Result<T>) -> 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockOptions {
     /// Total time to keep retrying before giving up with
-    /// [`LockError::Timeout`].
+    /// `LockError::Timeout`.
     pub wait: Duration,
     /// Backoff schedule between acquisition attempts (its `attempts` field
     /// is ignored here — `wait` bounds the loop).
@@ -127,7 +123,7 @@ impl Default for LockOptions {
 
 /// Why a lock could not be acquired.
 #[derive(Debug)]
-pub enum LockError {
+pub(crate) enum LockError {
     /// The lock stayed held (and fresh) for the whole bounded wait.
     Timeout {
         /// The contended lock file.
@@ -170,7 +166,7 @@ impl std::error::Error for LockError {
 /// explicitly via [`FileLock::release`]. Dropping during an unwind releases
 /// too, so a panicking critical section cannot leave a fresh lock behind.
 #[derive(Debug)]
-pub struct FileLock {
+pub(crate) struct FileLock {
     path: PathBuf,
     released: bool,
 }
@@ -183,7 +179,7 @@ impl FileLock {
     ///
     /// [`LockError::Timeout`] when the lock stays held past the bounded
     /// wait; [`LockError::Io`] on filesystem failure.
-    pub fn acquire(path: impl Into<PathBuf>, opts: &LockOptions) -> Result<Self, LockError> {
+    pub(crate) fn acquire(path: impl Into<PathBuf>, opts: &LockOptions) -> Result<Self, LockError> {
         let path = path.into();
         let start = Instant::now();
         let mut attempt = 0u32;
@@ -232,14 +228,9 @@ impl FileLock {
         }
     }
 
-    /// The lock file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Releases the lock, reporting unlink failures (drop would swallow
     /// them).
-    pub fn release(mut self) -> io::Result<()> {
+    pub(crate) fn release(mut self) -> io::Result<()> {
         self.released = true;
         match fs::remove_file(&self.path) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),

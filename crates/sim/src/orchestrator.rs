@@ -13,7 +13,7 @@
 //! The [`Orchestrator`] runs grid points in parallel across the same
 //! worker-pool machinery the Monte-Carlo pipeline uses, consulting the
 //! cache before sampling a single shot: a hit replays the stored JSON
-//! record byte-for-byte (via [`ExperimentRecord::from_json`]); a miss runs
+//! record byte-for-byte (via `ExperimentRecord::from_json`); a miss runs
 //! the engine and persists the record atomically (temp file + rename), so
 //! an interrupted sweep resumes from its completed points and a repeated
 //! sweep is free. The [`SweepReport`] says exactly how much fresh sampling
@@ -37,7 +37,7 @@
 //!   a bounded wait that times out falls back to sampling (results are
 //!   deterministic, so duplicated work is waste, never corruption).
 //! - **Bounded retry** — cache writes retry transient I/O failures with
-//!   exponential backoff ([`crate::lock::retry_io`]) before surfacing a
+//!   exponential backoff (`crate::lock::retry_io`) before surfacing a
 //!   typed [`OrchestratorError::Io`].
 //! - **Integrity scrubbing** — [`SweepCache::scrub`] re-validates every
 //!   entry's spec echo, moves corrupt entries to a `quarantine/` subdir,
@@ -97,7 +97,7 @@ const FINGERPRINT_VERSION: u32 = 1;
 /// count, which cannot change a record. Equal fingerprints mean
 /// byte-identical records, and floats use the shortest round-trip form, so
 /// the string is platform-stable.
-pub fn spec_fingerprint(spec: &ExperimentSpec) -> String {
+pub(crate) fn spec_fingerprint(spec: &ExperimentSpec) -> String {
     let mut fp = String::with_capacity(384);
     let _ = write!(fp, "v{FINGERPRINT_VERSION};");
     jobs::write_spec(&mut fp, spec);
@@ -125,9 +125,10 @@ fn hash128(bytes: &[u8]) -> [u64; 2] {
 }
 
 /// The content-addressed cache key of a spec: a 128-bit hash of its
-/// [`spec_fingerprint`] as 32 hex characters (two independent 64-bit
+/// `spec_fingerprint` as 32 hex characters (two independent 64-bit
 /// lanes, so accidental collisions are out of reach for any realistic
 /// sweep census). It changes whenever the spec's wire line does.
+// raa-audit: allow(orphan-pub): fault_injection.rs corrupts and locks cache entries by key.
 pub fn spec_cache_key(spec: &ExperimentSpec) -> String {
     let [a, b] = hash128(spec_fingerprint(spec).as_bytes());
     format!("{a:016x}{b:016x}")
@@ -163,30 +164,26 @@ impl SweepCache {
         Ok(Self { dir })
     }
 
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The entry path for a spec.
     pub fn entry_path(&self, spec: &ExperimentSpec) -> PathBuf {
         self.dir.join(format!("{}.json", spec_cache_key(spec)))
     }
 
     /// The advisory lock path guarding a spec's entry.
+    // raa-audit: allow(orphan-pub): fault_injection.rs corrupts and locks cache entries by key.
     pub fn lock_path(&self, spec: &ExperimentSpec) -> PathBuf {
         self.dir.join(format!("{}.lock", spec_cache_key(spec)))
     }
 
     /// Where the scrubber moves corrupt entries.
-    pub fn quarantine_dir(&self) -> PathBuf {
+    pub(crate) fn quarantine_dir(&self) -> PathBuf {
         self.dir.join("quarantine")
     }
 
     /// Acquires the advisory single-writer lock for a spec's entry,
     /// failing with a typed [`OrchestratorError::LockTimeout`] when the
     /// bounded wait is exhausted.
-    pub fn exclusive(
+    pub(crate) fn exclusive(
         &self,
         spec: &ExperimentSpec,
         opts: &LockOptions,
@@ -214,22 +211,11 @@ impl SweepCache {
         }
     }
 
-    /// Loads the cached record for `spec`, or `None` on a miss. Unreadable,
-    /// unparsable or mismatched entries (a hash collision, a truncated
-    /// write from a killed process, a hand-edited file) are treated as
-    /// misses — the orchestrator re-runs the point and overwrites them.
-    pub fn load(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
-        match self.lookup(spec) {
-            CacheLookup::Hit(record) => Some(record),
-            CacheLookup::Miss | CacheLookup::Corrupt(_) => None,
-        }
-    }
-
     /// Persists `record` as the entry for `spec`, atomically: the bytes land
     /// under a temporary name and are renamed into place, so concurrent
     /// writers (parallel points, or two processes sharing a cache) can never
     /// expose a torn entry. Callers wanting single-writer discipline hold
-    /// [`SweepCache::exclusive`] across the call.
+    /// `SweepCache::exclusive` across the call.
     pub fn store(&self, spec: &ExperimentSpec, record: &ExperimentRecord) -> io::Result<()> {
         // Distinct temp names even for identical specs racing in one
         // parallel run (pid alone would collide and fail the loser's
@@ -248,6 +234,18 @@ impl SweepCache {
         fs::rename(&tmp_path, final_path)
     }
 
+    /// Loads the cached record for `spec`, or `None` on a miss. Unreadable,
+    /// unparsable or mismatched entries (a hash collision, a truncated
+    /// write from a killed process, a hand-edited file) are treated as
+    /// misses — the orchestrator re-runs the point and overwrites them.
+    // raa-audit: allow(orphan-pub): sweep_service.rs reads the daemon's records back from its cache; production code reads entries through lookup.
+    pub fn load(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
+        match self.lookup(spec) {
+            CacheLookup::Hit(record) => Some(record),
+            CacheLookup::Miss | CacheLookup::Corrupt(_) => None,
+        }
+    }
+
     /// Validates one entry file standalone (no addressing spec): the bytes
     /// must parse as a record and the record's own echo must be internally
     /// consistent. This is the scrubber's test for quarantining.
@@ -256,7 +254,7 @@ impl SweepCache {
     ///
     /// [`OrchestratorError::CorruptEntry`] describing what failed;
     /// [`OrchestratorError::Io`] when the file cannot be read at all.
-    pub fn validate_entry(path: &Path) -> Result<ExperimentRecord, OrchestratorError> {
+    pub(crate) fn validate_entry(path: &Path) -> Result<ExperimentRecord, OrchestratorError> {
         let text = fs::read_to_string(path).map_err(|e| {
             OrchestratorError::io(format!("reading cache entry {}", path.display()), e)
         })?;
@@ -284,13 +282,14 @@ impl SweepCache {
     /// oldest-touched valid entries while the cache exceeds
     /// `opts.size_budget`. Every destructive step happens under the
     /// entry's advisory lock; entries whose lock stays contended are
-    /// skipped (counted in [`ScrubReport::skipped_locked`]) rather than
+    /// skipped (counted in `ScrubReport::skipped_locked`) rather than
     /// raced.
     ///
     /// # Errors
     ///
     /// [`OrchestratorError::Io`] when the cache directory itself cannot be
     /// scanned; per-entry problems are reported, not raised.
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn scrub(&self, opts: &ScrubOptions) -> Result<ScrubReport, OrchestratorError> {
         let mut report = ScrubReport::default();
         let mut entries: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
@@ -446,21 +445,21 @@ impl Default for ScrubOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Entry files examined.
-    pub scanned: usize,
+    pub(crate) scanned: usize,
     /// Entries that validated (or healed mid-pass) and survived eviction.
     pub healthy: usize,
     /// Corrupt entries moved to `quarantine/`.
     pub quarantined: usize,
     /// Valid entries LRU-evicted over the size budget.
-    pub evicted: usize,
+    pub(crate) evicted: usize,
     /// Orphaned temp files removed.
     pub stale_tmps_removed: usize,
     /// Abandoned lock files removed.
     pub stale_locks_removed: usize,
     /// Entries skipped because their lock stayed contended.
-    pub skipped_locked: usize,
+    pub(crate) skipped_locked: usize,
     /// Bytes of valid entries remaining after the pass.
-    pub bytes_after: u64,
+    pub(crate) bytes_after: u64,
 }
 
 /// Checks the loaded record's spec echo against the spec that addressed it:
@@ -570,7 +569,7 @@ pub struct SweepReport {
     /// Points that ran through the engine this time.
     pub fresh_points: usize,
     /// Points replayed from the cache.
-    pub cached_points: usize,
+    pub(crate) cached_points: usize,
     /// Monte-Carlo shots actually sampled this run (0 on a fully warm
     /// cache — the property the CI smoke pins).
     pub fresh_shots: usize,
@@ -580,16 +579,9 @@ pub struct SweepReport {
     pub corrupt_replaced: usize,
 }
 
-impl SweepReport {
-    /// Total points in the sweep (including poisoned ones).
-    pub fn total_points(&self) -> usize {
-        self.fresh_points + self.cached_points + self.poisoned.len()
-    }
-}
-
 /// The outcome of one grid point under the orchestrator.
 #[derive(Debug, Clone)]
-pub enum PointOutcome {
+pub(crate) enum PointOutcome {
     /// Replayed byte-for-byte from the cache.
     Cached(ExperimentRecord),
     /// Ran through the engine (and persisted, when a cache is attached).
@@ -650,12 +642,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 impl Orchestrator {
     /// An orchestrator with no cache, running points in parallel on all
     /// cores.
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Attaches a content-addressed cache rooted at `dir` (created if
     /// missing).
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> io::Result<Self> {
         self.cache = Some(SweepCache::open(dir)?);
         Ok(self)
@@ -667,6 +661,7 @@ impl Orchestrator {
     /// or more point workers each point's Monte-Carlo decode is forced
     /// single-threaded — the parallelism budget moves to the point axis —
     /// which cannot change any record (the engine's determinism contract).
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn with_point_threads(mut self, point_threads: usize) -> Self {
         self.point_threads = point_threads;
         self
@@ -677,6 +672,7 @@ impl Orchestrator {
     /// the `raa-sweepd` service runs in. Off by default: a panic then
     /// fails the run with [`OrchestratorError::Poisoned`] (but still never
     /// unwinds through the caller).
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn with_panic_isolation(mut self, isolate: bool) -> Self {
         self.isolate_panics = isolate;
         self
@@ -684,12 +680,14 @@ impl Orchestrator {
 
     /// Configures the advisory per-entry lock discipline (wait, backoff,
     /// staleness) used around cold-point sampling and cache writes.
+    // raa-audit: allow(orphan-pub): fault_injection.rs sets a short lock timeout to reach the lock-timeout error path; no production caller tunes the lock discipline.
     pub fn with_lock_options(mut self, opts: LockOptions) -> Self {
         self.lock_opts = opts;
         self
     }
 
     /// The attached cache, if any.
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn cache(&self) -> Option<&SweepCache> {
         self.cache.as_ref()
     }
@@ -704,6 +702,7 @@ impl Orchestrator {
     /// panic isolation, [`OrchestratorError::PoolBuild`] when the
     /// point-thread configuration cannot build a worker pool. Without a
     /// cache and with panic isolation, the run is infallible.
+    // raa-audit: allow(orphan-pub): fault_injection.rs and sweep_service.rs run whole grids through the cache; the binaries run spec lists or calibrations.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepReport, OrchestratorError> {
         self.run_specs(&grid.specs())
     }
@@ -722,7 +721,7 @@ impl Orchestrator {
     /// configuration fault, not a property of the point). A panicking
     /// engine run is an `Ok(PointOutcome::Poisoned(..))`, and lock-wait
     /// exhaustion falls back to (correct, duplicated) sampling.
-    pub fn run_point(
+    pub(crate) fn run_point(
         &self,
         index: usize,
         spec: &ExperimentSpec,
@@ -824,6 +823,7 @@ impl Orchestrator {
     }
 
     /// [`Orchestrator::run`] over an explicit spec list.
+    // raa-audit: allow(orphan-pub): fault_injection.rs, sweep_service.rs and scenario_conformance.rs drive the orchestrator directly; the binaries reach it through calibrate and the service.
     pub fn run_specs(&self, specs: &[ExperimentSpec]) -> Result<SweepReport, OrchestratorError> {
         let point_parallel = self.point_threads != 1;
         let results: Vec<Result<PointOutcome, OrchestratorError>> = if point_parallel {
@@ -1487,7 +1487,6 @@ mod tests {
     fn uncached_orchestrator_reports_all_fresh() {
         let report = Orchestrator::new().run(&small_grid()).unwrap();
         assert_eq!(report.fresh_points, 4);
-        assert_eq!(report.total_points(), 4);
         assert_eq!(report.fresh_shots, 4 * 512);
         assert!(report.poisoned.is_empty());
     }
@@ -1561,7 +1560,6 @@ mod tests {
         assert_eq!(report.poisoned.len(), 1);
         assert_eq!(report.poisoned[0].index, 2);
         assert_eq!(report.records.len(), 4, "all healthy points completed");
-        assert_eq!(report.total_points(), 5);
         // The healthy records are exactly the plain sweep's.
         let plain = run_sweep(&grid);
         for (a, b) in plain.iter().zip(&report.records) {

@@ -7,7 +7,7 @@
 //! shortest-round-trip number rules of [`crate::json`], so for a given spec
 //! the JSON is **byte-identical across runs, platforms and thread counts**
 //! — the property the engine's determinism tests pin.
-//! [`ExperimentRecord::from_json`] reads it back with [`Json::parse`] and
+//! `ExperimentRecord::from_json` reads it back with [`Json::parse`] and
 //! the typed accessors, losslessly (`from_json ∘ to_json = id`,
 //! proptest-pinned), which is what lets the sweep orchestrator's on-disk
 //! cache and the daemon's wire codec replay records byte-for-byte.
@@ -37,12 +37,12 @@ pub(crate) fn basis_field(v: &Json) -> Result<Basis, String> {
 pub struct ExperimentRecord {
     /// Spec name.
     pub name: String,
-    /// Scenario label (one of [`crate::Scenario::LABELS`]).
+    /// Scenario label (one of `crate::Scenario::LABELS`).
     pub scenario: String,
     /// Code distance.
     pub distance: u32,
     /// Logical basis protected.
-    pub basis: Basis,
+    pub(crate) basis: Basis,
     /// Number of logical patches.
     pub patches: usize,
     /// Transversal CNOTs in the circuit (0 for memory).
@@ -52,7 +52,7 @@ pub struct ExperimentRecord {
     /// CNOTs per SE round (the paper's `x`), when the scenario has one.
     pub cnots_per_round: Option<f64>,
     /// Circuit-level noise strengths.
-    pub noise: NoiseModel,
+    pub(crate) noise: NoiseModel,
     /// Decoder label.
     pub decoder: String,
     /// Sampling-path label ("dem", "circuit").
@@ -62,7 +62,7 @@ pub struct ExperimentRecord {
     /// batches.
     pub streaming: bool,
     /// Spec seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Detectors in the circuit.
     pub num_detectors: usize,
     /// Error mechanisms in the extracted DEM.
@@ -192,7 +192,7 @@ impl ExperimentRecord {
     /// (including a number that overflows an `f64`), a missing required
     /// field, or a field value of the wrong type/range (e.g. a fractional
     /// `shots`, a seed that is not a `u64`, an unknown `basis` letter).
-    pub fn from_json(s: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(s: &str) -> Result<Self, String> {
         let v = Json::parse(s)?;
         let basis = basis_field(&v)?;
         Ok(ExperimentRecord {
@@ -244,19 +244,6 @@ pub fn to_json_lines(records: &[ExperimentRecord]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Parses newline-delimited JSON records ([`to_json_lines`] output); blank
-/// lines are skipped. Fails on the first malformed record, identifying its
-/// line number.
-pub fn parse_json_lines(text: &str) -> Result<Vec<ExperimentRecord>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            ExperimentRecord::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -446,15 +433,6 @@ mod tests {
         assert_ne!(overflow, good);
         let err = ExperimentRecord::from_json(&overflow).unwrap_err();
         assert!(err.contains("overflows") && err.contains("offset"), "{err}");
-    }
-
-    #[test]
-    fn parse_json_lines_round_trips_and_reports_line_numbers() {
-        let records = vec![record(), record()];
-        let text = to_json_lines(&records);
-        assert_eq!(parse_json_lines(&text).expect("well-formed"), records);
-        let broken = format!("{}\nnot json\n", records[0].to_json());
-        assert!(parse_json_lines(&broken).unwrap_err().starts_with("line 2"));
     }
 
     proptest! {

@@ -42,7 +42,7 @@ impl Rounds {
     /// # Panics
     ///
     /// Panics if the resolved count is zero or overflows a `usize`.
-    pub fn resolve(&self, distance: u32) -> usize {
+    pub(crate) fn resolve(&self, distance: u32) -> usize {
         self.checked_resolve(distance).unwrap_or_else(|| {
             panic!(
                 "need at least one SE round and a count that fits a usize, \
@@ -167,7 +167,7 @@ pub enum Scenario {
 impl Scenario {
     /// Every label [`Scenario::label`] can return, one per variant and
     /// protocol/kind: the set a cached record's `scenario` must come from.
-    pub const LABELS: [&'static str; 11] = [
+    pub(crate) const LABELS: [&'static str; 11] = [
         "memory",
         "transversal_cnot",
         "ghz_fanout",
@@ -181,7 +181,7 @@ impl Scenario {
         "code832_memory",
     ];
 
-    /// Stable label used in records (one of [`Scenario::LABELS`]).
+    /// Stable label used in records (one of `Scenario::LABELS`).
     pub fn label(&self) -> &'static str {
         match self {
             Scenario::Memory { .. } => "memory",
@@ -252,6 +252,7 @@ pub enum SamplerChoice {
 
 impl SamplerChoice {
     /// Stable label used in records ("dem", "circuit").
+    // raa-audit: allow(orphan-pub): determinism.rs names each scenario's records with it.
     pub fn label(&self) -> &'static str {
         match self {
             SamplerChoice::Dem => "dem",
@@ -284,7 +285,7 @@ pub enum DecoderChoice {
 
 impl DecoderChoice {
     /// Stable label used in records.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             DecoderChoice::UnionFind => "union_find".into(),
             DecoderChoice::Matching => "matching".into(),
@@ -384,29 +385,29 @@ impl ExperimentSpec {
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     /// Prefix for per-point record names.
-    pub name: String,
+    pub(crate) name: String,
     /// Scenario template (per-point axes override its fields).
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
     /// Code distances (one axis).
-    pub distances: Vec<u32>,
+    pub(crate) distances: Vec<u32>,
     /// Uniform physical error rates (one axis).
-    pub p_phys: Vec<f64>,
+    pub(crate) p_phys: Vec<f64>,
     /// Optional CNOTs-per-round axis; empty keeps the scenario's own value.
     /// Only meaningful for [`Scenario::TransversalCnot`].
-    pub cnots_per_round: Vec<f64>,
+    pub(crate) cnots_per_round: Vec<f64>,
     /// Decoders (one axis).
-    pub decoders: Vec<DecoderChoice>,
+    pub(crate) decoders: Vec<DecoderChoice>,
     /// Sampling path applied to every point.
-    pub sampler: SamplerChoice,
+    pub(crate) sampler: SamplerChoice,
     /// Streaming (time-sliced) decoding applied to every point (see
     /// [`ExperimentSpec::streaming`]).
-    pub streaming: bool,
+    pub(crate) streaming: bool,
     /// Shot budget applied to every point.
-    pub shots: ShotBudget,
+    pub(crate) shots: ShotBudget,
     /// Grid seed; per-point seeds are derived from it and the point index.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Decode thread count applied to every point.
-    pub mc: McConfig,
+    pub(crate) mc: McConfig,
 }
 
 impl SweepGrid {

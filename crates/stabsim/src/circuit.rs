@@ -63,7 +63,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Whether this operation is a probabilistic noise channel.
-    pub fn is_noise(self) -> bool {
+    pub(crate) fn is_noise(self) -> bool {
         matches!(
             self,
             OpKind::XError
@@ -75,7 +75,7 @@ impl OpKind {
     }
 
     /// Whether this operation takes its targets in pairs.
-    pub fn is_two_qubit(self) -> bool {
+    pub(crate) fn is_two_qubit(self) -> bool {
         matches!(
             self,
             OpKind::CX | OpKind::CZ | OpKind::Swap | OpKind::Depolarize2
@@ -83,6 +83,7 @@ impl OpKind {
     }
 
     /// Whether this operation records measurement outcomes.
+    // raa-audit: allow(orphan-pub): dem_reference.rs's literal DEM reference walks a circuit's measurements with it.
     pub fn is_measurement(self) -> bool {
         matches!(self, OpKind::M | OpKind::MX | OpKind::MR)
     }
@@ -107,6 +108,7 @@ impl Operation {
     /// # Panics
     ///
     /// Panics if the kind is not a two-qubit operation.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) walk circuits through it.
     pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         assert!(self.kind.is_two_qubit(), "{:?} is not two-qubit", self.kind);
         self.targets.chunks_exact(2).map(|c| (c[0], c[1]))
@@ -130,7 +132,7 @@ impl MeasRecord {
     }
 
     /// The look-back offset.
-    pub fn offset(self) -> usize {
+    pub(crate) fn offset(self) -> usize {
         self.0
     }
 }
@@ -176,11 +178,13 @@ impl Circuit {
     }
 
     /// The operations in program order.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) walk circuits through it.
     pub fn ops(&self) -> &[Operation] {
         &self.ops
     }
 
     /// Number of qubits touched (highest target + 1).
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) walk circuits through it.
     pub fn num_qubits(&self) -> u32 {
         self.num_qubits
     }
@@ -196,6 +200,7 @@ impl Circuit {
     }
 
     /// Number of observables defined (highest observable id + 1).
+    // raa-audit: allow(orphan-pub): the determinism and golden-DEM tests (scenario_conformance.rs, golden_dem.rs, cross_validation.rs, and other crates' unit tests) read circuit structure through it.
     pub fn num_observables(&self) -> usize {
         self.observables.len()
     }
@@ -205,21 +210,25 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    // raa-audit: allow(orphan-pub): the determinism and golden-DEM tests (scenario_conformance.rs, golden_dem.rs, cross_validation.rs, and other crates' unit tests) read circuit structure through it.
     pub fn detector_measurements(&self, i: usize) -> &[usize] {
         &self.detectors[i]
     }
 
     /// All detector definitions.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) walk circuits through it.
     pub fn detectors(&self) -> &[Vec<usize>] {
         &self.detectors
     }
 
     /// The measurement indices (absolute) of observable `i`.
+    // raa-audit: allow(orphan-pub): the determinism and golden-DEM tests (scenario_conformance.rs, golden_dem.rs, cross_validation.rs, and other crates' unit tests) read circuit structure through it.
     pub fn observable(&self, i: usize) -> &[usize] {
         &self.observables[i]
     }
 
     /// All observable definitions.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) walk circuits through it.
     pub fn observables(&self) -> &[Vec<usize>] {
         &self.observables
     }
@@ -283,41 +292,49 @@ impl Circuit {
     }
 
     /// Appends Pauli X gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn x(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::X, qs)
     }
 
     /// Appends Pauli Y gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn y(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::Y, qs)
     }
 
     /// Appends Pauli Z gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn z(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::Z, qs)
     }
 
     /// Appends Hadamard gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn h(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::H, qs)
     }
 
     /// Appends S gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn s(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::S, qs)
     }
 
     /// Appends S† gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn s_dag(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::SDag, qs)
     }
 
     /// Appends √X gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn sqrt_x(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::SqrtX, qs)
     }
 
     /// Appends √X† gates.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn sqrt_x_dag(&mut self, qs: &[u32]) -> &mut Self {
         self.push_simple(OpKind::SqrtXDag, qs)
     }
@@ -332,11 +349,13 @@ impl Circuit {
     }
 
     /// Appends CZ gates on pairs.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn cz(&mut self, pairs: &[(u32, u32)]) -> &mut Self {
         self.push_pairs(OpKind::CZ, pairs)
     }
 
     /// Appends SWAP gates on pairs.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn swap(&mut self, pairs: &[(u32, u32)]) -> &mut Self {
         self.push_pairs(OpKind::Swap, pairs)
     }
@@ -381,6 +400,7 @@ impl Circuit {
     }
 
     /// Appends a Y-error channel.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn y_error(&mut self, qs: &[u32], p: f64) -> &mut Self {
         self.push_noise(OpKind::YError, qs, p)
     }
@@ -415,6 +435,7 @@ impl Circuit {
     }
 
     /// Appends a layer separator.
+    // raa-audit: allow(orphan-pub): the random-circuit oracles (cross_validation.rs, dem_reference.rs, scenario_proptests.rs) build every gate kind with it; the scenario builders emit fewer kinds.
     pub fn tick(&mut self) -> &mut Self {
         self.ops.push(Operation {
             kind: OpKind::Tick,
@@ -502,33 +523,6 @@ impl Circuit {
             })
             .collect()
     }
-
-    /// Appends all operations, detectors and observables of `other`,
-    /// offsetting its measurement references past this circuit's records.
-    pub fn append(&mut self, other: &Circuit) -> &mut Self {
-        let meas_offset = self.num_measurements;
-        for op in &other.ops {
-            self.ops.push(op.clone());
-        }
-        self.num_qubits = self.num_qubits.max(other.num_qubits);
-        self.num_measurements += other.num_measurements;
-        for det in &other.detectors {
-            self.detectors
-                .push(det.iter().map(|m| m + meas_offset).collect());
-        }
-        for (id, obs) in other.observables.iter().enumerate() {
-            while self.observables.len() <= id {
-                self.observables.push(Vec::new());
-            }
-            self.observables[id].extend(obs.iter().map(|m| m + meas_offset));
-        }
-        self
-    }
-
-    /// Counts operations of a given kind.
-    pub fn count_ops(&self, kind: OpKind) -> usize {
-        self.ops.iter().filter(|o| o.kind == kind).count()
-    }
 }
 
 impl fmt::Display for Circuit {
@@ -570,7 +564,7 @@ mod tests {
         c.m(&[0, 1, 2]);
         assert_eq!(c.num_qubits(), 3);
         assert_eq!(c.num_measurements(), 3);
-        assert_eq!(c.count_ops(OpKind::CX), 1);
+        assert_eq!(c.ops().iter().filter(|op| op.kind == OpKind::CX).count(), 1);
     }
 
     #[test]
@@ -592,18 +586,6 @@ mod tests {
         assert_eq!(c.num_observables(), 2);
         assert_eq!(c.observable(1), &[0, 1]);
         assert!(c.observable(0).is_empty());
-    }
-
-    #[test]
-    fn append_offsets_measurements() {
-        let mut a = Circuit::new();
-        a.m(&[0]);
-        let mut b = Circuit::new();
-        b.m(&[1]);
-        b.detector(&[MeasRecord::back(1)]);
-        a.append(&b);
-        assert_eq!(a.num_measurements(), 2);
-        assert_eq!(a.detector_measurements(0), &[1]);
     }
 
     #[test]

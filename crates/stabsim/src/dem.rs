@@ -53,6 +53,7 @@ pub struct DemError {
 
 impl DemError {
     /// Whether this error is graphlike (flips at most two detectors).
+    // raa-audit: allow(orphan-pub): dem_reference.rs checks the graphlike decomposition's pieces with it.
     pub fn is_graphlike(&self) -> bool {
         self.detectors.len() <= 2
     }
@@ -153,6 +154,7 @@ impl DetectorErrorModel {
     }
 
     /// Whether the model has no mechanisms.
+    // raa-audit: allow(orphan-pub): clippy's len_without_is_empty lint asks for it beside the public len.
     pub fn is_empty(&self) -> bool {
         self.errors.is_empty()
     }

@@ -11,7 +11,7 @@
 //! bit-packed output planes: either the decoder-ready shot-major
 //! [`SyndromeBatch`] rows plus per-shot observable masks (the Monte-Carlo
 //! hot path, [`DemSampler::sample_syndromes_into`]) or the detector-major
-//! [`DetectorSamples`] planes ([`DemSampler::sample_into`], the reference
+//! [`DetectorSamples`] planes (`DemSampler::sample_into`, the reference
 //! layout shared with [`crate::frame::FrameSim`]).
 //!
 //! Per batch the cost is O(probability groups + hits × footprint size): no
@@ -97,8 +97,6 @@ struct ProbGroup {
 pub struct DemSampler {
     num_detectors: usize,
     num_observables: usize,
-    /// Per-mechanism firing probability.
-    probabilities: Vec<f64>,
     /// Flattened detector footprints: mechanism `i` flips the detectors
     /// `det_ids[det_offsets[i]..det_offsets[i + 1]]`.
     det_offsets: Vec<u32>,
@@ -252,7 +250,6 @@ impl DemSampler {
         Self {
             num_detectors: dem.num_detectors,
             num_observables: dem.num_observables,
-            probabilities,
             det_offsets,
             det_ids,
             obs_masks,
@@ -264,35 +261,9 @@ impl DemSampler {
         }
     }
 
-    /// Number of compiled error mechanisms.
-    pub fn num_mechanisms(&self) -> usize {
-        self.probabilities.len()
-    }
-
-    /// Number of detectors per shot.
-    pub fn num_detectors(&self) -> usize {
-        self.num_detectors
-    }
-
-    /// Number of observables per shot.
-    pub fn num_observables(&self) -> usize {
-        self.num_observables
-    }
-
-    /// Firing probability of mechanism `i`.
-    pub fn probability(&self, i: usize) -> f64 {
-        self.probabilities[i]
-    }
-
-    /// The compiled footprint of mechanism `i`: the sorted detector ids it
-    /// flips and its packed observable mask.
-    pub fn footprint(&self, i: usize) -> (&[u32], u64) {
-        let range = self.det_offsets[i] as usize..self.det_offsets[i + 1] as usize;
-        (&self.det_ids[range], self.obs_masks[i])
-    }
-
     /// Samples `num_shots` shots, returning detector/observable flips with
     /// the same layout and semantics as [`crate::frame::FrameSim::sample`].
+    // raa-audit: allow(orphan-pub): scenario_conformance.rs and sampler_validation.rs draw reference samples with it; the Monte-Carlo path samples into batches.
     pub fn sample<R: Rng>(&self, num_shots: usize, rng: &mut R) -> DetectorSamples {
         let mut out = DetectorSamples::default();
         self.sample_into(num_shots, rng, &mut out);
@@ -307,7 +278,12 @@ impl DemSampler {
     /// deterministic compile-time order — so batch-seeded callers (the
     /// `raa_decode::mc` pipeline) keep their
     /// bit-identical-across-thread-counts guarantee.
-    pub fn sample_into<R: Rng>(&self, num_shots: usize, rng: &mut R, out: &mut DetectorSamples) {
+    pub(crate) fn sample_into<R: Rng>(
+        &self,
+        num_shots: usize,
+        rng: &mut R,
+        out: &mut DetectorSamples,
+    ) {
         out.reset(num_shots, self.num_detectors, self.num_observables);
         let (detectors, observables, words) = out.planes_mut();
         self.walk_hits(num_shots, rng, |pos, shot| {
@@ -339,7 +315,7 @@ impl DemSampler {
     /// detectors sharing a word), so the cache footprint per hit is a
     /// cache line or two regardless of model size.
     ///
-    /// Draws the identical hit sequence as [`DemSampler::sample_into`] for
+    /// Draws the identical hit sequence as `DemSampler::sample_into` for
     /// the same RNG state.
     pub fn sample_syndromes_into<R: Rng>(
         &self,
@@ -368,7 +344,7 @@ impl DemSampler {
     /// # Panics
     ///
     /// Panics if the buffers are not sized as described.
-    pub fn sample_syndromes_accumulate<R: Rng>(
+    pub(crate) fn sample_syndromes_accumulate<R: Rng>(
         &self,
         num_shots: usize,
         rng: &mut R,
@@ -494,6 +470,7 @@ impl DemSampler {
     /// Deterministically injects mechanism `i` into shot `shot` of `out`
     /// (XORing its footprint), for tests and debugging. `out` must already
     /// be sized by a sampling call or [`DetectorSamples::reset`].
+    // raa-audit: allow(orphan-pub): sampler_validation.rs injects each compiled mechanism to check the DEM sampler's footprints.
     pub fn inject_into(&self, i: usize, shot: usize, out: &mut DetectorSamples) {
         assert!(shot < out.num_shots(), "shot {shot} out of range");
         assert_eq!(
@@ -540,15 +517,15 @@ mod zexp {
     const U53: f64 = 1.0 / (1u64 << 53) as f64;
 
     pub(super) struct Tables {
-        /// x[0] = V·eᴿ (virtual base width), x[1] = R, …, x[256] = 0;
+        /// `x[0] = V·eᴿ` (virtual base width), `x[1] = R`, …, `x[256] = 0`;
         /// strictly decreasing.
         x: [f64; 257],
-        /// f[i] = e^(−x[i]); strictly increasing to f[256] = 1.
+        /// `f[i] = e^(−x[i])`; strictly increasing to `f[256] = 1`.
         f: [f64; 257],
-        /// x[i] · 2⁻⁵³: turns the raw 53-bit uniform integer into
+        /// `x[i] · 2⁻⁵³`: turns the raw 53-bit uniform integer into
         /// `u · x[i]` with one multiply.
         x_scaled: [f64; 256],
-        /// ⌊x[i+1] / x[i] · 2⁵³⌋: integer fast-path acceptance threshold —
+        /// `⌊x[i+1] / x[i] · 2⁵³⌋`: integer fast-path acceptance threshold —
         /// `u_bits < k[i]` implies `u · x[i] < x[i+1]` (boundary cases
         /// within one ulp fall through to the wedge test, which accepts
         /// any x below the curve, so the distribution is unchanged).
@@ -754,10 +731,8 @@ mod tests {
         let dem = DetectorErrorModel::from_circuit(&repetition_circuit(1e-2));
         assert!(dem.len() >= 6, "expected a non-trivial model");
         let sampler = DemSampler::new(&dem);
-        for i in 0..sampler.num_mechanisms() {
-            let (dets, obs) = sampler.footprint(i);
-            assert_eq!(dets, &dem.errors[i].detectors[..]);
-            assert_eq!(obs, dem.errors[i].observables);
+        for i in 0..dem.len() {
+            let (dets, obs) = (&dem.errors[i].detectors[..], dem.errors[i].observables);
 
             let mut out = DetectorSamples::default();
             out.reset(3, dem.num_detectors, dem.num_observables);

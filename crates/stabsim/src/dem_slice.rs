@@ -8,16 +8,16 @@
 //!
 //! This module removes that wall in two steps:
 //!
-//! * [`slice_dem_by_layer`] partitions a [`DetectorErrorModel`]'s
+//! * `slice_dem_by_layer` partitions a [`DetectorErrorModel`]'s
 //!   mechanisms by detector *time layer* (uniform blocks of
 //!   `detectors_per_layer` detector indices, the layering the round-by-round
 //!   circuit builders produce). Each mechanism is assigned to the layer of
 //!   its **earliest** detector — boundary mechanisms that straddle rounds
 //!   (e.g. measurement errors flipping the same comparison in two
 //!   consecutive rounds) belong to the earliest window they touch.
-//!   The slices are a partition: [`concat_slices`] reproduces the original
-//!   mechanism list exactly (for canonically sorted models, byte-for-byte
-//!   under [`crate::text::dem_to_text`]).
+//!   The slices are a partition: concatenated in slice order they
+//!   reproduce the original mechanism list exactly (for canonically sorted
+//!   models, byte-for-byte under [`crate::text::dem_to_text`]).
 //! * [`StreamingDemSampler`] compiles one [`DemSampler`] per slice, with
 //!   detector ids rebased to a rolling resident window of
 //!   `max_layer_span + 1` layers, and emits one finalized layer of
@@ -40,23 +40,28 @@ use crate::frame::SyndromeBatch;
 use rand::Rng;
 
 /// Checks that `num_detectors` splits into uniform layers of
-/// `detectors_per_layer`.
+/// `detectors_per_layer`: the size must be at least 1 and divide the
+/// detector count. A trailing partial layer means the size does not match
+/// the circuit's round structure, and every detector after the mismatch
+/// would land in the wrong layer.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `detectors_per_layer` is zero or does not divide
-/// `num_detectors` — a mismatched layer size would silently misassign every
-/// detector after the first partial layer, so it is rejected loudly.
-pub fn validate_uniform_layers(num_detectors: usize, detectors_per_layer: usize) {
-    assert!(
-        detectors_per_layer >= 1,
-        "detectors_per_layer must be at least 1"
-    );
-    assert!(
-        num_detectors.is_multiple_of(detectors_per_layer),
-        "detector count {num_detectors} is not divisible by detectors_per_layer \
-         {detectors_per_layer}: the uniform layering would silently misassign detectors"
-    );
+/// A human-readable description of the mismatch.
+pub fn check_uniform_layers(
+    num_detectors: usize,
+    detectors_per_layer: usize,
+) -> Result<(), String> {
+    if detectors_per_layer == 0 {
+        return Err("detectors_per_layer must be at least 1".into());
+    }
+    if !num_detectors.is_multiple_of(detectors_per_layer) {
+        return Err(format!(
+            "detector count {num_detectors} is not divisible by detectors_per_layer \
+             {detectors_per_layer}: the uniform layering would silently misassign detectors"
+        ));
+    }
+    Ok(())
 }
 
 /// Partitions `dem`'s mechanisms into one slice per time layer (uniform
@@ -65,20 +70,21 @@ pub fn validate_uniform_layers(num_detectors: usize, detectors_per_layer: usize)
 /// slice 0. Every slice keeps the full model's `num_detectors` /
 /// `num_observables`, so each is a valid [`DetectorErrorModel`] on its own.
 ///
-/// The partition is stable: [`concat_slices`] restores the original
-/// mechanism list. For canonically ordered models (sorted by detector set,
+/// The partition is stable: concatenating the slices restores the
+/// original mechanism list. For canonically ordered models (sorted by detector set,
 /// as [`DetectorErrorModel::from_circuit`] produces), the earliest-detector
 /// layer is monotone along the list, so each slice is a contiguous run.
 ///
 /// # Panics
 ///
-/// Panics on a layering that does not divide the detector count (see
-/// [`validate_uniform_layers`]).
-pub fn slice_dem_by_layer(
+/// Panics on a layering that [`check_uniform_layers`] rejects.
+pub(crate) fn slice_dem_by_layer(
     dem: &DetectorErrorModel,
     detectors_per_layer: usize,
 ) -> Vec<DetectorErrorModel> {
-    validate_uniform_layers(dem.num_detectors, detectors_per_layer);
+    if let Err(e) = check_uniform_layers(dem.num_detectors, detectors_per_layer) {
+        panic!("{e}");
+    }
     let num_layers = dem.num_detectors / detectors_per_layer;
     let mut slices: Vec<DetectorErrorModel> = (0..num_layers)
         .map(|_| DetectorErrorModel {
@@ -110,7 +116,8 @@ pub fn slice_dem_by_layer(
 /// # Panics
 ///
 /// Panics if the slices disagree on detector/observable counts.
-pub fn concat_slices(slices: &[DetectorErrorModel]) -> DetectorErrorModel {
+#[cfg(test)]
+pub(crate) fn concat_slices(slices: &[DetectorErrorModel]) -> DetectorErrorModel {
     let mut out = DetectorErrorModel::default();
     for (i, s) in slices.iter().enumerate() {
         if i == 0 {
@@ -155,14 +162,9 @@ impl StreamingScratch {
     /// Detectors resident in the rolling window per shot — the streaming
     /// memory bound (equals [`StreamingDemSampler::window_detectors`] after
     /// [`StreamingDemSampler::start_batch`], independent of circuit depth).
+    // raa-audit: allow(orphan-pub): deep_streaming.rs pins the streaming sampler's O(window) resident state with it.
     pub fn resident_detectors(&self) -> usize {
         self.window.num_detectors()
-    }
-
-    /// Index of the next layer to sample (layers `0..next_layer` have been
-    /// finalized this batch).
-    pub fn next_layer(&self) -> usize {
-        self.next_layer
     }
 }
 
@@ -277,11 +279,16 @@ impl LayerRing {
 /// let mut scratch = StreamingScratch::default();
 /// let mut obs = vec![0u64; 1000];
 /// sampler.start_batch(1000, &mut scratch);
-/// let mut fired = 0;
+/// let (mut fired, mut dets) = (0, Vec::new());
 /// for layer in 0..sampler.num_layers() {
 ///     let mut rng = StdRng::seed_from_u64(layer as u64);
 ///     sampler.sample_next_layer(&mut rng, &mut scratch, &mut obs);
-///     fired += (0..1000).filter(|&s| scratch.layer().detector(s, 0)).count();
+///     fired += (0..1000)
+///         .filter(|&s| {
+///             scratch.layer().fired_into(s, &mut dets);
+///             !dets.is_empty()
+///         })
+///         .count();
 ///     if layer == 0 {
 ///         let rate = fired as f64 / 1000.0;
 ///         assert!((rate - 0.25).abs() < 0.05);
@@ -293,7 +300,6 @@ pub struct StreamingDemSampler {
     detectors_per_layer: usize,
     num_layers: usize,
     num_detectors: usize,
-    num_observables: usize,
     /// Layers resident at once: `max_layer_span + 1`.
     window_layers: usize,
     /// Per-layer compiled samplers, detector ids rebased to the rolling
@@ -307,8 +313,8 @@ impl StreamingDemSampler {
     ///
     /// # Panics
     ///
-    /// Panics if the model has no detectors, if the layering does not
-    /// divide the detector count ([`validate_uniform_layers`]), or on any
+    /// Panics if the model has no detectors, if [`check_uniform_layers`]
+    /// rejects the layering, or on any
     /// model [`DemSampler::new`] rejects.
     pub fn new(dem: &DetectorErrorModel, detectors_per_layer: usize) -> Self {
         assert!(
@@ -347,7 +353,6 @@ impl StreamingDemSampler {
             detectors_per_layer,
             num_layers,
             num_detectors: dem.num_detectors,
-            num_observables: dem.num_observables,
             window_layers,
             slices,
         }
@@ -368,18 +373,15 @@ impl StreamingDemSampler {
         self.num_detectors
     }
 
-    /// Observables of the underlying model.
-    pub fn num_observables(&self) -> usize {
-        self.num_observables
-    }
-
     /// Layers resident at once (`max mechanism layer span + 1`).
+    // raa-audit: allow(orphan-pub): deep_streaming.rs pins the streaming sampler's O(window) resident state with it.
     pub fn window_layers(&self) -> usize {
         self.window_layers
     }
 
     /// Detectors resident per shot while streaming — the memory bound,
     /// independent of `num_layers`.
+    // raa-audit: allow(orphan-pub): deep_streaming.rs pins the streaming sampler's O(window) resident state with it.
     pub fn window_detectors(&self) -> usize {
         self.window_layers * self.detectors_per_layer
     }

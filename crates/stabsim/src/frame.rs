@@ -37,6 +37,7 @@ impl DetectorSamples {
     ///
     /// Panics if `num_shots` is zero or `num_observables` exceeds 64 (the
     /// [`DetectorSamples::observable_mask`] packing limit).
+    // raa-audit: allow(orphan-pub): sampler_validation.rs prepares injection targets with it.
     pub fn reset(&mut self, num_shots: usize, num_detectors: usize, num_observables: usize) {
         assert!(num_shots > 0, "need at least one shot");
         assert!(
@@ -64,27 +65,29 @@ impl DetectorSamples {
         )
     }
     /// Number of shots.
-    pub fn num_shots(&self) -> usize {
+    pub(crate) fn num_shots(&self) -> usize {
         self.num_shots
     }
 
     /// Number of detectors per shot.
-    pub fn num_detectors(&self) -> usize {
+    pub(crate) fn num_detectors(&self) -> usize {
         self.num_detectors
     }
 
     /// Number of observables per shot.
-    pub fn num_observables(&self) -> usize {
+    pub(crate) fn num_observables(&self) -> usize {
         self.num_observables
     }
 
     /// The value of detector `d` in shot `s`.
+    // raa-audit: allow(orphan-pub): the frame-sampler reference tests (sampler_validation.rs, scenario_conformance.rs and other crates' unit tests) read sampled shots through it.
     pub fn detector(&self, s: usize, d: usize) -> bool {
         assert!(s < self.num_shots && d < self.num_detectors);
         (self.detectors[d * self.words_per_row + s / 64] >> (s % 64)) & 1 == 1
     }
 
     /// The value of observable `o` in shot `s`.
+    // raa-audit: allow(orphan-pub): the frame-sampler reference tests (sampler_validation.rs, scenario_conformance.rs and other crates' unit tests) read sampled shots through it.
     pub fn observable(&self, s: usize, o: usize) -> bool {
         assert!(s < self.num_shots && o < self.num_observables);
         (self.observables[o * self.words_per_row + s / 64] >> (s % 64)) & 1 == 1
@@ -95,6 +98,7 @@ impl DetectorSamples {
     /// Allocates per call; hot loops should transpose once with
     /// [`DetectorSamples::transpose_detectors_into`] and extract syndromes
     /// with [`SyndromeBatch::fired_into`].
+    // raa-audit: allow(orphan-pub): the frame-sampler reference tests (sampler_validation.rs, scenario_conformance.rs and other crates' unit tests) read sampled shots through it.
     pub fn fired_detectors(&self, s: usize) -> Vec<u32> {
         let mut out = Vec::new();
         self.fired_detectors_into(s, &mut out);
@@ -103,21 +107,13 @@ impl DetectorSamples {
 
     /// Writes the indices of detectors that fired in shot `s` into `out`
     /// (cleared first), reading the detector-major matrix directly.
-    pub fn fired_detectors_into(&self, s: usize, out: &mut Vec<u32>) {
+    pub(crate) fn fired_detectors_into(&self, s: usize, out: &mut Vec<u32>) {
         out.clear();
         out.extend(
             (0..self.num_detectors)
                 .filter(|&d| self.detector(s, d))
                 .map(|d| d as u32),
         );
-    }
-
-    /// Transposes the detector bits into a fresh shot-major
-    /// [`SyndromeBatch`].
-    pub fn transpose_detectors(&self) -> SyndromeBatch {
-        let mut out = SyndromeBatch::default();
-        self.transpose_detectors_into(&mut out);
-        out
     }
 
     /// Transposes the detector-major bit matrix into `out`'s shot-major
@@ -157,6 +153,7 @@ impl DetectorSamples {
     }
 
     /// Observable bits of shot `s` packed into a u64 mask.
+    // raa-audit: allow(orphan-pub): the frame-sampler reference tests (sampler_validation.rs, scenario_conformance.rs and other crates' unit tests) read sampled shots through it.
     pub fn observable_mask(&self, s: usize) -> u64 {
         let mut mask = 0u64;
         for o in 0..self.num_observables {
@@ -187,20 +184,6 @@ impl DetectorSamples {
             }
         }
     }
-
-    /// Fraction of shots in which at least one observable flipped.
-    pub fn logical_error_rate(&self) -> f64 {
-        if self.num_shots == 0 {
-            return 0.0;
-        }
-        let mut bad = 0usize;
-        for s in 0..self.num_shots {
-            if self.observable_mask(s) != 0 {
-                bad += 1;
-            }
-        }
-        bad as f64 / self.num_shots as f64
-    }
 }
 
 /// Shot-major detector bits: shot `s`'s syndrome is the contiguous words
@@ -224,6 +207,7 @@ impl SyndromeBatch {
     /// `num_detectors` detectors, reusing the allocation; all bits are
     /// zero afterwards. Samplers that produce shot-major bits natively
     /// (the compiled DEM sampler) write in on top.
+    // raa-audit: allow(orphan-pub): decode's batch_proptest.rs and union-find unit tests build syndrome batches bit by bit with it.
     pub fn reset(&mut self, num_shots: usize, num_detectors: usize) {
         self.num_shots = num_shots;
         self.num_detectors = num_detectors;
@@ -247,6 +231,7 @@ impl SyndromeBatch {
     /// Sets detector `d` of shot `s`. Mostly useful for building reference
     /// batches by hand (tests, batch-vs-per-shot equivalence checks);
     /// samplers write whole shot-major words instead.
+    // raa-audit: allow(orphan-pub): decode's batch_proptest.rs and union-find unit tests build syndrome batches bit by bit with it.
     pub fn set_detector(&mut self, s: usize, d: usize) {
         assert!(s < self.num_shots && d < self.num_detectors);
         self.bits[s * self.words_per_shot + d / 64] |= 1u64 << (d % 64);
@@ -285,12 +270,14 @@ impl SyndromeBatch {
     }
 
     /// Number of detectors per shot.
-    pub fn num_detectors(&self) -> usize {
+    pub(crate) fn num_detectors(&self) -> usize {
         self.num_detectors
     }
 
-    /// The value of detector `d` in shot `s`.
-    pub fn detector(&self, s: usize, d: usize) -> bool {
+    /// The value of detector `d` in shot `s`: the dense reference the
+    /// sparse-extraction tests compare [`SyndromeBatch::fired_into`] to.
+    #[cfg(test)]
+    pub(crate) fn detector(&self, s: usize, d: usize) -> bool {
         assert!(s < self.num_shots && d < self.num_detectors);
         (self.bits[s * self.words_per_shot + d / 64] >> (d % 64)) & 1 == 1
     }
@@ -369,16 +356,6 @@ pub struct FrameSim {
 }
 
 impl FrameSim {
-    /// Number of qubits tracked.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
-    /// Number of shots in the batch.
-    pub fn num_shots(&self) -> usize {
-        self.num_shots
-    }
-
     fn reset(&mut self, num_qubits: usize, num_shots: usize) {
         assert!(num_shots > 0, "need at least one shot");
         let words = num_shots.div_ceil(64);
@@ -425,6 +402,7 @@ impl FrameSim {
 
     /// Samples raw measurement-flip bits (relative to the noiseless
     /// reference) for `num_shots` shots, bit-packed 64 shots per word.
+    // raa-audit: allow(orphan-pub): cross_validation.rs and scenario_proptests.rs compare the frame simulator's raw measurement flips with the tableau reference.
     pub fn sample_measurement_flips<R: Rng>(
         circuit: &Circuit,
         num_shots: usize,
@@ -668,18 +646,15 @@ pub struct MeasurementFlips {
 }
 
 impl MeasurementFlips {
-    /// Number of shots per measurement.
-    pub fn num_shots(&self) -> usize {
-        self.num_shots
-    }
-
     /// Number of measurements per shot.
+    // raa-audit: allow(orphan-pub): cross_validation.rs and scenario_proptests.rs compare the frame simulator's raw measurement flips with the tableau reference.
     pub fn num_measurements(&self) -> usize {
         self.num_measurements
     }
 
     /// Whether measurement `m` flipped (relative to the noiseless
     /// reference) in shot `s`.
+    // raa-audit: allow(orphan-pub): cross_validation.rs and scenario_proptests.rs compare the frame simulator's raw measurement flips with the tableau reference.
     pub fn flipped(&self, s: usize, m: usize) -> bool {
         assert!(s < self.num_shots && m < self.num_measurements);
         (self.bits[m * self.words_per_row + s / 64] >> (s % 64)) & 1 == 1
@@ -899,7 +874,6 @@ mod tests {
             assert!(s.observable(shot, 0));
             assert_eq!(s.observable_mask(shot), 1);
         }
-        assert_eq!(s.logical_error_rate(), 1.0);
     }
 
     #[test]
@@ -963,7 +937,8 @@ mod tests {
         }
         let shots = 100;
         let s = FrameSim::sample(&c, shots, &mut rng());
-        let batch = s.transpose_detectors();
+        let mut batch = SyndromeBatch::default();
+        s.transpose_detectors_into(&mut batch);
         assert_eq!(batch.num_shots(), shots);
         assert_eq!(batch.num_detectors(), 70);
         let mut sparse = Vec::new();

@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A single-qubit Pauli, encoded as (x-bit, z-bit): `I=(0,0)`, `X=(1,0)`, `Z=(0,1)`, `Y=(1,1)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Pauli {
+pub(crate) enum Pauli {
     /// Identity.
     I,
     /// Pauli X.
@@ -18,7 +18,7 @@ pub enum Pauli {
 
 impl Pauli {
     /// The (x, z) bit pair of this Pauli.
-    pub fn bits(self) -> (bool, bool) {
+    pub(crate) fn bits(self) -> (bool, bool) {
         match self {
             Pauli::I => (false, false),
             Pauli::X => (true, false),
@@ -28,21 +28,13 @@ impl Pauli {
     }
 
     /// Reconstructs a Pauli from its (x, z) bit pair.
-    pub fn from_bits(x: bool, z: bool) -> Self {
+    pub(crate) fn from_bits(x: bool, z: bool) -> Self {
         match (x, z) {
             (false, false) => Pauli::I,
             (true, false) => Pauli::X,
             (true, true) => Pauli::Y,
             (false, true) => Pauli::Z,
         }
-    }
-
-    /// Whether this Pauli commutes with `other`.
-    pub fn commutes_with(self, other: Pauli) -> bool {
-        let (x1, z1) = self.bits();
-        let (x2, z2) = other.bits();
-        // Symplectic product: anticommute iff x1·z2 + z1·x2 is odd.
-        !((x1 & z2) ^ (z1 & x2))
     }
 }
 
@@ -66,13 +58,11 @@ impl fmt::Display for Pauli {
 /// # Example
 ///
 /// ```
-/// use raa_stabsim::pauli::{Pauli, PauliString};
+/// use raa_stabsim::pauli::PauliString;
 ///
-/// let mut p = PauliString::new();
-/// p.set(0, Pauli::X);
-/// p.set(1, Pauli::Z);
-/// let mut q = PauliString::new();
-/// q.set(0, Pauli::Z);
+/// // X on qubits 0 and 1 meets Z on qubit 0 once: they anticommute.
+/// let p = PauliString::x_on([0, 1]);
+/// let q = PauliString::z_on([0]);
 /// assert!(!p.commutes_with(&q));
 /// assert_eq!(p.weight(), 2);
 /// ```
@@ -84,12 +74,12 @@ pub struct PauliString {
 
 impl PauliString {
     /// The identity string.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Builds a string from `(qubit, pauli)` pairs; later pairs multiply in.
-    pub fn from_pairs<I: IntoIterator<Item = (u32, Pauli)>>(pairs: I) -> Self {
+    pub(crate) fn from_pairs<I: IntoIterator<Item = (u32, Pauli)>>(pairs: I) -> Self {
         let mut s = Self::new();
         for (q, p) in pairs {
             s.mul_pauli(q, p);
@@ -98,37 +88,24 @@ impl PauliString {
     }
 
     /// Builds an X-type string supported on `qubits`.
+    // raa-audit: allow(orphan-pub): surface's rotated.rs and code832.rs unit tests check stabilizer commutation against it.
     pub fn x_on<I: IntoIterator<Item = u32>>(qubits: I) -> Self {
         Self::from_pairs(qubits.into_iter().map(|q| (q, Pauli::X)))
     }
 
     /// Builds a Z-type string supported on `qubits`.
+    // raa-audit: allow(orphan-pub): surface's rotated.rs and code832.rs unit tests check stabilizer commutation against it.
     pub fn z_on<I: IntoIterator<Item = u32>>(qubits: I) -> Self {
         Self::from_pairs(qubits.into_iter().map(|q| (q, Pauli::Z)))
     }
 
-    /// Sets (overwrites) the Pauli at `qubit`.
-    pub fn set(&mut self, qubit: u32, pauli: Pauli) {
-        let (x, z) = pauli.bits();
-        if x {
-            self.xs.insert(qubit);
-        } else {
-            self.xs.remove(&qubit);
-        }
-        if z {
-            self.zs.insert(qubit);
-        } else {
-            self.zs.remove(&qubit);
-        }
-    }
-
     /// The Pauli at `qubit`.
-    pub fn get(&self, qubit: u32) -> Pauli {
+    pub(crate) fn get(&self, qubit: u32) -> Pauli {
         Pauli::from_bits(self.xs.contains(&qubit), self.zs.contains(&qubit))
     }
 
     /// Multiplies the given single-qubit Pauli into this string (phase dropped).
-    pub fn mul_pauli(&mut self, qubit: u32, pauli: Pauli) {
+    pub(crate) fn mul_pauli(&mut self, qubit: u32, pauli: Pauli) {
         let (x, z) = pauli.bits();
         if x && !self.xs.remove(&qubit) {
             self.xs.insert(qubit);
@@ -138,28 +115,8 @@ impl PauliString {
         }
     }
 
-    /// Multiplies `other` into this string (phase dropped).
-    pub fn mul_assign(&mut self, other: &PauliString) {
-        for &q in &other.xs {
-            if !self.xs.remove(&q) {
-                self.xs.insert(q);
-            }
-        }
-        for &q in &other.zs {
-            if !self.zs.remove(&q) {
-                self.zs.insert(q);
-            }
-        }
-    }
-
-    /// Returns the product `self · other` (phase dropped).
-    pub fn product(&self, other: &PauliString) -> PauliString {
-        let mut out = self.clone();
-        out.mul_assign(other);
-        out
-    }
-
     /// Whether this string commutes with `other`.
+    // raa-audit: allow(orphan-pub): surface's rotated.rs and code832.rs unit tests check stabilizer commutation against it.
     pub fn commutes_with(&self, other: &PauliString) -> bool {
         // Anticommutation count = |X(self) ∩ Z(other)| + |Z(self) ∩ X(other)| (mod 2).
         let a = self.xs.intersection(&other.zs).count();
@@ -168,17 +125,18 @@ impl PauliString {
     }
 
     /// Number of qubits with a non-identity Pauli.
+    // raa-audit: allow(orphan-pub): surface's rotated.rs and code832.rs unit tests check stabilizer commutation against it.
     pub fn weight(&self) -> usize {
         self.xs.union(&self.zs).count()
     }
 
     /// Whether this is the identity string.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.xs.is_empty() && self.zs.is_empty()
     }
 
     /// Iterates over the `(qubit, pauli)` pairs of the support, in qubit order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, Pauli)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, Pauli)> + '_ {
         let support: BTreeSet<u32> = self.xs.union(&self.zs).copied().collect();
         support.into_iter().map(move |q| (q, self.get(q)))
     }
@@ -208,11 +166,18 @@ mod tests {
 
     #[test]
     fn single_pauli_commutation() {
-        assert!(Pauli::X.commutes_with(Pauli::X));
-        assert!(!Pauli::X.commutes_with(Pauli::Z));
-        assert!(!Pauli::X.commutes_with(Pauli::Y));
-        assert!(!Pauli::Y.commutes_with(Pauli::Z));
-        assert!(Pauli::I.commutes_with(Pauli::X));
+        let single = |p| PauliString::from_pairs([(0, p)]);
+        let (i, x, y, z) = (
+            single(Pauli::I),
+            single(Pauli::X),
+            single(Pauli::Y),
+            single(Pauli::Z),
+        );
+        assert!(x.commutes_with(&x));
+        assert!(!x.commutes_with(&z));
+        assert!(!x.commutes_with(&y));
+        assert!(!y.commutes_with(&z));
+        assert!(i.commutes_with(&x));
     }
 
     #[test]
@@ -256,16 +221,6 @@ mod tests {
     }
 
     proptest! {
-        /// Multiplication is an involution: s * t * t = s.
-        #[test]
-        fn product_involution(qubits in proptest::collection::vec((0u32..16, 0u8..4), 0..12)) {
-            let to_pauli = |b: u8| match b { 0 => Pauli::I, 1 => Pauli::X, 2 => Pauli::Y, _ => Pauli::Z };
-            let s = PauliString::from_pairs(qubits.iter().map(|&(q, b)| (q, to_pauli(b))));
-            let t = PauliString::from_pairs(qubits.iter().rev().map(|&(q, b)| (q, to_pauli(b.wrapping_add(1) % 4))));
-            let round = s.product(&t).product(&t);
-            prop_assert_eq!(round, s);
-        }
-
         /// Commutation is symmetric.
         #[test]
         fn commutation_symmetric(a in proptest::collection::vec((0u32..8, 0u8..4), 0..8),

@@ -28,8 +28,8 @@ pub struct MeasureResult {
 /// let mut sim = TableauSim::new(2);
 /// sim.h(0);
 /// sim.cx(0, 1);                    // Bell pair
-/// let a = sim.measure_forced(0, false); // collapse to |00>
-/// let b = sim.measure(1, &mut rand::rng());
+/// let a = sim.measure_desired(0, false); // collapse to |00>
+/// let b = sim.measure_desired(1, true); // determined: `true` is ignored
 /// assert_eq!(a.value, b.value);    // perfectly correlated
 /// assert!(b.deterministic);
 /// ```
@@ -46,6 +46,7 @@ pub struct TableauSim {
 
 impl TableauSim {
     /// Creates the all-|0⟩ state on `n` qubits.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn new(n: usize) -> Self {
         let rows = 2 * n + 1;
         let mut sim = Self {
@@ -61,11 +62,6 @@ impl TableauSim {
         sim
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
     #[inline]
     fn xr(&self, r: usize, q: usize) -> bool {
         self.x[r * self.n + q]
@@ -77,6 +73,7 @@ impl TableauSim {
     }
 
     /// Hadamard on `q`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn h(&mut self, q: usize) {
         self.check(q);
         let n = self.n;
@@ -90,6 +87,7 @@ impl TableauSim {
     }
 
     /// Phase gate S on `q`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn s(&mut self, q: usize) {
         self.check(q);
         let n = self.n;
@@ -101,6 +99,7 @@ impl TableauSim {
     }
 
     /// Inverse phase gate S† on `q` (three applications of S).
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn s_dag(&mut self, q: usize) {
         self.s(q);
         self.s(q);
@@ -108,6 +107,7 @@ impl TableauSim {
     }
 
     /// √X on `q`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn sqrt_x(&mut self, q: usize) {
         self.h(q);
         self.s(q);
@@ -115,6 +115,7 @@ impl TableauSim {
     }
 
     /// √X† on `q`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn sqrt_x_dag(&mut self, q: usize) {
         self.h(q);
         self.s_dag(q);
@@ -122,6 +123,7 @@ impl TableauSim {
     }
 
     /// Pauli X on `q` (flips signs of generators with a Z component at `q`).
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn x_gate(&mut self, q: usize) {
         self.check(q);
         let n = self.n;
@@ -131,6 +133,7 @@ impl TableauSim {
     }
 
     /// Pauli Z on `q`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn z_gate(&mut self, q: usize) {
         self.check(q);
         let n = self.n;
@@ -140,6 +143,7 @@ impl TableauSim {
     }
 
     /// Pauli Y on `q`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn y_gate(&mut self, q: usize) {
         self.check(q);
         let n = self.n;
@@ -153,6 +157,7 @@ impl TableauSim {
     /// # Panics
     ///
     /// Panics if `c == t` or either index is out of range.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn cx(&mut self, c: usize, t: usize) {
         self.check(c);
         self.check(t);
@@ -168,6 +173,7 @@ impl TableauSim {
     }
 
     /// CZ between `a` and `b`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn cz(&mut self, a: usize, b: usize) {
         self.h(b);
         self.cx(a, b);
@@ -175,6 +181,7 @@ impl TableauSim {
     }
 
     /// SWAP of `a` and `b`.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn swap(&mut self, a: usize, b: usize) {
         self.cx(a, b);
         self.cx(b, a);
@@ -220,7 +227,7 @@ impl TableauSim {
     }
 
     /// Measures qubit `q` in the Z basis with outcomes drawn from `rng`.
-    pub fn measure<R: Rng>(&mut self, q: usize, rng: &mut R) -> MeasureResult {
+    pub(crate) fn measure<R: Rng>(&mut self, q: usize, rng: &mut R) -> MeasureResult {
         let outcome = rng.random::<bool>();
         self.measure_impl(q, Some(outcome))
     }
@@ -233,7 +240,8 @@ impl TableauSim {
     /// is wrong — historically the forced value was silently ignored, which
     /// hid such bugs). Use [`TableauSim::measure_desired`] to express "take
     /// this value only if the outcome is random".
-    pub fn measure_forced(&mut self, q: usize, forced: bool) -> MeasureResult {
+    #[cfg(test)]
+    pub(crate) fn measure_forced(&mut self, q: usize, forced: bool) -> MeasureResult {
         let m = self.measure_impl(q, Some(forced));
         debug_assert!(
             !m.deterministic || m.value == forced,
@@ -245,8 +253,8 @@ impl TableauSim {
 
     /// Measures qubit `q`, taking `desired` as the outcome when (and only
     /// when) the measurement is random; deterministic outcomes keep the
-    /// state's value. The non-asserting sibling of
-    /// [`TableauSim::measure_forced`].
+    /// state's value.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn measure_desired(&mut self, q: usize, desired: bool) -> MeasureResult {
         self.measure_impl(q, Some(desired))
     }
@@ -304,6 +312,7 @@ impl TableauSim {
     }
 
     /// Resets qubit `q` to |0⟩.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn reset(&mut self, q: usize) {
         let m = self.measure_desired(q, false);
         if m.value {
@@ -312,6 +321,7 @@ impl TableauSim {
     }
 
     /// Resets qubit `q` to |+⟩.
+    // raa-audit: allow(orphan-pub): the tableau is the exact reference that cross_validation.rs and scenario_proptests.rs compare the frame simulator against.
     pub fn reset_x(&mut self, q: usize) {
         self.reset(q);
         self.h(q);
@@ -319,7 +329,8 @@ impl TableauSim {
 
     /// Expectation structure of Z on `q`: `Some(v)` if ⟨Z⟩ = ±1 with `v` the
     /// measured bit, `None` if the outcome would be random.
-    pub fn peek_z(&self, q: usize) -> Option<bool> {
+    #[cfg(test)]
+    pub(crate) fn peek_z(&self, q: usize) -> Option<bool> {
         let mut probe = self.clone();
         let m = probe.measure_desired(q, false);
         m.deterministic.then_some(m.value)
@@ -332,6 +343,7 @@ impl TableauSim {
     /// # Panics
     ///
     /// Panics if the circuit touches more qubits than this simulator holds.
+    // raa-audit: allow(orphan-pub): the determinism tests (scenario_conformance.rs, golden_dem.rs, cross_validation.rs, surface unit tests) check every detector against the noiseless tableau reference.
     pub fn reference_sample(circuit: &Circuit) -> Vec<bool> {
         let mut sim = Self::new(circuit.num_qubits() as usize);
         let mut record = Vec::with_capacity(circuit.num_measurements());
@@ -345,6 +357,7 @@ impl TableauSim {
     ///
     /// Returns the sampled measurement record. This is the slow exact path,
     /// used to cross-validate the Pauli-frame sampler.
+    // raa-audit: allow(orphan-pub): simulation_pipeline.rs cross-checks the frame sampler against exact tableau sampling with it.
     pub fn sample<R: Rng>(circuit: &Circuit, rng: &mut R) -> Vec<bool> {
         let mut sim = Self::new(circuit.num_qubits() as usize);
         let mut record = Vec::with_capacity(circuit.num_measurements());

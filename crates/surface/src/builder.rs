@@ -37,11 +37,6 @@ impl NoiseModel {
             p_meas: p,
         }
     }
-
-    /// No noise at all (for determinism checks).
-    pub fn noiseless() -> Self {
-        Self::uniform(0.0)
-    }
 }
 
 /// Measurement basis of an experiment: which logical operator is protected.
@@ -110,12 +105,7 @@ pub struct PatchCircuitBuilder {
     logical_x: Vec<Flow>,
     /// Per patch: false once consumed by a mid-circuit measurement.
     alive: Vec<bool>,
-    /// Z-plaquette index → X-plaquette index under the diagonal reflection
-    /// used by transversal H.
-    h_map_z_to_x: Vec<usize>,
     initialized: bool,
-    se_rounds_emitted: usize,
-    cnots_emitted: usize,
 }
 
 impl PatchCircuitBuilder {
@@ -124,27 +114,12 @@ impl PatchCircuitBuilder {
     /// # Panics
     ///
     /// Panics if `num_patches` is zero or `distance < 2`.
+    // raa-audit: allow(orphan-pub): simulation_pipeline.rs builds custom patch circuits with it; the scenarios build through the experiment types.
     pub fn new(distance: u32, num_patches: usize, basis: Basis, noise: NoiseModel) -> Self {
         assert!(num_patches >= 1, "need at least one patch");
         let code = RotatedSurfaceCode::new(distance);
         let nz = code.z_plaquettes().len();
         let nx = code.x_plaquettes().len();
-        // Transversal H maps the code to its dual, which equals the original
-        // layout rotated by 90°: position (x, y) ↦ (y, 2d − x) carries every
-        // Z plaquette onto an X plaquette (and the logical Z row onto the
-        // logical X column).
-        let two_d = 2 * distance as i32;
-        let h_map_z_to_x = code
-            .z_plaquettes()
-            .iter()
-            .map(|zp| {
-                let want = (zp.position.1, two_d - zp.position.0);
-                code.x_plaquettes()
-                    .iter()
-                    .position(|xp| xp.position == want)
-                    .expect("rotated layout is self-dual under 90-degree rotation")
-            })
-            .collect();
         Self {
             code,
             num_patches,
@@ -156,30 +131,12 @@ impl PatchCircuitBuilder {
             logical_z: vec![None; num_patches],
             logical_x: vec![None; num_patches],
             alive: vec![true; num_patches],
-            h_map_z_to_x,
             initialized: false,
-            se_rounds_emitted: 0,
-            cnots_emitted: 0,
         }
     }
 
-    /// The underlying code layout.
-    pub fn code(&self) -> &RotatedSurfaceCode {
-        &self.code
-    }
-
-    /// Number of SE rounds emitted so far.
-    pub fn se_rounds_emitted(&self) -> usize {
-        self.se_rounds_emitted
-    }
-
-    /// Number of transversal CX layers emitted so far.
-    pub fn cnots_emitted(&self) -> usize {
-        self.cnots_emitted
-    }
-
     /// Global circuit-qubit index of data qubit `i` of patch `p`.
-    pub fn data_qubit(&self, patch: usize, i: usize) -> u32 {
+    pub(crate) fn data_qubit(&self, patch: usize, i: usize) -> u32 {
         (patch * self.code.num_qubits() + i) as u32
     }
 
@@ -197,6 +154,7 @@ impl PatchCircuitBuilder {
     /// # Panics
     ///
     /// Panics if called twice.
+    // raa-audit: allow(orphan-pub): simulation_pipeline.rs builds custom patch circuits with it; the scenarios build through the experiment types.
     pub fn initialize(&mut self) {
         assert!(!self.initialized, "initialize() may only be called once");
         self.initialized = true;
@@ -235,7 +193,7 @@ impl PatchCircuitBuilder {
     /// # Panics
     ///
     /// Panics if called before [`PatchCircuitBuilder::initialize`].
-    pub fn reprepare_patch(&mut self, patch: usize, basis: Basis) {
+    pub(crate) fn reprepare_patch(&mut self, patch: usize, basis: Basis) {
         assert!(self.initialized, "call initialize() first");
         assert!(patch < self.num_patches, "patch index out of range");
         let data: Vec<u32> = (0..self.code.num_data())
@@ -270,9 +228,9 @@ impl PatchCircuitBuilder {
 
     /// Emits one noisy syndrome-extraction round on every patch, with
     /// detectors comparing each outcome to its flowed reference.
+    // raa-audit: allow(orphan-pub): simulation_pipeline.rs builds custom patch circuits with it; the scenarios build through the experiment types.
     pub fn se_round(&mut self) {
         assert!(self.initialized, "call initialize() first");
-        self.se_rounds_emitted += 1;
         let nm = self.noise;
         // Reset ancillas.
         let z_ancs: Vec<u32> = (0..self.num_patches)
@@ -356,6 +314,7 @@ impl PatchCircuitBuilder {
     /// # Panics
     ///
     /// Panics if the patch indices coincide or are out of range.
+    // raa-audit: allow(orphan-pub): simulation_pipeline.rs builds custom patch circuits with it; the scenarios build through the experiment types.
     pub fn transversal_cx(&mut self, control: usize, target: usize) {
         assert!(self.initialized, "call initialize() first");
         assert!(control != target, "control and target patch must differ");
@@ -363,7 +322,6 @@ impl PatchCircuitBuilder {
             control < self.num_patches && target < self.num_patches,
             "patch index out of range"
         );
-        self.cnots_emitted += 1;
         let pairs: Vec<(u32, u32)> = (0..self.code.num_data())
             .map(|i| (self.data_qubit(control, i), self.data_qubit(target, i)))
             .collect();
@@ -380,68 +338,6 @@ impl PatchCircuitBuilder {
         self.logical_x[control] = flow_xor(&self.logical_x[control], &self.logical_x[target]);
     }
 
-    /// Emits a transversal logical Hadamard on `patch`: physical H on every
-    /// data qubit followed by the diagonal reflection of the patch (a block
-    /// move, §II.4 — the paper assumes it costs the same as an entangling
-    /// layer). Plaquette flows exchange between the X and Z sectors through
-    /// the reflection map, and the logical operators swap roles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder is uninitialized or `patch` is out of range.
-    pub fn transversal_h(&mut self, patch: usize) {
-        assert!(self.initialized, "call initialize() first");
-        assert!(patch < self.num_patches, "patch index out of range");
-        let d = self.code.distance() as usize;
-        let data: Vec<u32> = (0..self.code.num_data())
-            .map(|i| self.data_qubit(patch, i))
-            .collect();
-        self.circuit.h(&data);
-        self.circuit.depolarize1(&data, self.noise.p_idle);
-        // Rotate the patch by 90°: data (r, c) moves to (d−1−c, r). Emit the
-        // permutation as swaps along its cycles (physically one AOD block
-        // rotation; the paper charges it like an entangling layer).
-        let perm = |i: usize| {
-            let (r, c) = (i / d, i % d);
-            (d - 1 - c) * d + r
-        };
-        let mut visited = vec![false; d * d];
-        let mut swaps = Vec::new();
-        for start in 0..d * d {
-            if visited[start] {
-                continue;
-            }
-            let mut cycle = vec![start];
-            visited[start] = true;
-            let mut next = perm(start);
-            while next != start {
-                visited[next] = true;
-                cycle.push(next);
-                next = perm(next);
-            }
-            // Realize the cycle (a b c ...) as swaps (a b)(a c)...
-            for &other in cycle.iter().skip(1) {
-                swaps.push((
-                    self.data_qubit(patch, cycle[0]),
-                    self.data_qubit(patch, other),
-                ));
-            }
-        }
-        self.circuit.swap(&swaps);
-        // Flow exchange through the reflection map.
-        let nz = self.code.z_plaquettes().len();
-        let mut new_x = vec![None; self.code.x_plaquettes().len()];
-        let mut new_z = vec![None; nz];
-        for (zi, nz_slot) in new_z.iter_mut().enumerate() {
-            let xi = self.h_map_z_to_x[zi];
-            new_x[xi] = self.z_flow[patch][zi].take();
-            *nz_slot = self.x_flow[patch][xi].take();
-        }
-        self.x_flow[patch] = new_x;
-        self.z_flow[patch] = new_z;
-        std::mem::swap(&mut self.logical_z[patch], &mut self.logical_x[patch]);
-    }
-
     /// Measures every data qubit of `patch` transversally in `basis`,
     /// consuming the patch: emits the final plaquette detectors of that
     /// basis and returns the measurement indices of the patch's logical
@@ -450,7 +346,7 @@ impl PatchCircuitBuilder {
     /// # Panics
     ///
     /// Panics if the patch was already consumed.
-    pub fn measure_patch(&mut self, patch: usize, basis: Basis) -> Vec<usize> {
+    pub(crate) fn measure_patch(&mut self, patch: usize, basis: Basis) -> Vec<usize> {
         assert!(self.initialized, "call initialize() first");
         assert!(self.alive[patch], "patch {patch} was already measured");
         self.alive[patch] = false;
@@ -505,21 +401,21 @@ impl PatchCircuitBuilder {
     /// tableau-vs-frame conformance tests use them to compare engines
     /// bit-for-bit on scenario circuits; error channels never perturb the
     /// stabilizer-flow bookkeeping.
-    pub fn inject_x_error(&mut self, patch: usize, i: usize, p: f64) {
+    pub(crate) fn inject_x_error(&mut self, patch: usize, i: usize, p: f64) {
         assert!(self.initialized, "call initialize() first");
         let q = self.data_qubit(patch, i);
         self.circuit.x_error(&[q], p);
     }
 
     /// Z-basis twin of [`PatchCircuitBuilder::inject_x_error`].
-    pub fn inject_z_error(&mut self, patch: usize, i: usize, p: f64) {
+    pub(crate) fn inject_z_error(&mut self, patch: usize, i: usize, p: f64) {
         assert!(self.initialized, "call initialize() first");
         let q = self.data_qubit(patch, i);
         self.circuit.z_error(&[q], p);
     }
 
     /// Adds absolute measurement indices to observable `id`.
-    pub fn custom_observable(&mut self, id: usize, meas: &[usize]) {
+    pub(crate) fn custom_observable(&mut self, id: usize, meas: &[usize]) {
         self.circuit.observable_include_at(id, meas);
     }
 
@@ -528,6 +424,7 @@ impl PatchCircuitBuilder {
     /// (observable `p` for patch `p`).
     ///
     /// Consumes the builder and returns the finished circuit.
+    // raa-audit: allow(orphan-pub): simulation_pipeline.rs builds custom patch circuits with it; the scenarios build through the experiment types.
     pub fn finish(mut self) -> Circuit {
         assert!(self.initialized, "call initialize() first");
         let nm = self.noise;
@@ -615,7 +512,7 @@ mod tests {
     #[test]
     fn noiseless_memory_has_silent_detectors() {
         for basis in [Basis::Z, Basis::X] {
-            let mut b = PatchCircuitBuilder::new(3, 1, basis, NoiseModel::noiseless());
+            let mut b = PatchCircuitBuilder::new(3, 1, basis, NoiseModel::uniform(0.0));
             b.initialize();
             for _ in 0..3 {
                 b.se_round();
@@ -636,7 +533,7 @@ mod tests {
     /// are valid parity checks of the noiseless circuit.
     #[test]
     fn detectors_are_deterministic_parity_checks() {
-        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::uniform(0.0));
         b.initialize();
         b.se_round();
         b.transversal_cx(0, 1);
@@ -663,7 +560,7 @@ mod tests {
 
     #[test]
     fn noiseless_transversal_circuit_is_silent_under_sampling() {
-        let mut b = PatchCircuitBuilder::new(3, 2, Basis::X, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 2, Basis::X, NoiseModel::uniform(0.0));
         b.initialize();
         b.se_round();
         for step in 0..4 {
@@ -698,72 +595,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "initialize")]
     fn se_round_requires_initialize() {
-        let mut b = PatchCircuitBuilder::new(3, 1, Basis::Z, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 1, Basis::Z, NoiseModel::uniform(0.0));
         b.se_round();
     }
 
     #[test]
     #[should_panic(expected = "differ")]
     fn transversal_cx_rejects_same_patch() {
-        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::uniform(0.0));
         b.initialize();
         b.transversal_cx(1, 1);
     }
 
     #[test]
-    fn double_hadamard_preserves_determinism() {
-        // H twice returns the patch to the Z sector: all detectors and the
-        // observable must stay deterministic.
-        let mut b = PatchCircuitBuilder::new(3, 1, Basis::Z, NoiseModel::noiseless());
-        b.initialize();
-        b.se_round();
-        b.transversal_h(0);
-        b.se_round();
-        b.transversal_h(0);
-        b.se_round();
-        let c = b.finish();
-        assert_eq!(c.num_observables(), 1);
-        assert!(!c.observable(0).is_empty());
-        let reference = TableauSim::reference_sample(&c);
-        for d in 0..c.num_detectors() {
-            let parity = c
-                .detector_measurements(d)
-                .iter()
-                .fold(false, |acc, &m| acc ^ reference[m]);
-            assert!(!parity, "detector {d} not deterministic after H·H");
-        }
-        let s = FrameSim::sample(&c, 64, &mut StdRng::seed_from_u64(7));
-        for shot in 0..64 {
-            assert!(s.fired_detectors(shot).is_empty());
-            assert_eq!(s.observable_mask(shot), 0);
-        }
-    }
-
-    #[test]
-    fn single_hadamard_switches_sector() {
-        // After one H, the Z-basis observable is undetermined and skipped,
-        // but every emitted detector is still deterministic.
-        let mut b = PatchCircuitBuilder::new(3, 1, Basis::Z, NoiseModel::noiseless());
-        b.initialize();
-        b.se_round();
-        b.transversal_h(0);
-        b.se_round();
-        let c = b.finish();
-        assert!(c.observable(0).is_empty(), "observable must be skipped");
-        let reference = TableauSim::reference_sample(&c);
-        for d in 0..c.num_detectors() {
-            let parity = c
-                .detector_measurements(d)
-                .iter()
-                .fold(false, |acc, &m| acc ^ reference[m]);
-            assert!(!parity, "detector {d} not deterministic after H");
-        }
-    }
-
-    #[test]
     fn mid_circuit_patch_measurement_is_deterministic() {
         // Measure one of two patches mid-circuit; the other carries on.
-        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::uniform(0.0));
         b.initialize();
         b.se_round();
         b.transversal_cx(0, 1);
@@ -788,7 +635,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already measured")]
     fn double_measurement_rejected() {
-        let mut b = PatchCircuitBuilder::new(3, 1, Basis::Z, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 1, Basis::Z, NoiseModel::uniform(0.0));
         b.initialize();
         b.se_round();
         b.measure_patch(0, Basis::Z);
@@ -797,7 +644,7 @@ mod tests {
 
     #[test]
     fn reprepare_patch_in_other_basis() {
-        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::noiseless());
+        let mut b = PatchCircuitBuilder::new(3, 2, Basis::Z, NoiseModel::uniform(0.0));
         b.initialize();
         b.reprepare_patch(0, Basis::X);
         b.se_round();

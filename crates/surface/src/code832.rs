@@ -20,9 +20,6 @@
 //! `p_out = 28 p_in² + O(p_in³)` (its Eq. 8). [`output_error_exact`] computes
 //! the exact polynomial by enumeration.
 
-/// Number of physical qubits of the code.
-pub const N: usize = 8;
-
 /// The four Z-stabilizer generators: the three cube faces through vertex 0
 /// plus the all-Z operator (so the full code has n − k = 5 stabilizer
 /// generators once `X⊗8` is included).
@@ -40,15 +37,18 @@ pub const Z_LOGICALS: [u8; 3] = [
     0b0001_0001, // edge along z: vertices 0,4
 ];
 
-/// The three logical X operators (faces dual to the edges).
-pub const X_LOGICALS: [u8; 3] = [
+/// The three logical X operators (faces dual to the edges): the
+/// commutation reference the code-structure tests read logical actions
+/// off.
+#[cfg(test)]
+const X_LOGICALS: [u8; 3] = [
     0b1010_1010, // x = 1 face: vertices 1,3,5,7
     0b1100_1100, // y = 1 face: vertices 2,3,6,7
     0b1111_0000, // z = 1 face: vertices 4,5,6,7
 ];
 
 /// The full 16-element Z-stabilizer group (spans of the four generators).
-pub fn z_stabilizer_group() -> Vec<u8> {
+pub(crate) fn z_stabilizer_group() -> Vec<u8> {
     let mut group = Vec::with_capacity(16);
     for bits in 0u8..16 {
         let mut el = 0u8;
@@ -64,7 +64,7 @@ pub fn z_stabilizer_group() -> Vec<u8> {
 
 /// Classification of a Z-error pattern on the eight |T⟩ inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZErrorClass {
+pub(crate) enum ZErrorClass {
     /// Anticommutes with `X⊗8`: caught by the factory's post-selection.
     Detected,
     /// A Z-stabilizer: acts trivially on the encoded |CCZ⟩.
@@ -74,7 +74,7 @@ pub enum ZErrorClass {
 }
 
 /// Classifies the Z-error pattern `mask` (bit `i` = Z on vertex `i`).
-pub fn classify_z_error(mask: u8) -> ZErrorClass {
+pub(crate) fn classify_z_error(mask: u8) -> ZErrorClass {
     if mask.count_ones() % 2 == 1 {
         return ZErrorClass::Detected;
     }
@@ -84,14 +84,14 @@ pub fn classify_z_error(mask: u8) -> ZErrorClass {
     ZErrorClass::Harmful
 }
 
-/// Which logical Z operators an undetected pattern applies, as a 3-bit mask
-/// (bit `i` set if logical `i` anticommutes with... i.e. the coset includes
-/// logical Z_i). Returns `None` for detected patterns.
-pub fn logical_action(mask: u8) -> Option<u8> {
+/// Which logical Z operators an undetected pattern applies, as a 3-bit
+/// mask (bit `i` set when the pattern anticommutes with logical X_i).
+/// Returns `None` for detected patterns.
+#[cfg(test)]
+fn logical_action(mask: u8) -> Option<u8> {
     if mask.count_ones() % 2 == 1 {
         return None;
     }
-    // The logical action is read off by commutation with the X logicals:
     // Z-pattern E anticommutes with X̄_i iff |E ∩ X̄_i| is odd.
     let mut action = 0u8;
     for (i, &xl) in X_LOGICALS.iter().enumerate() {
@@ -196,7 +196,8 @@ pub fn harmful_pattern_counts() -> (usize, usize, usize, usize) {
 ///     noise: NoiseModel::uniform(1e-3),
 /// };
 /// let circuit = exp.build();
-/// assert_eq!(circuit.num_detectors(), exp.num_detectors());
+/// // Four stabilizer detectors per round plus a final layer of four.
+/// assert_eq!(circuit.num_detectors(), 4 * 5);
 /// assert_eq!(circuit.num_observables(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -208,11 +209,6 @@ pub struct Code832MemoryExperiment {
 }
 
 impl Code832MemoryExperiment {
-    /// Total detectors: four per round plus the final readout layer.
-    pub fn num_detectors(&self) -> usize {
-        4 * (self.rounds + 1)
-    }
-
     /// Builds the noisy circuit.
     ///
     /// # Panics
@@ -413,7 +409,6 @@ mod tests {
             };
             let c = exp.build();
             assert_eq!(c.num_detectors(), 4 * (rounds + 1));
-            assert_eq!(c.num_detectors(), exp.num_detectors());
             assert_eq!(c.num_observables(), 3);
         }
     }

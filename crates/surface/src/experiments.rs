@@ -193,6 +193,7 @@ impl ScheduledCnotExperiment {
 
     /// Like [`ScheduledCnotExperiment::build`], additionally inserting the
     /// given deterministic Pauli faults after their SE rounds.
+    // raa-audit: allow(orphan-pub): scenario_proptests.rs injects Pauli errors into scenario circuits with it.
     pub fn build_with_injections(&self, injections: &[PauliInjection]) -> Circuit {
         assert!(self.patches >= 2, "need at least two patches");
         assert!(self.rounds >= 1, "need at least one SE round");
@@ -321,7 +322,7 @@ mod tests {
             depth: 8,
             cnots_per_round: 2.0,
             basis: Basis::Z,
-            noise: NoiseModel::noiseless(),
+            noise: NoiseModel::uniform(0.0),
         };
         assert_eq!(exp.expected_se_rounds(), 1 + 4);
         let c = exp.build(&mut StdRng::seed_from_u64(5));
@@ -333,7 +334,7 @@ mod tests {
         let exp = GhzFanoutExperiment {
             distance: 3,
             targets: 3,
-            noise: NoiseModel::noiseless(),
+            noise: NoiseModel::uniform(0.0),
         };
         let c = exp.build();
         assert_eq!(c.num_observables(), 2.max(c.num_observables().min(5)));
@@ -351,7 +352,7 @@ mod tests {
         let exp = GhzFanoutExperiment {
             distance: 3,
             targets: 4,
-            noise: NoiseModel::noiseless(),
+            noise: NoiseModel::uniform(0.0),
         };
         let c = exp.build();
         let reference = TableauSim::reference_sample(&c);

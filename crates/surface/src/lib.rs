@@ -26,4 +26,3 @@ pub use experiments::{
     GhzFanoutExperiment, MemoryExperiment, PauliInjection, ScheduledCnotExperiment,
     TransversalCnotExperiment,
 };
-pub use rotated::{Plaquette, RotatedSurfaceCode};

@@ -10,22 +10,17 @@
 
 /// A stabilizer plaquette of the rotated code.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Plaquette {
+pub(crate) struct Plaquette {
     /// Ancilla coordinate `(x, y)` on the even grid.
-    pub position: (i32, i32),
+    pub(crate) position: (i32, i32),
     /// Data-qubit indices touched, in syndrome-extraction layer order;
     /// `None` where the neighbour falls outside the patch (boundary).
-    pub data: [Option<usize>; 4],
+    pub(crate) data: [Option<usize>; 4],
 }
 
 impl Plaquette {
-    /// The weight (number of data qubits) of this stabilizer.
-    pub fn weight(&self) -> usize {
-        self.data.iter().flatten().count()
-    }
-
     /// Iterates over the data-qubit indices in this plaquette's support.
-    pub fn support(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn support(&self) -> impl Iterator<Item = usize> + '_ {
         self.data.iter().flatten().copied()
     }
 }
@@ -38,15 +33,19 @@ impl Plaquette {
 /// # Example
 ///
 /// ```
-/// use raa_surface::rotated::RotatedSurfaceCode;
+/// use raa_surface::{Basis, MemoryExperiment, NoiseModel};
 ///
-/// let code = RotatedSurfaceCode::new(3);
-/// assert_eq!(code.num_data(), 9);
-/// assert_eq!(code.x_plaquettes().len() + code.z_plaquettes().len(), 8);
-/// assert_eq!(code.num_qubits(), 17); // 9 data + 8 ancillas
+/// // A d = 3 memory experiment runs on one rotated patch.
+/// let exp = MemoryExperiment {
+///     distance: 3,
+///     rounds: 2,
+///     basis: Basis::Z,
+///     noise: NoiseModel::uniform(1e-3),
+/// };
+/// assert_eq!(exp.build().num_qubits(), 17); // 9 data + 8 ancillas
 /// ```
 #[derive(Debug, Clone)]
-pub struct RotatedSurfaceCode {
+pub(crate) struct RotatedSurfaceCode {
     distance: u32,
     x_plaquettes: Vec<Plaquette>,
     z_plaquettes: Vec<Plaquette>,
@@ -59,7 +58,7 @@ impl RotatedSurfaceCode {
     ///
     /// Panics if `d` is even or smaller than 3 (the architecture uses odd
     /// distances, where the rotated layout is balanced).
-    pub fn new(distance: u32) -> Self {
+    pub(crate) fn new(distance: u32) -> Self {
         assert!(
             distance >= 3 && distance % 2 == 1,
             "distance must be odd and at least 3, got {distance}"
@@ -134,48 +133,43 @@ impl RotatedSurfaceCode {
         }
     }
 
-    /// The code distance.
-    pub fn distance(&self) -> u32 {
-        self.distance
-    }
-
     /// Number of data qubits, `d²`.
-    pub fn num_data(&self) -> usize {
+    pub(crate) fn num_data(&self) -> usize {
         (self.distance * self.distance) as usize
     }
 
     /// Total qubits per patch: data plus one ancilla per plaquette.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_data() + self.x_plaquettes.len() + self.z_plaquettes.len()
     }
 
     /// The X-type plaquettes.
-    pub fn x_plaquettes(&self) -> &[Plaquette] {
+    pub(crate) fn x_plaquettes(&self) -> &[Plaquette] {
         &self.x_plaquettes
     }
 
     /// The Z-type plaquettes.
-    pub fn z_plaquettes(&self) -> &[Plaquette] {
+    pub(crate) fn z_plaquettes(&self) -> &[Plaquette] {
         &self.z_plaquettes
     }
 
     /// Local index of the ancilla for X plaquette `i`.
-    pub fn x_ancilla(&self, i: usize) -> usize {
+    pub(crate) fn x_ancilla(&self, i: usize) -> usize {
         self.num_data() + i
     }
 
     /// Local index of the ancilla for Z plaquette `i`.
-    pub fn z_ancilla(&self, i: usize) -> usize {
+    pub(crate) fn z_ancilla(&self, i: usize) -> usize {
         self.num_data() + self.x_plaquettes.len() + i
     }
 
     /// Data indices of the logical Z operator (the top row).
-    pub fn logical_z_support(&self) -> Vec<usize> {
+    pub(crate) fn logical_z_support(&self) -> Vec<usize> {
         (0..self.distance as usize).collect()
     }
 
     /// Data indices of the logical X operator (the left column).
-    pub fn logical_x_support(&self) -> Vec<usize> {
+    pub(crate) fn logical_x_support(&self) -> Vec<usize> {
         let d = self.distance as usize;
         (0..d).map(|r| r * d).collect()
     }
@@ -214,18 +208,21 @@ mod tests {
     fn plaquette_weights_are_2_or_4() {
         let code = RotatedSurfaceCode::new(5);
         for p in code.x_plaquettes().iter().chain(code.z_plaquettes()) {
-            assert!(p.weight() == 2 || p.weight() == 4, "{p:?}");
+            assert!(
+                p.support().count() == 2 || p.support().count() == 4,
+                "{p:?}"
+            );
         }
         // (d²-1)/2 plaquettes of each type; (d-1)/2... boundary count:
         let boundary_x = code
             .x_plaquettes()
             .iter()
-            .filter(|p| p.weight() == 2)
+            .filter(|p| p.support().count() == 2)
             .count();
         let boundary_z = code
             .z_plaquettes()
             .iter()
-            .filter(|p| p.weight() == 2)
+            .filter(|p| p.support().count() == 2)
             .count();
         assert_eq!(boundary_x, 4); // (d-1)/2 per edge × 2 edges at d=5
         assert_eq!(boundary_z, 4);
@@ -274,7 +271,11 @@ mod tests {
             let mut support: Vec<usize> = p.support().collect();
             support.sort_unstable();
             support.dedup();
-            assert_eq!(support.len(), p.weight(), "duplicate neighbour in {p:?}");
+            assert_eq!(
+                support.len(),
+                p.support().count(),
+                "duplicate neighbour in {p:?}"
+            );
         }
     }
 

@@ -45,7 +45,7 @@ fn acceleration_coherence() {
     slow.physical = PhysicalParams::default().with_acceleration_scaled(0.1);
 
     let gadget = LookupAddition::new(3, 4, 2048, 96, 43);
-    assert!(gadget.duration(&slow) > gadget.duration(&base));
+    assert!(gadget.cost(&slow).seconds > gadget.cost(&base).seconds);
     assert_eq!(gadget.ccz_count(), gadget.ccz_count());
 
     let f_base = CczFactory::for_target(&base, 1.6e-11).unwrap();

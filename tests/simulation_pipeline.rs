@@ -39,7 +39,7 @@ fn cnot_scenario(x: f64) -> Scenario {
 fn all_detectors_deterministic_across_bases_and_patches() {
     for basis in [Basis::Z, Basis::X] {
         for patches in [1usize, 2, 3] {
-            let mut b = PatchCircuitBuilder::new(3, patches, basis, NoiseModel::noiseless());
+            let mut b = PatchCircuitBuilder::new(3, patches, basis, NoiseModel::uniform(0.0));
             b.initialize();
             b.se_round();
             if patches >= 2 {
@@ -135,12 +135,9 @@ fn matching_reference_not_worse_than_unionfind() {
     let mwpm = MatchingDecoder::new(graph);
     let sampler = CircuitSampler::new(&c);
     let cfg = McConfig::default();
-    let r_uf = mc::logical_error_rate_sampled(&sampler, &uf, 20_000, 4, &cfg)
-        .unwrap()
-        .logical_error_rate();
-    let r_m = mc::logical_error_rate_sampled(&sampler, &mwpm, 20_000, 4, &cfg)
-        .unwrap()
-        .logical_error_rate();
+    let rate = |stats: mc::DecodeStats| stats.failures as f64 / stats.shots as f64;
+    let r_uf = rate(mc::logical_error_rate_sampled(&sampler, &uf, 20_000, 4, &cfg).unwrap());
+    let r_m = rate(mc::logical_error_rate_sampled(&sampler, &mwpm, 20_000, 4, &cfg).unwrap());
     assert!(
         r_m <= r_uf * 1.2 + 0.005,
         "matching {r_m} vs union-find {r_uf}"
