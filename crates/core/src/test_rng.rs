@@ -1,9 +1,9 @@
 //! A seeded SplitMix64 stream for the unit tests' random inputs.
 
-pub struct SplitMix(pub u64);
+pub(crate) struct SplitMix(pub u64);
 
 impl SplitMix {
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -12,17 +12,17 @@ impl SplitMix {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Log-uniform in `[lo, hi)`.
-    pub fn log_uniform(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn log_uniform(&mut self, lo: f64, hi: f64) -> f64 {
         (lo.ln() + (hi.ln() - lo.ln()) * self.unit()).exp()
     }
 
     /// Uniform in `0..n`.
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.unit() * n as f64) as usize
     }
 }

@@ -84,7 +84,9 @@ pub(crate) struct WindowState {
 }
 
 impl WindowState {
-    /// Defects pending in the open window's projected syndrome.
+    /// Number of pending (uncommitted) defects — bounded by the open
+    /// window's hits, not by the circuit depth (except in the
+    /// global-fallback regime where the window covers the whole circuit).
     #[cfg(test)]
     pub(crate) fn pending_defects(&self) -> usize {
         self.remaining.len()
